@@ -60,12 +60,15 @@ mod linux {
         stream
             .set_read_timeout(Some(Duration::from_secs(60)))
             .unwrap();
+        stream.set_nodelay(true).unwrap();
         stream
     }
 
+    /// Send `line` and its newline in one write: a newline written on its
+    /// own waits under Nagle's algorithm for the server's delayed ACK,
+    /// which adds ~40 ms to every request.
     fn round_trip(stream: &mut TcpStream, reader: &mut BufReader<TcpStream>, line: &str) -> String {
-        stream.write_all(line.as_bytes()).unwrap();
-        stream.write_all(b"\n").unwrap();
+        stream.write_all(format!("{line}\n").as_bytes()).unwrap();
         let mut response = String::new();
         reader.read_line(&mut response).unwrap();
         assert!(

@@ -9,7 +9,8 @@
 //! and the reactor multiplexes all of them with level-triggered epoll.
 //!
 //! Wire semantics are byte-identical to the blocking path: the same
-//! [`handle_line`] dispatches requests, blank lines are skipped, a final
+//! [`handle_line`] dispatches requests and the same [`response_line`]
+//! frames each response, blank lines are skipped, a final
 //! un-terminated line at EOF is still answered, and overlong lines get one
 //! structured `kind:"line_too_long"` error while the rest of the line is
 //! discarded without ever being buffered whole.
@@ -36,7 +37,7 @@ use crate::guard::{ClientPolicy, ConnState};
 use crate::log::EventLog;
 use crate::metrics::Counter;
 use crate::server::{
-    handle_line, line_too_long_response, log_message, AcceptBackoff, MAX_LINE_BYTES,
+    handle_line, line_too_long_response, log_message, response_line, AcceptBackoff, MAX_LINE_BYTES,
 };
 use epoll::{Epoll, Events, Interest, Slab, Token};
 use std::io::{self, Read, Write};
@@ -122,12 +123,6 @@ impl Conn {
         self.write_buf.len() - self.written
     }
 
-    fn queue_response(&mut self, response: &serde::json::Json) {
-        self.write_buf
-            .extend_from_slice(response.render().as_bytes());
-        self.write_buf.push(b'\n');
-    }
-
     /// Feed freshly read bytes through the line framer, dispatching every
     /// complete line.  Returns `true` when a dispatched line requested
     /// shutdown (remaining input is ignored, as in the blocking path).
@@ -149,7 +144,7 @@ impl Conn {
             }
             if self.read_buf.len() + segment.len() - 1 > max_line {
                 let response = line_too_long_response(engine, max_line);
-                self.queue_response(&response);
+                self.write_buf.extend_from_slice(&response_line(&response));
                 self.read_buf.clear();
                 continue;
             }
@@ -171,7 +166,8 @@ impl Conn {
                 self.read_buf = line_buf;
             }
             if let Some(outcome) = outcome {
-                self.queue_response(&outcome.response);
+                self.write_buf
+                    .extend_from_slice(&response_line(&outcome.response));
                 if outcome.shutdown {
                     self.shutdown = true;
                     return true;
@@ -181,7 +177,7 @@ impl Conn {
         if !bytes.is_empty() && !self.discarding {
             if self.read_buf.len() + bytes.len() > max_line {
                 let response = line_too_long_response(engine, max_line);
-                self.queue_response(&response);
+                self.write_buf.extend_from_slice(&response_line(&response));
                 self.read_buf.clear();
                 self.discarding = true;
             } else {
@@ -206,7 +202,8 @@ impl Conn {
         }
         let line = std::mem::take(&mut self.read_buf);
         if let Some(outcome) = handle_line(engine, &line, log, policy, &mut self.state) {
-            self.queue_response(&outcome.response);
+            self.write_buf
+                .extend_from_slice(&response_line(&outcome.response));
             if outcome.shutdown {
                 self.shutdown = true;
             }
@@ -413,6 +410,10 @@ fn accept_burst(
                 if stream.set_nonblocking(true).is_err() {
                     continue;
                 }
+                // As in the blocking loop: responses leave in one write, and
+                // without TCP_NODELAY a pipelined response waits for the
+                // previous one's ACK.  Refusing the option only costs speed.
+                let _ = stream.set_nodelay(true);
                 let key = conns.insert(Conn::new(stream));
                 let conn = conns.get_mut(key).expect("just inserted");
                 if epoll

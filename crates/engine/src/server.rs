@@ -130,10 +130,15 @@ pub(crate) fn handle_line(
     })
 }
 
-fn write_response<W: Write>(writer: &mut W, response: &serde::json::Json) -> std::io::Result<()> {
-    writer.write_all(response.render().as_bytes())?;
-    writer.write_all(b"\n")?;
-    writer.flush()
+/// Frame one response for the wire: the rendered JSON and its terminating
+/// `\n` in a single buffer.  Every transport frames responses here and hands
+/// the buffer to the socket whole.  Writing the newline separately would let
+/// Nagle's algorithm hold it until the client ACKs the body, and clients
+/// delay that ACK (~40 ms) while they wait for the newline.
+pub(crate) fn response_line(response: &Json) -> Vec<u8> {
+    let mut line = response.render();
+    line.push('\n');
+    line.into_bytes()
 }
 
 /// The structured rejection for an overlong request line: `ok:false` with
@@ -200,7 +205,8 @@ pub fn serve_lines_guarded<R: BufRead, W: Write>(
                 if discarding {
                     discarding = false;
                 } else if let Some(outcome) = handle_line(engine, &line, log, policy, &mut conn) {
-                    write_response(writer, &outcome.response)?;
+                    writer.write_all(&response_line(&outcome.response))?;
+                    writer.flush()?;
                     if outcome.shutdown {
                         return Ok(true);
                     }
@@ -212,7 +218,9 @@ pub fn serve_lines_guarded<R: BufRead, W: Write>(
             }
             LineStatus::TooLong => {
                 if !discarding {
-                    write_response(writer, &line_too_long_response(engine, MAX_LINE_BYTES))?;
+                    let response = line_too_long_response(engine, MAX_LINE_BYTES);
+                    writer.write_all(&response_line(&response))?;
+                    writer.flush()?;
                     discarding = true;
                 }
                 line.clear();
@@ -378,6 +386,10 @@ fn serve_tcp_connection(
     log: Option<&EventLog>,
     policy: Option<&ClientPolicy>,
 ) -> bool {
+    // Each response is one write; without TCP_NODELAY a response written
+    // while the previous one is still un-ACKed waits for that ACK.  A socket
+    // that refuses the option still serves, only slower.
+    let _ = stream.set_nodelay(true);
     let mut conn = ConnState::default();
     let registered = match stream.try_clone() {
         Ok(clone) => match registry.register(clone) {
@@ -428,7 +440,7 @@ fn serve_registered_connection(
                     }
                 };
                 line.clear();
-                if write_response(&mut writer, &outcome.response).is_err() {
+                if writer.write_all(&response_line(&outcome.response)).is_err() {
                     return false;
                 }
                 if outcome.shutdown {
@@ -438,7 +450,7 @@ fn serve_registered_connection(
             Ok(LineStatus::TooLong) => {
                 if !discarding {
                     let response = line_too_long_response(engine, MAX_LINE_BYTES);
-                    if write_response(&mut writer, &response).is_err() {
+                    if writer.write_all(&response_line(&response)).is_err() {
                         return false;
                     }
                     discarding = true;
@@ -709,6 +721,47 @@ mod tests {
         assert!(lines[0].contains("exceeds"));
         assert!(lines[1].contains(r#""ok":true"#));
         assert_eq!(engine.metrics().counter(Counter::LineTooLong), 1);
+    }
+
+    /// A writer that keeps every `write` call's bytes separately.
+    #[derive(Default)]
+    struct RecordingWriter {
+        writes: Vec<Vec<u8>>,
+    }
+
+    impl Write for RecordingWriter {
+        fn write(&mut self, buf: &[u8]) -> std::io::Result<usize> {
+            self.writes.push(buf.to_vec());
+            Ok(buf.len())
+        }
+        fn flush(&mut self) -> std::io::Result<()> {
+            Ok(())
+        }
+    }
+
+    #[test]
+    fn every_response_is_exactly_one_write() {
+        // A response split across writes lets Nagle's algorithm hold its
+        // tail until the client's delayed ACK: ~40 ms per response.
+        let engine = Engine::new();
+        let mut script = b"{\"cmd\":\"sessions\"}\ngarbage\n".to_vec();
+        script.resize(script.len() + MAX_LINE_BYTES + 1, b'x');
+        script.push(b'\n');
+        let mut writer = RecordingWriter::default();
+        serve_lines(&engine, Cursor::new(script), &mut writer).unwrap();
+        let writes: Vec<String> = writer
+            .writes
+            .into_iter()
+            .map(|bytes| String::from_utf8(bytes).unwrap())
+            .collect();
+        assert_eq!(
+            writes,
+            [
+                "{\"detail\":[],\"ok\":true,\"pools\":[],\"sessions\":[]}\n",
+                "{\"error\":\"json error: unexpected character 'g' at byte 0\",\"kind\":\"json\",\"ok\":false}\n",
+                "{\"error\":\"request line exceeds 67108864 bytes\",\"kind\":\"line_too_long\",\"ok\":false}\n",
+            ]
+        );
     }
 
     #[test]

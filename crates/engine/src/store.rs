@@ -281,7 +281,15 @@ impl CheckpointStore for FsCheckpointStore {
             .append(true)
             .open(&path)
             .map_err(|e| io_err("open", &path, e))?;
-        writeln!(file, "{line}").map_err(|e| io_err("append to", &path, e))
+        // Record and newline go down in one write: a kill between two
+        // writes would leave a complete record without its newline, which
+        // parses cleanly (so replay never scrubs it) until the next append
+        // glues its record onto the same line.
+        let mut record = String::with_capacity(line.len() + 1);
+        record.push_str(line);
+        record.push('\n');
+        file.write_all(record.as_bytes())
+            .map_err(|e| io_err("append to", &path, e))
     }
 
     fn read_wal(&self, session_id: &str) -> EngineResult<Vec<String>> {

@@ -8,7 +8,7 @@
 #![cfg(target_os = "linux")]
 
 use oasis_engine::reactor::{serve_listener_evented_with_config, ReactorConfig};
-use oasis_engine::server::serve_lines;
+use oasis_engine::server::{serve_lines, serve_listener};
 use oasis_engine::{ClientPolicy, Engine};
 use proptest::prelude::*;
 use std::io::{BufRead as _, BufReader, Cursor, Read as _, Write as _};
@@ -112,6 +112,52 @@ fn smoke_script_responses_are_byte_identical_to_the_blocking_path() {
         );
     })
     .unwrap();
+}
+
+/// Median round trip of 50 sequential requests from a `TCP_NODELAY` client
+/// that sends each request in one write.
+fn round_trip_p50(addr: SocketAddr) -> Duration {
+    const ROUND_TRIPS: usize = 50;
+    let mut stream = connect(addr);
+    stream.set_nodelay(true).unwrap();
+    let mut reader = BufReader::new(stream.try_clone().unwrap());
+    let mut line = String::new();
+    let mut samples = Vec::with_capacity(ROUND_TRIPS);
+    for _ in 0..ROUND_TRIPS {
+        let sent = Instant::now();
+        stream.write_all(b"{\"cmd\":\"sessions\"}\n").unwrap();
+        line.clear();
+        reader.read_line(&mut line).unwrap();
+        samples.push(sent.elapsed());
+        assert!(line.contains(r#""ok":true"#), "{line}");
+    }
+    samples.sort_unstable();
+    samples[ROUND_TRIPS / 2]
+}
+
+#[test]
+fn round_trips_do_not_stall_on_nagle_in_either_transport() {
+    // A response whose newline trails in a second write is held by Nagle's
+    // algorithm until the client's delayed ACK, ~40 ms per round trip.
+    const LIMIT: Duration = Duration::from_millis(10);
+    let engine = Engine::new();
+    let listener = TcpListener::bind("127.0.0.1:0").unwrap();
+    let addr = listener.local_addr().unwrap();
+    let blocking = crossbeam::thread::scope(|scope| {
+        let engine = &engine;
+        let server = scope.spawn(move |_| serve_listener(engine, listener));
+        let p50 = round_trip_p50(addr);
+        send_shutdown(addr);
+        server.join().unwrap().unwrap();
+        p50
+    })
+    .unwrap();
+    let mut evented = Duration::ZERO;
+    with_evented_server(ReactorConfig::default(), None, |addr| {
+        evented = round_trip_p50(addr);
+    });
+    assert!(blocking < LIMIT, "blocking TCP round-trip p50 {blocking:?}");
+    assert!(evented < LIMIT, "evented TCP round-trip p50 {evented:?}");
 }
 
 #[test]
