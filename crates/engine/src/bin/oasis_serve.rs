@@ -8,8 +8,6 @@
 //! ```text
 //! oasis-serve                     # serve stdin/stdout (scriptable, CI-friendly)
 //! oasis-serve --tcp 0.0.0.0:7171  # serve TCP, thread per connection
-//! oasis-serve --tcp 0.0.0.0:7171 --evented  # single-threaded epoll reactor
-//!                                 # (Linux; scales to thousands of connections)
 //! oasis-serve --store DIR         # durable sessions: checkpoints + WAL in DIR
 //! oasis-serve --store DIR --max-resident 64   # LRU-evict idle sessions to DIR
 //! oasis-serve --log-json          # JSONL events on stderr, one per request
@@ -17,9 +15,10 @@
 //! oasis-serve --rate-limit N      # cap each session at N requests/second
 //! ```
 
-use oasis_engine::server::{serve_lines_guarded, serve_tcp_guarded};
+use oasis_engine::server::{serve_lines_guarded, serve_listener_guarded};
 use oasis_engine::{ClientPolicy, Engine, EventLog, FsCheckpointStore, LogFormat};
 use std::io::{BufReader, Write as _};
+use std::net::TcpListener;
 use std::sync::Arc;
 
 fn main() {
@@ -29,9 +28,8 @@ fn main() {
             "oasis-serve — evaluation engine speaking line-delimited JSON\n\n\
              USAGE:\n  oasis-serve                serve stdin/stdout\n  \
              oasis-serve --tcp ADDR     serve TCP on ADDR (e.g. 127.0.0.1:7171)\n  \
-             oasis-serve --tcp ADDR --evented   single-threaded epoll reactor\n\
-             \x20                            (Linux only; same wire protocol, scales\n\
-             \x20                            to thousands of concurrent connections)\n  \
+             \x20                            (one thread per connection)\n  \
+             oasis-serve --evented      accepted and ignored: selects nothing\n  \
              oasis-serve --store DIR    durable sessions: checkpoints + write-ahead\n\
              \x20                            log in DIR, replayed across restarts\n  \
              oasis-serve --max-resident N   with --store: LRU-evict idle sessions\n  \
@@ -69,7 +67,6 @@ fn main() {
     // Strict argument parsing: a typo'd flag must not silently fall back to
     // stdio mode (which would sit blocked on stdin with no diagnostic).
     let mut tcp_addr: Option<String> = None;
-    let mut evented = false;
     let mut store_dir: Option<String> = None;
     let mut max_resident: Option<usize> = None;
     let mut auth_token: Option<String> = None;
@@ -77,12 +74,13 @@ fn main() {
     let mut rest = args[1..].iter();
     while let Some(arg) = rest.next() {
         match arg.as_str() {
-            "--log-json" => {}
+            // `--evented` selects nothing; it stays accepted so command lines
+            // that still pass it keep working.
+            "--log-json" | "--evented" => {}
             "--tcp" => match rest.next() {
                 Some(addr) => tcp_addr = Some(addr.clone()),
                 None => usage_error("--tcp requires an address (e.g. --tcp 127.0.0.1:7171)"),
             },
-            "--evented" => evented = true,
             "--store" => match rest.next() {
                 Some(dir) => store_dir = Some(dir.clone()),
                 None => usage_error("--store requires a directory path"),
@@ -104,9 +102,6 @@ fn main() {
     }
     if max_resident.is_some() && store_dir.is_none() {
         usage_error("--max-resident requires --store (evicted sessions need a store)");
-    }
-    if evented && tcp_addr.is_none() {
-        usage_error("--evented requires --tcp (the reactor serves TCP connections)");
     }
 
     let policy = if auth_token.is_some() || rate_limit.is_some() {
@@ -141,14 +136,10 @@ fn main() {
         engine = engine.with_max_resident(cap);
     }
     let outcome = match tcp_addr {
-        Some(addr) if evented => {
-            log.message(&format!("listening on {addr} (evented)"));
-            serve_evented(&engine, &addr, &log, policy.as_ref())
-        }
-        Some(addr) => {
-            log.message(&format!("listening on {addr}"));
-            serve_tcp_guarded(&engine, &addr, Some(&log), policy.as_ref())
-        }
+        Some(addr) => TcpListener::bind(&addr).and_then(|listener| {
+            log.message(&format!("listening on {}", listener.local_addr()?));
+            serve_listener_guarded(&engine, listener, Some(&log), policy.as_ref())
+        }),
         None => {
             let stdin = std::io::stdin();
             let stdout = std::io::stdout();
@@ -168,29 +159,4 @@ fn main() {
         log.message(&format!("transport error: {error}"));
         std::process::exit(1);
     }
-}
-
-/// The epoll reactor is Linux-only; elsewhere `--evented` is a clean error
-/// rather than a compile failure.
-#[cfg(target_os = "linux")]
-fn serve_evented(
-    engine: &Engine,
-    addr: &str,
-    log: &EventLog,
-    policy: Option<&ClientPolicy>,
-) -> std::io::Result<()> {
-    oasis_engine::serve_tcp_evented_guarded(engine, addr, Some(log), policy)
-}
-
-#[cfg(not(target_os = "linux"))]
-fn serve_evented(
-    _engine: &Engine,
-    _addr: &str,
-    _log: &EventLog,
-    _policy: Option<&ClientPolicy>,
-) -> std::io::Result<()> {
-    Err(std::io::Error::new(
-        std::io::ErrorKind::Unsupported,
-        "--evented requires Linux (epoll)",
-    ))
 }

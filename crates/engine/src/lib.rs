@@ -38,12 +38,13 @@
 //!   `create_session` (with a `method` field), `propose`, `label`, `step`,
 //!   `run_budget`, `estimate`, `checkpoint`, `restore`, `checkpoint_to`,
 //!   `restore_from`, `sessions`, `delete_session`, `metrics`,
-//!   `diagnostics`, `shutdown`.  TCP mode is thread-per-connection by
-//!   default; `--evented` swaps in a single-threaded epoll reactor
-//!   ([`reactor`], Linux only) with byte-identical wire semantics that
-//!   scales to thousands of mostly-idle connections under bounded
-//!   memory — bounded line buffers, write-side backpressure, a
-//!   connection cap, and accept-error backoff.
+//!   `diagnostics`, `shutdown`.  TCP mode serves each connection on its
+//!   own thread.  The library also offers a single-threaded epoll reactor
+//!   ([`reactor`], Linux only) that holds thousands of mostly-idle
+//!   connections under bounded memory — bounded line buffers, write-side
+//!   backpressure, a connection cap, and accept-error backoff.  Every
+//!   transport splits request lines with one framer, so the wire bytes
+//!   are identical.
 //! * **Robustness** ([`guard`], [`fault`]) — propose-lease timeouts and
 //!   pending-ticket caps ([`SessionLimits`]) reclaim tickets from vanished
 //!   clients deterministically (the lease clock is WAL-logged, so replay
@@ -121,10 +122,7 @@ pub use guard::{ClientPolicy, ConnState};
 pub use log::{EventLog, LogFormat};
 pub use metrics::{Clock, Counter, LatencyHistogram, ManualClock, MetricsRegistry, MonotonicClock};
 #[cfg(target_os = "linux")]
-pub use reactor::{
-    serve_listener_evented, serve_listener_evented_with_config, serve_tcp_evented,
-    serve_tcp_evented_guarded, ReactorConfig,
-};
+pub use reactor::{serve_listener_evented, serve_listener_evented_with_config, ReactorConfig};
 pub use session::{LabelSource, Session, SessionLimits, Ticket};
 pub use store::{CheckpointStore, FsCheckpointStore, STORE_FORMAT};
 pub use wal::{WalEntry, WalParseOutcome, WalRecord};

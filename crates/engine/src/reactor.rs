@@ -1,19 +1,24 @@
 //! Event-driven TCP serving: a single-threaded epoll reactor.
 //!
-//! The thread-per-connection loops in [`crate::server`] are simple and
-//! correct, but each idle client costs a parked thread and its stack, which
-//! caps realistic fan-in well below what one engine can serve.  This module
-//! drives every connection from one thread over the vendored [`epoll`]
-//! readiness API: each connection is a small state machine — read buffer →
-//! line framing → dispatch against the shared [`Engine`] → write buffer —
-//! and the reactor multiplexes all of them with level-triggered epoll.
+//! `oasis-serve` serves TCP with the thread-per-connection server in
+//! [`crate::server`], which costs a parked thread and its stack per idle
+//! client; that caps realistic fan-in well below what one engine can
+//! serve.  This module is the library's server for that case.  It drives
+//! every connection from one thread over the vendored [`epoll`] readiness
+//! API: each connection is a small state machine — read → `LineFramer` → dispatch
+//! against the shared [`Engine`] → write buffer — and the reactor
+//! multiplexes all of them with level-triggered epoll.  The price of one
+//! thread: concurrent clients' requests share one core, and a long request
+//! (a large `run_budget`, a checkpoint of a huge pool) delays every other
+//! connection until it completes.
 //!
-//! Wire semantics are byte-identical to the blocking path: the same
-//! [`handle_line`] dispatches requests and the same [`response_line`]
-//! frames each response, blank lines are skipped, a final
+//! Wire semantics are byte-identical to the stdio loop, because both share
+//! the same framer and `answer_frame`: blank lines are skipped, a final
 //! un-terminated line at EOF is still answered, and overlong lines get one
 //! structured `kind:"line_too_long"` error while the rest of the line is
-//! discarded without ever being buffered whole.
+//! discarded without ever being buffered whole.  At `shutdown` the reactor
+//! stops dispatching and only flushes queued responses; an unfinished line
+//! is dropped, as in the thread-per-connection server.
 //!
 //! Everything is bounded ([`ReactorConfig`]):
 //!
@@ -36,12 +41,11 @@ use crate::engine::Engine;
 use crate::guard::{ClientPolicy, ConnState};
 use crate::log::EventLog;
 use crate::metrics::Counter;
-use crate::server::{
-    handle_line, line_too_long_response, log_message, response_line, AcceptBackoff, MAX_LINE_BYTES,
-};
+use crate::server::{answer_frame, log_message, AcceptBackoff, Frame, LineFramer, MAX_LINE_BYTES};
 use epoll::{Epoll, Events, Interest, Slab, Token};
 use std::io::{self, Read, Write};
 use std::net::{TcpListener, TcpStream};
+use std::ops::ControlFlow;
 use std::os::unix::io::AsRawFd;
 use std::time::{Duration, Instant};
 
@@ -59,8 +63,6 @@ pub struct ReactorConfig {
     /// bytes accumulate, the reactor stops reading from the connection
     /// until the client drains its responses.
     pub max_write_buffer: usize,
-    /// Size of the shared read scratch buffer (one `read` syscall's worth).
-    pub read_chunk: usize,
 }
 
 impl Default for ReactorConfig {
@@ -69,10 +71,12 @@ impl Default for ReactorConfig {
             max_connections: 16_384,
             max_line_bytes: MAX_LINE_BYTES,
             max_write_buffer: 8 * 1024 * 1024,
-            read_chunk: 64 * 1024,
         }
     }
 }
+
+/// Size of the shared read scratch buffer (one `read` syscall's worth).
+const READ_CHUNK: usize = 64 * 1024;
 
 /// The listener's registration token; connection tokens are slab keys,
 /// which stay far below this sentinel.
@@ -85,14 +89,12 @@ const SHUTDOWN_FLUSH_TIMEOUT: Duration = Duration::from_secs(1);
 /// One connection's state machine.
 struct Conn {
     stream: TcpStream,
-    /// Bytes of the current (incomplete) request line.
-    read_buf: Vec<u8>,
+    /// Splits the request bytes read so far into lines.
+    framer: LineFramer,
     /// Rendered responses not yet accepted by the socket.
     write_buf: Vec<u8>,
     /// Prefix of `write_buf` already written.
     written: usize,
-    /// Inside an overlong line: drop bytes until the next newline.
-    discarding: bool,
     /// Per-connection auth state for the [`ClientPolicy`].
     state: ConnState,
     /// The interest currently registered with epoll.
@@ -104,13 +106,12 @@ struct Conn {
 }
 
 impl Conn {
-    fn new(stream: TcpStream) -> Self {
+    fn new(stream: TcpStream, max_line: usize) -> Self {
         Conn {
             stream,
-            read_buf: Vec::new(),
+            framer: LineFramer::new(max_line),
             write_buf: Vec::new(),
             written: 0,
-            discarding: false,
             state: ConnState::default(),
             interest: Interest::NONE,
             peer_eof: false,
@@ -123,91 +124,35 @@ impl Conn {
         self.write_buf.len() - self.written
     }
 
-    /// Feed freshly read bytes through the line framer, dispatching every
-    /// complete line.  Returns `true` when a dispatched line requested
-    /// shutdown (remaining input is ignored, as in the blocking path).
+    /// Frame freshly read bytes (`None` at EOF), queueing one response per
+    /// frame.  Stops at a dispatched `shutdown`, ignoring the remaining
+    /// input as the stdio loop does, and returns `true`.
     fn ingest(
         &mut self,
-        mut bytes: &[u8],
+        bytes: Option<&[u8]>,
         engine: &Engine,
         log: Option<&EventLog>,
         policy: Option<&ClientPolicy>,
-        max_line: usize,
     ) -> bool {
-        while let Some(pos) = bytes.iter().position(|&b| b == b'\n') {
-            let (segment, rest) = bytes.split_at(pos + 1);
-            bytes = rest;
-            if self.discarding {
-                // The newline ends the overlong line already answered.
-                self.discarding = false;
-                continue;
-            }
-            if self.read_buf.len() + segment.len() - 1 > max_line {
-                let response = line_too_long_response(engine, max_line);
-                self.write_buf.extend_from_slice(&response_line(&response));
-                self.read_buf.clear();
-                continue;
-            }
-            // Assemble the full line (common case: it arrived in one read
-            // and `read_buf` is empty — dispatch straight from the slice).
-            let mut line_buf = Vec::new();
-            let line: &[u8] = if self.read_buf.is_empty() {
-                segment
-            } else {
-                self.read_buf.extend_from_slice(segment);
-                line_buf = std::mem::take(&mut self.read_buf);
-                &line_buf
+        let respond = |frame: Frame<'_>| {
+            let Some((response, shutdown)) =
+                answer_frame(engine, frame, log, policy, &mut self.state)
+            else {
+                return ControlFlow::Continue(());
             };
-            let outcome = handle_line(engine, line, log, policy, &mut self.state);
-            // Hand the allocation back so a steady stream of split lines
-            // does not reallocate per request.
-            line_buf.clear();
-            if self.read_buf.capacity() < line_buf.capacity() {
-                self.read_buf = line_buf;
-            }
-            if let Some(outcome) = outcome {
-                self.write_buf
-                    .extend_from_slice(&response_line(&outcome.response));
-                if outcome.shutdown {
-                    self.shutdown = true;
-                    return true;
-                }
-            }
-        }
-        if !bytes.is_empty() && !self.discarding {
-            if self.read_buf.len() + bytes.len() > max_line {
-                let response = line_too_long_response(engine, max_line);
-                self.write_buf.extend_from_slice(&response_line(&response));
-                self.read_buf.clear();
-                self.discarding = true;
+            self.write_buf.extend_from_slice(&response);
+            if shutdown {
+                ControlFlow::Break(())
             } else {
-                self.read_buf.extend_from_slice(bytes);
+                ControlFlow::Continue(())
             }
-        }
-        false
-    }
-
-    /// The blocking path answers a final un-terminated line at EOF; mirror
-    /// that exactly, then nothing further can arrive.
-    fn finish_eof(
-        &mut self,
-        engine: &Engine,
-        log: Option<&EventLog>,
-        policy: Option<&ClientPolicy>,
-    ) {
-        if self.discarding || self.read_buf.is_empty() {
-            self.discarding = false;
-            self.read_buf.clear();
-            return;
-        }
-        let line = std::mem::take(&mut self.read_buf);
-        if let Some(outcome) = handle_line(engine, &line, log, policy, &mut self.state) {
-            self.write_buf
-                .extend_from_slice(&response_line(&outcome.response));
-            if outcome.shutdown {
-                self.shutdown = true;
-            }
-        }
+        };
+        let flow = match bytes {
+            Some(bytes) => self.framer.push(bytes, respond),
+            None => self.framer.finish(respond),
+        };
+        self.shutdown |= flow.is_break();
+        flow.is_break()
     }
 
     /// Write as much of the pending buffer as the socket will take.
@@ -242,35 +187,14 @@ impl Conn {
     }
 }
 
-/// Serve the line protocol over TCP with the epoll reactor (no guard, no
-/// log).  Returns when a client issues `shutdown`.
-///
-/// # Errors
-/// Socket bind failures and fatal reactor errors (epoll setup, listener
-/// registration).  Per-connection I/O errors only close that connection.
-pub fn serve_tcp_evented(engine: &Engine, addr: &str) -> io::Result<()> {
-    serve_listener_evented(engine, TcpListener::bind(addr)?, None, None)
-}
-
-/// [`serve_tcp_evented`] with an [`EventLog`] and optional [`ClientPolicy`]
-/// — the evented twin of [`crate::server::serve_tcp_guarded`].
-///
-/// # Errors
-/// Socket bind failures and fatal reactor errors.
-pub fn serve_tcp_evented_guarded(
-    engine: &Engine,
-    addr: &str,
-    log: Option<&EventLog>,
-    policy: Option<&ClientPolicy>,
-) -> io::Result<()> {
-    serve_listener_evented(engine, TcpListener::bind(addr)?, log, policy)
-}
-
-/// [`serve_tcp_evented_guarded`] over an already-bound listener with the
-/// default [`ReactorConfig`].
+/// Serve the line protocol over TCP with the epoll reactor on an
+/// already-bound listener, with an optional [`EventLog`], an optional
+/// [`ClientPolicy`] and the default [`ReactorConfig`].  Returns when a
+/// client issues `shutdown`.
 ///
 /// # Errors
 /// Fatal reactor errors (epoll setup, listener registration).
+/// Per-connection I/O errors only close that connection.
 pub fn serve_listener_evented(
     engine: &Engine,
     listener: TcpListener,
@@ -302,7 +226,7 @@ pub fn serve_listener_evented_with_config(
 
     let mut conns: Slab<Conn> = Slab::new();
     let mut events = Events::with_capacity(1024);
-    let mut scratch = vec![0u8; config.read_chunk.max(1)];
+    let mut scratch = vec![0u8; READ_CHUNK];
     let mut backoff = AcceptBackoff::new();
     let mut accept_resume_at: Option<Instant> = None;
     let mut shutdown = false;
@@ -414,7 +338,7 @@ fn accept_burst(
                 // without TCP_NODELAY a pipelined response waits for the
                 // previous one's ACK.  Refusing the option only costs speed.
                 let _ = stream.set_nodelay(true);
-                let key = conns.insert(Conn::new(stream));
+                let key = conns.insert(Conn::new(stream, config.max_line_bytes));
                 let conn = conns.get_mut(key).expect("just inserted");
                 if epoll
                     .register(conn.stream.as_raw_fd(), Token(key), Interest::READABLE)
@@ -473,11 +397,11 @@ fn drive_conn(
             match conn.stream.read(scratch) {
                 Ok(0) => {
                     conn.peer_eof = true;
-                    conn.finish_eof(engine, log, policy);
+                    conn.ingest(None, engine, log, policy);
                     break;
                 }
                 Ok(n) => {
-                    if conn.ingest(&scratch[..n], engine, log, policy, config.max_line_bytes) {
+                    if conn.ingest(Some(&scratch[..n]), engine, log, policy) {
                         // Shutdown dispatched: stop reading; the reactor
                         // flushes and exits.
                         return false;

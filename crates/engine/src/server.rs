@@ -1,15 +1,18 @@
-//! Transport layer for the line protocol: stdio and TCP serving loops.
+//! Transport layer for the line protocol: the stdio loop, the
+//! thread-per-connection TCP server, and the one `LineFramer` that splits
+//! request lines for every transport (the epoll reactor in
+//! [`crate::reactor`] included).
 //!
 //! [`serve_lines`] is the transport-agnostic core — one request line in, one
 //! response line out — used directly for stdin/stdout mode and per-connection
-//! in TCP mode.  TCP connections are handled on vendored-crossbeam scoped
-//! threads sharing one [`Engine`], so concurrent clients can drive disjoint
-//! sessions in parallel (per-session locks serialise conflicting access).
+//! by [`serve_listener`], `oasis-serve`'s TCP server, which handles each
+//! connection on a vendored-crossbeam scoped thread sharing one [`Engine`],
+//! so concurrent clients can drive disjoint sessions in parallel
+//! (per-session locks serialise conflicting access).
 //!
-//! Every entry point has a `_with_log` variant accepting an [`EventLog`];
-//! with [`LogFormat::Json`](crate::log::LogFormat::Json) each request emits
-//! one structured event (verb, session, latency, outcome) — see
-//! [`crate::log`].  The log-free variants keep the original behaviour.
+//! The `_guarded` forms take an optional [`EventLog`] (with
+//! [`LogFormat::Json`](crate::log::LogFormat::Json) each request emits one
+//! structured event — see [`crate::log`]) and an optional [`ClientPolicy`].
 
 use crate::engine::Engine;
 use crate::error::EngineError;
@@ -20,8 +23,9 @@ use crate::protocol::{error_response, Dispatch, Request};
 use parking_lot::Mutex;
 use serde::json::Json;
 use std::collections::HashMap;
-use std::io::{BufRead, BufReader, Write};
+use std::io::{BufRead, BufReader, Read, Write};
 use std::net::{Shutdown, TcpListener, TcpStream};
+use std::ops::ControlFlow;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::time::{Duration, Instant};
 
@@ -31,43 +35,92 @@ use std::time::{Duration, Instant};
 /// line buffer until the process OOMs, bypassing every parse-time limit.
 pub const MAX_LINE_BYTES: usize = 64 * 1024 * 1024;
 
-/// Outcome of one bounded line read.
-enum LineStatus {
-    /// Clean EOF at a line boundary (or empty final read).
-    Eof,
-    /// A full newline-terminated line is in the buffer.
-    Complete,
-    /// EOF arrived mid-line; the partial line is in the buffer.
-    FinalPartial,
-    /// The line exceeded [`MAX_LINE_BYTES`] before a newline appeared.
-    TooLong,
+/// One unit of request framing.
+pub(crate) enum Frame<'a> {
+    /// A request line, without its terminating newline.
+    Line(&'a [u8]),
+    /// The current line grew past the framer's cap (carried here); the rest
+    /// of it is discarded up to its newline.
+    TooLong(usize),
 }
 
-/// Read up to the rest of one line into `line`, never letting the buffer
-/// exceed [`MAX_LINE_BYTES`] (+1 sentinel byte to detect overflow).
-fn fill_line<R: BufRead>(reader: &mut R, line: &mut Vec<u8>) -> std::io::Result<LineStatus> {
-    use std::io::Read as _;
-    loop {
-        let budget = (MAX_LINE_BYTES + 1).saturating_sub(line.len());
-        if budget == 0 {
-            return Ok(LineStatus::TooLong);
+/// The request-line splitter every transport feeds: bytes go in through
+/// [`push`](Self::push), and complete lines, one [`Frame::TooLong`] per
+/// overlong line, and (at [`finish`](Self::finish)) a final unterminated
+/// line come out.  Only a line split across pushes is copied; a line that
+/// arrives whole is handed out as a slice of the pushed bytes.  The partial
+/// line never exceeds `max` bytes, so no client can grow it unboundedly.
+pub(crate) struct LineFramer {
+    /// Bytes of the current line received in earlier pushes.
+    partial: Vec<u8>,
+    /// Inside an overlong line: drop bytes until the next newline.
+    discarding: bool,
+    max: usize,
+}
+
+impl LineFramer {
+    /// A framer answering lines longer than `max` bytes with
+    /// [`Frame::TooLong`].
+    pub(crate) fn new(max: usize) -> Self {
+        LineFramer {
+            partial: Vec::new(),
+            discarding: false,
+            max,
         }
-        let n = reader
-            .by_ref()
-            .take(budget as u64)
-            .read_until(b'\n', line)?;
-        if line.last() == Some(&b'\n') {
-            return Ok(LineStatus::Complete);
-        }
-        if n == 0 {
-            return Ok(if line.is_empty() {
-                LineStatus::Eof
+    }
+
+    /// Frame `bytes`, handing each frame to `sink` in order.  Stops at the
+    /// first `Break`, dropping the rest of `bytes`, and returns it.
+    pub(crate) fn push<B>(
+        &mut self,
+        mut bytes: &[u8],
+        mut sink: impl FnMut(Frame<'_>) -> ControlFlow<B>,
+    ) -> ControlFlow<B> {
+        while let Some(pos) = bytes.iter().position(|&b| b == b'\n') {
+            let line = &bytes[..pos];
+            bytes = &bytes[pos + 1..];
+            if std::mem::take(&mut self.discarding) {
+                // The newline ends the overlong line already answered.
+                continue;
+            }
+            let flow = if self.partial.len() + line.len() > self.max {
+                sink(Frame::TooLong(self.max))
+            } else if self.partial.is_empty() {
+                sink(Frame::Line(line))
             } else {
-                LineStatus::FinalPartial
-            });
+                self.partial.extend_from_slice(line);
+                sink(Frame::Line(&self.partial))
+            };
+            // Cleared, not dropped: the allocation serves the next split line.
+            self.partial.clear();
+            flow?;
         }
-        // Budget exhausted without a newline: loop once more so the len
-        // check above reports TooLong.
+        if bytes.is_empty() || self.discarding {
+            return ControlFlow::Continue(());
+        }
+        if self.partial.len() + bytes.len() > self.max {
+            // Answer before the newline arrives; it may never come.
+            self.partial.clear();
+            self.discarding = true;
+            return sink(Frame::TooLong(self.max));
+        }
+        self.partial.extend_from_slice(bytes);
+        ControlFlow::Continue(())
+    }
+
+    /// End of input: hand a buffered unterminated line to `sink`, as every
+    /// transport answers a final line that lacks its newline.
+    pub(crate) fn finish<B>(
+        &mut self,
+        mut sink: impl FnMut(Frame<'_>) -> ControlFlow<B>,
+    ) -> ControlFlow<B> {
+        let flow = if std::mem::take(&mut self.discarding) || self.partial.is_empty() {
+            ControlFlow::Continue(())
+        } else {
+            sink(Frame::Line(&self.partial))
+        };
+        self.partial.clear();
+        flow
     }
 }
 
@@ -84,7 +137,7 @@ pub(crate) fn log_message(log: Option<&EventLog>, text: &str) {
 /// emitting one structured event per request when a log is attached.  With a
 /// [`ClientPolicy`], requests are screened (auth, rate limits) before they
 /// reach the engine; `conn` carries this connection's authentication state.
-pub(crate) fn handle_line(
+fn handle_line(
     engine: &Engine,
     raw: &[u8],
     log: Option<&EventLog>,
@@ -135,7 +188,7 @@ pub(crate) fn handle_line(
 /// the buffer to the socket whole.  Writing the newline separately would let
 /// Nagle's algorithm hold it until the client ACKs the body, and clients
 /// delay that ACK (~40 ms) while they wait for the newline.
-pub(crate) fn response_line(response: &Json) -> Vec<u8> {
+fn response_line(response: &Json) -> Vec<u8> {
     let mut line = response.render();
     line.push('\n');
     line.into_bytes()
@@ -144,9 +197,28 @@ pub(crate) fn response_line(response: &Json) -> Vec<u8> {
 /// The structured rejection for an overlong request line: `ok:false` with
 /// `kind:"line_too_long"`, so clients can tell a framing overflow apart
 /// from a malformed request.  Bumps the [`Counter::LineTooLong`] metric.
-pub(crate) fn line_too_long_response(engine: &Engine, max: usize) -> serde::json::Json {
+fn line_too_long_response(engine: &Engine, max: usize) -> Json {
     engine.metrics().incr(Counter::LineTooLong);
     error_response(&EngineError::LineTooLong(max))
+}
+
+/// Answer one frame on one connection: its [`response_line`] and whether
+/// the request asked for shutdown, or `None` for a blank line.
+pub(crate) fn answer_frame(
+    engine: &Engine,
+    frame: Frame<'_>,
+    log: Option<&EventLog>,
+    policy: Option<&ClientPolicy>,
+    conn: &mut ConnState,
+) -> Option<(Vec<u8>, bool)> {
+    let outcome = match frame {
+        Frame::Line(line) => handle_line(engine, line, log, policy, conn)?,
+        Frame::TooLong(max) => Dispatch {
+            response: line_too_long_response(engine, max),
+            shutdown: false,
+        },
+    };
+    Some((response_line(&outcome.response), outcome.shutdown))
 }
 
 /// Serve the line protocol over any reader/writer pair until EOF or a
@@ -156,7 +228,8 @@ pub(crate) fn line_too_long_response(engine: &Engine, max: usize) -> serde::json
 /// Blank lines are ignored; malformed lines produce an `"ok": false`
 /// response and the loop continues — a broken client cannot wedge the
 /// server.  Lines longer than [`MAX_LINE_BYTES`] are answered with an error
-/// and discarded without being buffered whole.
+/// and discarded without being buffered whole.  A final line without its
+/// newline is answered at EOF.
 ///
 /// # Errors
 /// Only I/O failures on the transport itself.
@@ -165,25 +238,13 @@ pub fn serve_lines<R: BufRead, W: Write>(
     reader: R,
     writer: &mut W,
 ) -> std::io::Result<bool> {
-    serve_lines_with_log(engine, reader, writer, None)
+    serve_lines_guarded(engine, reader, writer, None, None)
 }
 
-/// [`serve_lines`] with an attached [`EventLog`] for per-request events.
-///
-/// # Errors
-/// Only I/O failures on the transport itself.
-pub fn serve_lines_with_log<R: BufRead, W: Write>(
-    engine: &Engine,
-    reader: R,
-    writer: &mut W,
-    log: Option<&EventLog>,
-) -> std::io::Result<bool> {
-    serve_lines_guarded(engine, reader, writer, log, None)
-}
-
-/// [`serve_lines_with_log`] with an optional [`ClientPolicy`]: requests are
-/// screened for auth and rate limits before reaching the engine, each
-/// rejection a structured `ok:false` line (kind `unauthorized`/`throttled`).
+/// [`serve_lines`] with an optional [`EventLog`] for per-request events and
+/// an optional [`ClientPolicy`]: requests are screened for auth and rate
+/// limits before reaching the engine, each rejection a structured
+/// `ok:false` line (kind `unauthorized`/`throttled`).
 ///
 /// # Errors
 /// Only I/O failures on the transport itself.
@@ -195,77 +256,36 @@ pub fn serve_lines_guarded<R: BufRead, W: Write>(
     policy: Option<&ClientPolicy>,
 ) -> std::io::Result<bool> {
     let mut conn = ConnState::default();
-    let mut line = Vec::new();
-    let mut discarding = false;
+    let mut framer = LineFramer::new(MAX_LINE_BYTES);
+    let mut respond = |frame: Frame<'_>| {
+        let Some((response, shutdown)) = answer_frame(engine, frame, log, policy, &mut conn) else {
+            return ControlFlow::Continue(());
+        };
+        match writer.write_all(&response).and_then(|()| writer.flush()) {
+            Err(error) => ControlFlow::Break(Err(error)),
+            Ok(()) if shutdown => ControlFlow::Break(Ok(true)),
+            Ok(()) => ControlFlow::Continue(()),
+        }
+    };
     loop {
-        match fill_line(&mut reader, &mut line)? {
-            LineStatus::Eof => return Ok(false),
-            LineStatus::Complete | LineStatus::FinalPartial => {
-                let at_eof = line.last() != Some(&b'\n');
-                if discarding {
-                    discarding = false;
-                } else if let Some(outcome) = handle_line(engine, &line, log, policy, &mut conn) {
-                    writer.write_all(&response_line(&outcome.response))?;
-                    writer.flush()?;
-                    if outcome.shutdown {
-                        return Ok(true);
-                    }
-                }
-                line.clear();
-                if at_eof {
-                    return Ok(false);
-                }
-            }
-            LineStatus::TooLong => {
-                if !discarding {
-                    let response = line_too_long_response(engine, MAX_LINE_BYTES);
-                    writer.write_all(&response_line(&response))?;
-                    writer.flush()?;
-                    discarding = true;
-                }
-                line.clear();
-            }
+        let chunk = match reader.fill_buf() {
+            Ok(chunk) => chunk,
+            Err(error) if error.kind() == std::io::ErrorKind::Interrupted => continue,
+            Err(error) => return Err(error),
+        };
+        if chunk.is_empty() {
+            return match framer.finish(&mut respond) {
+                ControlFlow::Break(result) => result,
+                ControlFlow::Continue(()) => Ok(false),
+            };
+        }
+        let read = chunk.len();
+        let flow = framer.push(chunk, &mut respond);
+        reader.consume(read);
+        if let ControlFlow::Break(result) = flow {
+            return result;
         }
     }
-}
-
-/// Serve the line protocol over TCP, handling each connection on a scoped
-/// worker thread against the shared engine.  Returns when a client issues
-/// `shutdown`: the accept loop stops and every open connection is closed
-/// from the accept side (a connection registry tracks the open sockets, so
-/// even idle clients are woken promptly — no read-timeout polling, zero CPU
-/// per idle connection, shutdown latency bounded by a socket close).
-///
-/// # Errors
-/// Socket bind/accept failures.
-pub fn serve_tcp(engine: &Engine, addr: &str) -> std::io::Result<()> {
-    serve_listener(engine, TcpListener::bind(addr)?)
-}
-
-/// [`serve_tcp`] with an attached [`EventLog`] for per-request events.
-///
-/// # Errors
-/// Socket bind/accept failures.
-pub fn serve_tcp_with_log(
-    engine: &Engine,
-    addr: &str,
-    log: Option<&EventLog>,
-) -> std::io::Result<()> {
-    serve_listener_with_log(engine, TcpListener::bind(addr)?, log)
-}
-
-/// [`serve_tcp_with_log`] with an optional [`ClientPolicy`] screening every
-/// connection (auth state is per-connection; rate buckets are shared).
-///
-/// # Errors
-/// Socket bind/accept failures.
-pub fn serve_tcp_guarded(
-    engine: &Engine,
-    addr: &str,
-    log: Option<&EventLog>,
-    policy: Option<&ClientPolicy>,
-) -> std::io::Result<()> {
-    serve_listener_guarded(engine, TcpListener::bind(addr)?, log, policy)
 }
 
 /// A registry of the open TCP connections of one serving loop, so shutdown
@@ -374,15 +394,36 @@ impl AcceptSource for TcpListener {
     }
 }
 
+/// The read side of one TCP connection.  A shutdown started on another
+/// connection wakes the handler by closing its socket, and that read returns
+/// 0 like a peer's half-close.  Reporting it as an error instead ends the
+/// connection without answering a buffered unterminated line: a request the
+/// client never finished must not run after `shutdown` was acknowledged.
+struct ConnReader<'a> {
+    stream: &'a TcpStream,
+    stop: &'a AtomicBool,
+}
+
+impl Read for ConnReader<'_> {
+    fn read(&mut self, buf: &mut [u8]) -> std::io::Result<usize> {
+        let read = self.stream.read(buf)?;
+        if read == 0 && self.stop.load(Ordering::SeqCst) {
+            return Err(std::io::ErrorKind::ConnectionAborted.into());
+        }
+        Ok(read)
+    }
+}
+
 /// Handle one TCP connection, returning `true` if this client issued
 /// `shutdown`.  Reads block indefinitely: a shutdown initiated on *another*
-/// connection wakes this handler by closing its socket through the
-/// [`ConnRegistry`], so the read returns EOF at once instead of after a
-/// poll interval.
+/// connection sets `stop` and wakes this handler by closing its socket
+/// through the [`ConnRegistry`], so the read returns at once instead of
+/// after a poll interval.
 fn serve_tcp_connection(
     engine: &Engine,
     stream: TcpStream,
     registry: &ConnRegistry,
+    stop: &AtomicBool,
     log: Option<&EventLog>,
     policy: Option<&ClientPolicy>,
 ) -> bool {
@@ -390,7 +431,6 @@ fn serve_tcp_connection(
     // while the previous one is still un-ACKed waits for that ACK.  A socket
     // that refuses the option still serves, only slower.
     let _ = stream.set_nodelay(true);
-    let mut conn = ConnState::default();
     let registered = match stream.try_clone() {
         Ok(clone) => match registry.register(clone) {
             Some(id) => id,
@@ -398,72 +438,24 @@ fn serve_tcp_connection(
         },
         Err(_) => return false,
     };
-    let shutdown = serve_registered_connection(engine, stream, log, policy, &mut conn);
+    // A read or write error ends only this connection.
+    let reader = BufReader::new(ConnReader {
+        stream: &stream,
+        stop,
+    });
+    let shutdown = serve_lines_guarded(engine, reader, &mut &stream, log, policy).unwrap_or(false);
     registry.deregister(registered);
     shutdown
 }
 
-fn serve_registered_connection(
-    engine: &Engine,
-    stream: TcpStream,
-    log: Option<&EventLog>,
-    policy: Option<&ClientPolicy>,
-    conn: &mut ConnState,
-) -> bool {
-    let mut reader = BufReader::new(match stream.try_clone() {
-        Ok(clone) => clone,
-        Err(_) => return false,
-    });
-    let mut writer = stream;
-    // Partial lines survive short reads: `fill_line` appends raw bytes, so
-    // a request split across packets is completed by later reads even when
-    // the split lands inside a multi-byte UTF-8 character.  The buffer is
-    // bounded by MAX_LINE_BYTES; overlong lines are answered with a
-    // structured `line_too_long` error and drained.
-    let mut line = Vec::new();
-    let mut discarding = false;
-    loop {
-        match fill_line(&mut reader, &mut line) {
-            Ok(LineStatus::Eof) => return false, // Hang-up or shutdown wake.
-            Ok(LineStatus::FinalPartial) => return false, // EOF mid-line.
-            Ok(LineStatus::Complete) => {
-                if discarding {
-                    discarding = false;
-                    line.clear();
-                    continue;
-                }
-                let outcome = match handle_line(engine, &line, log, policy, conn) {
-                    Some(outcome) => outcome,
-                    None => {
-                        line.clear();
-                        continue;
-                    }
-                };
-                line.clear();
-                if writer.write_all(&response_line(&outcome.response)).is_err() {
-                    return false;
-                }
-                if outcome.shutdown {
-                    return true;
-                }
-            }
-            Ok(LineStatus::TooLong) => {
-                if !discarding {
-                    let response = line_too_long_response(engine, MAX_LINE_BYTES);
-                    if writer.write_all(&response_line(&response)).is_err() {
-                        return false;
-                    }
-                    discarding = true;
-                }
-                line.clear();
-            }
-            Err(_) => return false,
-        }
-    }
-}
-
-/// [`serve_tcp`] over an already-bound listener (useful for ephemeral-port
-/// setups: bind first, advertise `local_addr`, then serve).
+/// Serve the line protocol over TCP on an already-bound listener (bind
+/// first to learn an ephemeral port from `local_addr`), handling each
+/// connection on a scoped worker thread against the shared engine.  Returns
+/// when a client issues `shutdown`: the accept loop stops and every open
+/// connection is closed from the accept side (a connection registry tracks
+/// the open sockets, so even idle clients are woken promptly — no
+/// read-timeout polling, zero CPU per idle connection, shutdown latency
+/// bounded by a socket close).
 ///
 /// # Errors
 /// Only listener-setup failures; per-connection accept errors (a client
@@ -471,24 +463,12 @@ fn serve_registered_connection(
 /// skipped so one flaky connect cannot tear down every other client's
 /// session.
 pub fn serve_listener(engine: &Engine, listener: TcpListener) -> std::io::Result<()> {
-    serve_listener_with_log(engine, listener, None)
+    serve_listener_guarded(engine, listener, None, None)
 }
 
-/// [`serve_listener`] with an attached [`EventLog`] for per-request events.
-///
-/// # Errors
-/// Only listener-setup failures; per-connection accept errors are logged
-/// and skipped.
-pub fn serve_listener_with_log(
-    engine: &Engine,
-    listener: TcpListener,
-    log: Option<&EventLog>,
-) -> std::io::Result<()> {
-    serve_listener_guarded(engine, listener, log, None)
-}
-
-/// [`serve_listener_with_log`] with an optional [`ClientPolicy`] screening
-/// every connection.
+/// [`serve_listener`] with an optional [`EventLog`] and an optional
+/// [`ClientPolicy`] screening every connection (auth state is
+/// per-connection; rate buckets are shared).
 ///
 /// # Errors
 /// Only listener-setup failures; per-connection accept errors are logged
@@ -547,7 +527,9 @@ pub(crate) fn serve_accept_loop<A: AcceptSource + Sync>(
             let stop = &stop;
             let registry = &registry;
             scope.spawn(move |_| {
-                if serve_tcp_connection(engine, stream, registry, log, policy) {
+                if serve_tcp_connection(engine, stream, registry, stop, log, policy) {
+                    // Set before the sweep below, so every handler it wakes
+                    // sees the flag.
                     stop.store(true, Ordering::SeqCst);
                     // Wake every blocked handler by closing its socket —
                     // idle connections notice the shutdown immediately
@@ -881,11 +863,12 @@ mod tests {
             "\n",
         );
         let mut output = Vec::new();
-        serve_lines_with_log(
+        serve_lines_guarded(
             &engine,
             Cursor::new(script.to_string()),
             &mut output,
             Some(&log),
+            None,
         )
         .unwrap();
 

@@ -2,7 +2,9 @@
 //!
 //! The contract under test: the evented server speaks *exactly* the same
 //! wire protocol as the blocking path (byte-identical responses to the CI
-//! smoke script, regardless of how the bytes are sliced across reads), and
+//! smoke script, regardless of how the bytes are sliced across reads — the
+//! thread-per-connection server is held to the same packetisation,
+//! final-line and shutdown parity), and
 //! its resource bounds — line cap, write-buffer watermark, connection cap —
 //! degrade service gracefully instead of wedging the loop.
 #![cfg(target_os = "linux")]
@@ -47,6 +49,17 @@ fn send_shutdown(addr: SocketAddr) {
     let _ = reader.read_line(&mut line);
 }
 
+/// Run `body` with the server at `addr` running, then shut it down — also
+/// when `body` panics, so a failed assertion fails the test instead of
+/// leaving the server scope waiting forever.
+fn serving<F: FnOnce(SocketAddr)>(addr: SocketAddr, body: F) {
+    let outcome = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| body(addr)));
+    send_shutdown(addr);
+    if let Err(panic) = outcome {
+        std::panic::resume_unwind(panic);
+    }
+}
+
 /// Run `body` against an evented server over a fresh engine, shutting the
 /// server down afterwards.  Returns the engine for metric assertions.
 fn with_evented_server<F>(config: ReactorConfig, policy: Option<ClientPolicy>, body: F) -> Engine
@@ -63,8 +76,26 @@ where
         let server = scope.spawn(move |_| {
             serve_listener_evented_with_config(engine, listener, None, policy, config)
         });
-        body(addr);
-        send_shutdown(addr);
+        serving(addr, body);
+        server.join().unwrap().unwrap();
+    })
+    .unwrap();
+    engine
+}
+
+/// Run `body` against the thread-per-connection server over a fresh
+/// engine, shutting the server down afterwards.  Returns the engine.
+fn with_blocking_server<F>(body: F) -> Engine
+where
+    F: FnOnce(SocketAddr),
+{
+    let engine = Engine::new();
+    let listener = TcpListener::bind("127.0.0.1:0").unwrap();
+    let addr = listener.local_addr().unwrap();
+    crossbeam::thread::scope(|scope| {
+        let engine = &engine;
+        let server = scope.spawn(move |_| serve_listener(engine, listener));
+        serving(addr, body);
         server.join().unwrap().unwrap();
     })
     .unwrap();
@@ -140,18 +171,10 @@ fn round_trips_do_not_stall_on_nagle_in_either_transport() {
     // A response whose newline trails in a second write is held by Nagle's
     // algorithm until the client's delayed ACK, ~40 ms per round trip.
     const LIMIT: Duration = Duration::from_millis(10);
-    let engine = Engine::new();
-    let listener = TcpListener::bind("127.0.0.1:0").unwrap();
-    let addr = listener.local_addr().unwrap();
-    let blocking = crossbeam::thread::scope(|scope| {
-        let engine = &engine;
-        let server = scope.spawn(move |_| serve_listener(engine, listener));
-        let p50 = round_trip_p50(addr);
-        send_shutdown(addr);
-        server.join().unwrap().unwrap();
-        p50
-    })
-    .unwrap();
+    let mut blocking = Duration::ZERO;
+    with_blocking_server(|addr| {
+        blocking = round_trip_p50(addr);
+    });
     let mut evented = Duration::ZERO;
     with_evented_server(ReactorConfig::default(), None, |addr| {
         evented = round_trip_p50(addr);
@@ -162,23 +185,64 @@ fn round_trips_do_not_stall_on_nagle_in_either_transport() {
 
 #[test]
 fn final_unterminated_line_is_answered_like_the_blocking_path() {
-    // The blocking path answers a final line with no trailing newline; the
-    // reactor must do the same when the peer half-closes mid-line.
+    // The stdio loop answers a final line with no trailing newline; both
+    // TCP servers must do the same when the peer half-closes mid-line.
     let script = b"{\"cmd\":\"sessions\"}\n{\"cmd\":\"sessions\"}";
     let reference = blocking_reference(script);
     assert_eq!(reference.iter().filter(|&&b| b == b'\n').count(), 2);
 
-    with_evented_server(ReactorConfig::default(), None, |addr| {
+    let check = |addr| {
         let mut stream = connect(addr);
         stream.write_all(script).unwrap();
         stream.shutdown(std::net::Shutdown::Write).unwrap();
-        let mut evented = Vec::new();
-        stream.read_to_end(&mut evented).unwrap();
+        let mut served = Vec::new();
+        stream.read_to_end(&mut served).unwrap();
         assert_eq!(
-            String::from_utf8_lossy(&evented),
+            String::from_utf8_lossy(&served),
             String::from_utf8_lossy(&reference)
         );
-    });
+    };
+    with_evented_server(ReactorConfig::default(), None, check);
+    with_blocking_server(check);
+}
+
+/// Send one complete request and one without its newline, and wait for the
+/// first answer: the server has then read the unfinished line too.  The
+/// connection is returned open, so the server sees no half-close.
+fn leave_a_line_unfinished(addr: SocketAddr) -> TcpStream {
+    let mut stream = connect(addr);
+    stream
+        .write_all(
+            b"{\"cmd\":\"sessions\"}\n\
+              {\"cmd\":\"load_pool\",\"pool\":\"p\",\"scores\":[0.9],\"predictions\":[true]}",
+        )
+        .unwrap();
+    let mut line = String::new();
+    BufReader::new(stream.try_clone().unwrap())
+        .read_line(&mut line)
+        .unwrap();
+    assert!(line.contains(r#""ok":true"#), "{line}");
+    stream
+}
+
+#[test]
+fn a_line_unfinished_at_shutdown_is_never_dispatched() {
+    // Another client's `shutdown` wakes this connection's handler with a
+    // read of 0 bytes, like a half-close; the unfinished `load_pool` must
+    // still not run once `shutdown` was acknowledged.
+    let mut open = Vec::new();
+    for engine in [
+        with_evented_server(ReactorConfig::default(), None, |addr| {
+            open.push(leave_a_line_unfinished(addr));
+        }),
+        with_blocking_server(|addr| open.push(leave_a_line_unfinished(addr))),
+    ] {
+        assert!(
+            engine.pool("p").is_err(),
+            "the unfinished load_pool ran after shutdown"
+        );
+    }
+    drop(open);
 }
 
 #[test]
@@ -351,8 +415,8 @@ proptest! {
 
     /// Framing is independent of packetisation: however the script's bytes
     /// are sliced across writes (including splits inside a request line and
-    /// inside multi-byte UTF-8), the responses are byte-identical to the
-    /// blocking path over the same script.
+    /// inside multi-byte UTF-8), both TCP servers answer byte-identically to
+    /// the stdio loop over the same script.
     #[test]
     fn responses_are_invariant_under_arbitrary_packetisation(
         cuts in prop::collection::vec(0usize..200, 1..6),
@@ -368,7 +432,7 @@ proptest! {
         cuts.sort_unstable();
         cuts.dedup();
 
-        with_evented_server(ReactorConfig::default(), None, |addr| {
+        let check = |addr| {
             let mut stream = connect(addr);
             stream.set_nodelay(true).unwrap();
             let mut start = 0;
@@ -383,12 +447,14 @@ proptest! {
                 }
             }
             stream.shutdown(std::net::Shutdown::Write).unwrap();
-            let mut evented = Vec::new();
-            stream.read_to_end(&mut evented).unwrap();
+            let mut served = Vec::new();
+            stream.read_to_end(&mut served).unwrap();
             assert_eq!(
-                String::from_utf8_lossy(&evented),
+                String::from_utf8_lossy(&served),
                 String::from_utf8_lossy(&reference)
             );
-        });
+        };
+        with_evented_server(ReactorConfig::default(), None, check);
+        with_blocking_server(check);
     }
 }

@@ -10,11 +10,12 @@
 //! through torn appends, ENOSPC and transient I/O faults and assert the
 //! engine's retry/scrub/error paths keep sessions recoverable.
 
-use oasis_engine::server::serve_lines;
+use oasis_engine::server::{serve_lines, serve_listener};
 use oasis_engine::{
     CheckpointStore, Engine, FaultKind, FaultyStore, FsCheckpointStore, ManualClock, StoreOp,
 };
-use std::io::Cursor;
+use std::io::{Cursor, Read as _, Write as _};
+use std::net::{TcpListener, TcpStream};
 use std::path::PathBuf;
 use std::sync::Arc;
 
@@ -81,32 +82,23 @@ fn run_lines(engine: &Engine, lines: &[&str]) -> Vec<String> {
         .collect()
 }
 
-/// [`run_lines`] with the transport swapped for the epoll reactor: the
-/// script travels over a real TCP connection into an evented server.  The
-/// client half-closes after writing, so the server answers everything and
-/// closes; a second connection then issues `shutdown` (which never touches
-/// the WAL, so it cannot perturb byte-parity with the blocking reference).
-#[cfg(target_os = "linux")]
-fn run_lines_evented(engine: &Engine, lines: &[&str]) -> Vec<String> {
-    use oasis_engine::reactor::{serve_listener_evented_with_config, ReactorConfig};
-    use std::io::{Read as _, Write as _};
-    use std::net::{TcpListener, TcpStream};
-
+/// [`run_lines`] with the transport swapped for a TCP server: the script
+/// travels over a real connection into `serve`.  The client half-closes
+/// after writing, so the server answers everything and closes; a second
+/// connection then issues `shutdown` (which never touches the WAL, so it
+/// cannot perturb byte-parity with the stdio reference).
+fn run_lines_over_tcp(
+    engine: &Engine,
+    lines: &[&str],
+    serve: fn(&Engine, TcpListener) -> std::io::Result<()>,
+) -> Vec<String> {
     let mut script = lines.join("\n");
     script.push('\n');
     let listener = TcpListener::bind("127.0.0.1:0").unwrap();
     let addr = listener.local_addr().unwrap();
     let mut collected = Vec::new();
     crossbeam::thread::scope(|scope| {
-        let server = scope.spawn(move |_| {
-            serve_listener_evented_with_config(
-                engine,
-                listener,
-                None,
-                None,
-                &ReactorConfig::default(),
-            )
-        });
+        let server = scope.spawn(move |_| serve(engine, listener));
         let mut stream = loop {
             match TcpStream::connect(addr) {
                 Ok(stream) => break stream,
@@ -130,10 +122,13 @@ fn run_lines_evented(engine: &Engine, lines: &[&str]) -> Vec<String> {
         .collect()
 }
 
-#[test]
-fn crash_point_sweep_replays_bit_identically_at_every_boundary() {
-    // Reference: the uninterrupted run.
-    let reference_dir = scratch_dir("sweep-ref");
+/// Kill a run of the script at *every* line — every WAL/checkpoint
+/// boundary — and restart it on a fresh engine over the same store, with
+/// `run` as the transport.  Every response after the crash point must be
+/// byte-identical to the uninterrupted stdio run: parity across transports
+/// and across crashes in one assertion.
+fn crash_point_sweep(tag: &str, run: impl Fn(&Engine, &[&str]) -> Vec<String>) {
+    let reference_dir = scratch_dir(&format!("{tag}-ref"));
     let reference = run_lines(&frozen_engine(&reference_dir), SCRIPT);
     assert_eq!(reference.len(), SCRIPT.len());
     for line in &reference {
@@ -141,12 +136,12 @@ fn crash_point_sweep_replays_bit_identically_at_every_boundary() {
     }
 
     for crash_at in 1..SCRIPT.len() {
-        let dir = scratch_dir(&format!("sweep-{crash_at}"));
+        let dir = scratch_dir(&format!("{tag}-{crash_at}"));
         // Run the prefix, then "kill" the process by dropping the engine —
         // no shutdown, no final checkpoint.
         {
             let engine = frozen_engine(&dir);
-            let prefix = run_lines(&engine, &SCRIPT[..crash_at]);
+            let prefix = run(&engine, &SCRIPT[..crash_at]);
             assert_eq!(prefix, reference[..crash_at].to_vec(), "prefix differs");
         }
         // Restart: a fresh engine over the same store.  Pools are not
@@ -155,7 +150,7 @@ fn crash_point_sweep_replays_bit_identically_at_every_boundary() {
         let revived = frozen_engine(&dir);
         let mut suffix_lines = vec![SCRIPT[0]];
         suffix_lines.extend_from_slice(&SCRIPT[crash_at..]);
-        let responses = run_lines(&revived, &suffix_lines);
+        let responses = run(&revived, &suffix_lines);
         assert!(
             responses[0].contains(r#""ok":true"#),
             "crash@{crash_at}: pool reload failed: {}",
@@ -164,53 +159,34 @@ fn crash_point_sweep_replays_bit_identically_at_every_boundary() {
         assert_eq!(
             responses[1..].to_vec(),
             reference[crash_at..].to_vec(),
-            "crash@{crash_at}: post-restart responses diverged from the uninterrupted run"
+            "crash@{crash_at}: {tag} post-restart responses diverged from the uninterrupted run"
         );
         let _ = std::fs::remove_dir_all(&dir);
     }
     let _ = std::fs::remove_dir_all(&reference_dir);
 }
 
-/// The crash-point sweep again, but with every run served by the epoll
-/// reactor over TCP instead of the blocking stdio loop.  This pins the
-/// evented transport to the exact same durable semantics: a kill at any
-/// WAL/checkpoint boundary, followed by a restart behind a fresh evented
-/// server, replays byte-identically with the uninterrupted blocking run.
+#[test]
+fn crash_point_sweep_replays_bit_identically_at_every_boundary() {
+    crash_point_sweep("sweep", run_lines);
+}
+
 #[cfg(target_os = "linux")]
 #[test]
 fn crash_point_sweep_over_the_evented_server_matches_the_blocking_run() {
-    // Reference from the *blocking* path — parity across transports and
-    // across crashes in one assertion.
-    let reference_dir = scratch_dir("esweep-ref");
-    let reference = run_lines(&frozen_engine(&reference_dir), SCRIPT);
-    for line in &reference {
-        assert!(line.contains(r#""ok":true"#), "reference failed: {line}");
-    }
+    crash_point_sweep("esweep", |engine, lines| {
+        run_lines_over_tcp(engine, lines, |engine, listener| {
+            oasis_engine::serve_listener_evented(engine, listener, None, None)
+        })
+    });
+}
 
-    for crash_at in 1..SCRIPT.len() {
-        let dir = scratch_dir(&format!("esweep-{crash_at}"));
-        {
-            let engine = frozen_engine(&dir);
-            let prefix = run_lines_evented(&engine, &SCRIPT[..crash_at]);
-            assert_eq!(prefix, reference[..crash_at].to_vec(), "prefix differs");
-        }
-        let revived = frozen_engine(&dir);
-        let mut suffix_lines = vec![SCRIPT[0]];
-        suffix_lines.extend_from_slice(&SCRIPT[crash_at..]);
-        let responses = run_lines_evented(&revived, &suffix_lines);
-        assert!(
-            responses[0].contains(r#""ok":true"#),
-            "crash@{crash_at}: pool reload failed: {}",
-            responses[0]
-        );
-        assert_eq!(
-            responses[1..].to_vec(),
-            reference[crash_at..].to_vec(),
-            "crash@{crash_at}: evented post-restart responses diverged"
-        );
-        let _ = std::fs::remove_dir_all(&dir);
-    }
-    let _ = std::fs::remove_dir_all(&reference_dir);
+/// The default `oasis-serve --tcp` server, and the only one off Linux.
+#[test]
+fn crash_point_sweep_over_thread_per_connection_tcp_matches_the_blocking_run() {
+    crash_point_sweep("tsweep", |engine, lines| {
+        run_lines_over_tcp(engine, lines, serve_listener)
+    });
 }
 
 #[test]
