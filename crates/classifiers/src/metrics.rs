@@ -1,7 +1,7 @@
 //! Classification metrics used when fitting and comparing classifiers.
 //!
 //! These are *training-side* conveniences; the evaluation-side measures used
-//! by the samplers live in [`oasis::measures`] — duplicated here only to keep
+//! by the samplers live in `oasis::measures` — duplicated here only to keep
 //! the classifiers crate free of a dependency on the sampler crate.
 
 /// Accuracy of predictions against labels.

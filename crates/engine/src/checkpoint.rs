@@ -4,7 +4,7 @@
 //! run bit-for-bit: the full [`SamplerState`] (strata, Beta–Bernoulli
 //! posterior counts, AIS weighted sums), the xoshiro RNG state words, any
 //! suspended (proposed-but-unlabelled) tickets, and the oracle/budget state.
-//! Checkpoints serialise to JSON through the vendored `serde`'s [`json`]
+//! Checkpoints serialise to JSON through the vendored `serde`'s [`json`](serde::json)
 //! layer, whose shortest-round-trip float encoding makes the JSON form as
 //! exact as the in-memory one.
 //!

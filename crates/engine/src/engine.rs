@@ -12,7 +12,7 @@ use crate::error::{EngineError, EngineResult};
 use crate::metrics::{Clock, Counter, MetricsRegistry, MonotonicClock};
 use crate::session::{LabelSource, Session, SessionLimits};
 use crate::store::{parse_envelope, render_envelope, CheckpointStore};
-use crate::wal::{self, WalEntry, WalRecord};
+use crate::wal::{self, Applied, Outcome, WalEntry, WalRecord};
 use oasis::{Estimate, OasisConfig, SamplerMethod, ScoredPool};
 use parking_lot::{Mutex, RwLock};
 use std::collections::HashMap;
@@ -69,14 +69,6 @@ pub enum SessionJob {
         /// Iteration cap.
         max_steps: usize,
     },
-}
-
-impl SessionJob {
-    fn session_id(&self) -> &str {
-        match self {
-            SessionJob::Steps { session, .. } | SessionJob::Budget { session, .. } => session,
-        }
-    }
 }
 
 /// Per-session durability bookkeeping (next WAL sequence number, dirtiness,
@@ -213,13 +205,6 @@ impl Engine {
     /// counters land in the same snapshot.
     pub fn metrics_handle(&self) -> Arc<MetricsRegistry> {
         Arc::clone(&self.metrics)
-    }
-
-    /// The current lease-clock reading in microseconds.  The protocol layer
-    /// reads it once per propose on lease-enabled sessions and WAL-logs the
-    /// value, so replay expires exactly what the live run expired.
-    pub fn lease_now(&self) -> u64 {
-        self.lease_clock.now_micros()
     }
 
     /// Run `op`, retrying [`EngineError::StoreTransient`] failures under the
@@ -611,20 +596,70 @@ impl Engine {
         Ok(wal_seq)
     }
 
-    /// Append a mutation record to a session's write-ahead log, assigning
-    /// the next sequence number.  MUST be called with the session's mutex
-    /// held and *before* the mutation is applied — that ordering is what
-    /// makes the log a write-*ahead* log and keeps concurrent batches in
-    /// application order.  No-op (except dirtiness tracking) without a
-    /// store.
-    pub(crate) fn log_wal(&self, session_id: &str, entry: WalEntry) -> EngineResult<()> {
+    /// Change a session — the one path for live mutations, from the
+    /// protocol and from [`Engine::run_parallel`].  Under the session lock it
+    /// stamps the lease clock into `entry` where the entry logs it, logs the
+    /// entry, applies it with [`WalEntry::apply`] as replay does, and counts
+    /// and times it.  `respond` then reads the still-locked session, the
+    /// expired lease ids and the outcome.
+    pub(crate) fn mutate<T>(
+        &self,
+        session_id: &str,
+        entry: WalEntry,
+        respond: impl FnOnce(&Session, Vec<u64>, Outcome) -> T,
+    ) -> EngineResult<T> {
+        let timer = self.metrics.timer();
+        let handle = self.session(session_id)?;
+        let mut session = handle.lock();
+        let mut record = WalRecord { seq: 0, entry };
+        // The lease clock is read only where it is logged, so lease-free
+        // sessions keep byte-identical WAL lines, checkpoints and responses.
+        match &mut record.entry {
+            WalEntry::Propose { now_us, .. } if session.limits().lease_timeout_us.is_some() => {
+                *now_us = Some(self.lease_clock.now_micros());
+            }
+            WalEntry::Expire { now_us } => *now_us = self.lease_clock.now_micros(),
+            _ => {}
+        }
+        self.log_wal(session_id, &mut record)?;
+        let sharded = session.shard_count() > 1;
+        let before = match record.entry {
+            WalEntry::RunBudget { .. } if sharded => session.estimate().iterations,
+            _ => 0,
+        };
+        let Applied { expired, outcome } = record.entry.apply(&mut session);
+        self.metrics.add(Counter::LeaseExpiry, expired.len() as u64);
+        let outcome = outcome?;
+        let (counter, count, routed) = match (&record.entry, &outcome) {
+            (WalEntry::Propose { .. }, Outcome::Tickets(t)) => (Counter::Propose, t.len(), t.len()),
+            (WalEntry::Label { .. }, Outcome::Labelled(applied)) => (Counter::Label, *applied, 0),
+            (WalEntry::Step { steps }, _) => (Counter::Step, *steps, *steps),
+            (WalEntry::RunBudget { .. }, Outcome::Estimate(estimate)) => {
+                (Counter::RunBudget, 1, estimate.iterations - before)
+            }
+            // An expiry sweep counts only its expired leases, and is untimed.
+            _ => return Ok(respond(&session, expired, outcome)),
+        };
+        self.metrics.add(counter, count as u64);
+        if sharded {
+            self.metrics.add(Counter::ShardRoute, routed as u64);
+        }
+        let key = format!("{}.{}", record.entry.op(), session.method().as_str());
+        self.metrics.record(&key, timer);
+        Ok(respond(&session, expired, outcome))
+    }
+
+    /// Append a record to a session's write-ahead log, assigning it the next
+    /// sequence number.  Only [`Engine::mutate`] calls it: with the
+    /// session's mutex held and *before* the mutation is applied — that
+    /// ordering is what makes the log a write-*ahead* log and keeps
+    /// concurrent batches in application order.  No-op (except dirtiness
+    /// tracking) without a store.
+    fn log_wal(&self, session_id: &str, record: &mut WalRecord) -> EngineResult<()> {
         let mut meta = self.meta.lock();
         let slot = meta.entry(session_id.to_string()).or_default();
         if let Some(store) = &self.store {
-            let record = WalRecord {
-                seq: slot.wal_seq,
-                entry,
-            };
+            record.seq = slot.wal_seq;
             let line = record.render();
             let timer = self.metrics.timer();
             if let Err(err) =
@@ -789,34 +824,24 @@ impl Engine {
     }
 
     fn run_job(&self, job: &SessionJob) -> EngineResult<Estimate> {
-        let session = self.session(job.session_id())?;
-        let mut session = session.lock();
-        let before = session.estimate().iterations;
-        let outcome = match job {
-            SessionJob::Steps { steps, .. } => {
-                self.log_wal(job.session_id(), WalEntry::Step { steps: *steps })?;
-                session.step(*steps)
-            }
+        let (session, entry) = match *job {
+            SessionJob::Steps { ref session, steps } => (session, WalEntry::Step { steps }),
             SessionJob::Budget {
-                budget, max_steps, ..
-            } => {
-                self.log_wal(
-                    job.session_id(),
-                    WalEntry::RunBudget {
-                        label_budget: *budget,
-                        max_steps: *max_steps,
-                    },
-                )?;
-                session.run_until_budget(*budget, *max_steps)
-            }
+                ref session,
+                budget,
+                max_steps,
+            } => (
+                session,
+                WalEntry::RunBudget {
+                    label_budget: budget,
+                    max_steps,
+                },
+            ),
         };
-        if session.shard_count() > 1 {
-            if let Ok(estimate) = &outcome {
-                self.metrics
-                    .add(Counter::ShardRoute, (estimate.iterations - before) as u64);
-            }
-        }
-        outcome
+        self.mutate(session, entry, |_, _, outcome| match outcome {
+            Outcome::Estimate(estimate) => estimate,
+            _ => unreachable!("step and run_budget entries yield an estimate"),
+        })
     }
 }
 
@@ -954,6 +979,70 @@ mod tests {
         assert_eq!(estimates.len(), 1);
         let session = engine.session("good").unwrap();
         assert!(session.lock().labels_consumed() >= 50);
+    }
+
+    #[test]
+    fn run_parallel_counts_and_times_what_the_protocol_counts() {
+        use crate::protocol::{dispatch, Request};
+        let (pool, truth) = pool_and_truth(600, 38);
+        let engine = || {
+            let engine = Engine::new();
+            engine.load_pool("p", pool.clone()).unwrap();
+            engine
+                .create_session_sharded(
+                    "s",
+                    "p",
+                    SamplerMethod::Oasis,
+                    OasisConfig::default().with_strata_count(4),
+                    Some(3),
+                    21,
+                    LabelSource::GroundTruth(GroundTruthOracle::new(truth.clone())),
+                )
+                .unwrap();
+            engine
+        };
+        let session = "s".to_string();
+        let cases = [
+            (
+                SessionJob::Steps {
+                    session: session.clone(),
+                    steps: 50,
+                },
+                r#"{"cmd":"step","session":"s","steps":50}"#,
+                Counter::Step,
+            ),
+            (
+                SessionJob::Budget {
+                    session,
+                    budget: 40,
+                    max_steps: 10_000,
+                },
+                r#"{"cmd":"run_budget","session":"s","budget":40,"max_steps":10000}"#,
+                Counter::RunBudget,
+            ),
+        ];
+        for (job, line, counter) in cases {
+            let (in_process, served) = (engine(), engine());
+            in_process.run_parallel(&[job], 1).unwrap();
+            let request = Request::parse(line).unwrap();
+            let key = format!("{}.oasis", request.verb());
+            let response = dispatch(&served, request).response.render();
+            assert!(response.contains(r#""ok":true"#), "{response}");
+            for counter in [counter, Counter::ShardRoute] {
+                let a = in_process.metrics().counter(counter);
+                let b = served.metrics().counter(counter);
+                assert!(
+                    b > 0 && a == b,
+                    "{counter:?}: run_parallel {a}, protocol {b}"
+                );
+            }
+            let count = |engine: &Engine| engine.metrics().histogram(&key).map(|h| h.count());
+            assert_eq!(
+                (count(&in_process), count(&served)),
+                (Some(1), Some(1)),
+                "{key}"
+            );
+        }
     }
 
     fn scratch_store(tag: &str) -> (std::path::PathBuf, Arc<crate::store::FsCheckpointStore>) {

@@ -52,9 +52,8 @@
 use crate::checkpoint::SessionCheckpoint;
 use crate::engine::Engine;
 use crate::error::{EngineError, EngineResult};
-use crate::metrics::Counter;
-use crate::session::{LabelSource, Session, SessionLimits, Ticket};
-use crate::wal::WalEntry;
+use crate::session::{LabelSource, Session, SessionLimits};
+use crate::wal::{Outcome, WalEntry};
 use oasis::{GroundTruthOracle, OasisConfig, SamplerMethod, ScoredPool};
 use serde::json::{FromJson, Json, ToJson};
 
@@ -442,14 +441,6 @@ fn estimate_response(session: &Session) -> Json {
     obj
 }
 
-fn tickets_response(session: &Session, tickets: &[Ticket]) -> Json {
-    let mut obj = ok_response();
-    obj.set("session", Json::String(session.id().to_string()));
-    obj.set("proposals", tickets.to_vec().to_json());
-    obj.set("pending", session.pending_count().to_json());
-    obj
-}
-
 /// Execute one parsed request against the engine.
 pub fn dispatch(engine: &Engine, request: Request) -> Dispatch {
     let outcome = apply(engine, request);
@@ -511,112 +502,56 @@ fn apply(engine: &Engine, request: Request) -> EngineResult<Dispatch> {
             }
             obj
         }
-        // Every mutating arm below logs its request to the write-ahead log
-        // *after* taking the session lock (so sequence numbers match
-        // application order) and *before* mutating (so a crash mid-request
-        // replays deterministically — see `crate::wal`).  Each arm also
-        // times the mutation into a per-method latency histogram
-        // (`"<verb>.<method>"`) and bumps the matching global counter.
-        Request::Propose { session, count } => {
-            let timer = engine.metrics().timer();
-            let handle = engine.session(&session)?;
-            let mut guard = handle.lock();
-            // The lease clock is read — and WAL-logged — only for sessions
-            // with a configured lease timeout, so lease-free sessions keep
-            // byte-identical WAL lines, checkpoints, and responses.
-            let now_us = guard
-                .limits()
-                .lease_timeout_us
-                .is_some()
-                .then(|| engine.lease_now());
-            engine.log_wal(&session, WalEntry::Propose { count, now_us })?;
-            let expired = match now_us {
-                Some(now) => guard.expire_leases(now),
-                None => Vec::new(),
-            };
-            if !expired.is_empty() {
-                engine
-                    .metrics()
-                    .add(Counter::LeaseExpiry, expired.len() as u64);
-            }
-            let tickets = guard.propose(count)?;
-            engine.metrics().add(Counter::Propose, tickets.len() as u64);
-            if guard.shard_count() > 1 {
-                engine
-                    .metrics()
-                    .add(Counter::ShardRoute, tickets.len() as u64);
-            }
-            engine
-                .metrics()
-                .record(&format!("propose.{}", guard.method().as_str()), timer);
-            let mut obj = tickets_response(&guard, &tickets);
-            if !expired.is_empty() {
-                obj.set("expired", expired.to_json());
-            }
-            obj
-        }
+        // The mutating arms hand their WAL entry to `Engine::mutate`, which
+        // logs, applies, counts and times it, then lets the arm render its
+        // response from the still-locked session.
+        Request::Propose { session, count } => engine.mutate(
+            &session,
+            WalEntry::Propose {
+                count,
+                now_us: None,
+            },
+            |guard, expired, outcome| {
+                let Outcome::Tickets(tickets) = outcome else {
+                    unreachable!("a propose entry yields tickets")
+                };
+                let mut obj = ok_response();
+                obj.set("session", Json::String(guard.id().to_string()));
+                obj.set("proposals", tickets.to_json());
+                obj.set("pending", guard.pending_count().to_json());
+                if !expired.is_empty() {
+                    obj.set("expired", expired.to_json());
+                }
+                obj
+            },
+        )?,
         Request::Label { session, labels } => {
-            let timer = engine.metrics().timer();
-            let handle = engine.session(&session)?;
-            let mut guard = handle.lock();
-            engine.log_wal(
-                &session,
-                WalEntry::Label {
-                    labels: labels.clone(),
-                },
-            )?;
-            let applied = guard.apply_labels(&labels)?;
-            engine.metrics().add(Counter::Label, applied as u64);
-            engine
-                .metrics()
-                .record(&format!("label.{}", guard.method().as_str()), timer);
-            let mut obj = estimate_response(&guard);
-            obj.set("applied", applied.to_json());
-            obj
+            engine.mutate(&session, WalEntry::Label { labels }, |guard, _, outcome| {
+                let Outcome::Labelled(applied) = outcome else {
+                    unreachable!("a label entry yields a label count")
+                };
+                let mut obj = estimate_response(guard);
+                obj.set("applied", applied.to_json());
+                obj
+            })?
         }
         Request::Step { session, steps } => {
-            let timer = engine.metrics().timer();
-            let handle = engine.session(&session)?;
-            let mut guard = handle.lock();
-            engine.log_wal(&session, WalEntry::Step { steps })?;
-            guard.step(steps)?;
-            engine.metrics().add(Counter::Step, steps as u64);
-            if guard.shard_count() > 1 {
-                engine.metrics().add(Counter::ShardRoute, steps as u64);
-            }
-            engine
-                .metrics()
-                .record(&format!("step.{}", guard.method().as_str()), timer);
-            estimate_response(&guard)
+            engine.mutate(&session, WalEntry::Step { steps }, |guard, _, _| {
+                estimate_response(guard)
+            })?
         }
         Request::RunBudget {
             session,
             budget,
             max_steps,
-        } => {
-            let timer = engine.metrics().timer();
-            let handle = engine.session(&session)?;
-            let mut guard = handle.lock();
-            engine.log_wal(
-                &session,
-                WalEntry::RunBudget {
-                    label_budget: budget,
-                    max_steps,
-                },
-            )?;
-            let before = guard.estimate().iterations;
-            let estimate = guard.run_until_budget(budget, max_steps)?;
-            engine.metrics().incr(Counter::RunBudget);
-            if guard.shard_count() > 1 {
-                engine
-                    .metrics()
-                    .add(Counter::ShardRoute, (estimate.iterations - before) as u64);
-            }
-            engine
-                .metrics()
-                .record(&format!("run_budget.{}", guard.method().as_str()), timer);
-            estimate_response(&guard)
-        }
+        } => engine.mutate(
+            &session,
+            WalEntry::RunBudget {
+                label_budget: budget,
+                max_steps,
+            },
+            |guard, _, _| estimate_response(guard),
+        )?,
         Request::Estimate { session } => {
             let handle = engine.session(&session)?;
             let guard = handle.lock();
@@ -659,18 +594,15 @@ fn apply(engine: &Engine, request: Request) -> EngineResult<Dispatch> {
             obj
         }
         Request::ExpireLeases { session } => {
-            let handle = engine.session(&session)?;
-            let mut guard = handle.lock();
-            let now_us = engine.lease_now();
-            engine.log_wal(&session, WalEntry::Expire { now_us })?;
-            let expired = guard.expire_leases(now_us);
-            engine
-                .metrics()
-                .add(Counter::LeaseExpiry, expired.len() as u64);
+            let (expired, pending) = engine.mutate(
+                &session,
+                WalEntry::Expire { now_us: 0 },
+                |guard, expired, _| (expired, guard.pending_count()),
+            )?;
             let mut obj = ok_response();
             obj.set("session", Json::String(session));
             obj.set("expired", expired.to_json());
-            obj.set("pending", guard.pending_count().to_json());
+            obj.set("pending", pending.to_json());
             obj
         }
         Request::Auth { .. } => {

@@ -33,7 +33,7 @@
 //!   cannot pipeline new work while refusing to drain results).
 //!
 //! Accept errors (EMFILE/ENFILE spin hot under fd exhaustion) pause the
-//! listener on the shared [`AcceptBackoff`] doubling ladder, surfaced via
+//! listener on the shared `AcceptBackoff` doubling ladder, surfaced via
 //! [`Counter::AcceptRetry`]; each loop iteration's processing time lands in
 //! the `event_loop` latency histogram.
 

@@ -1,10 +1,13 @@
 //! Append-only write-ahead log of session mutations.
 //!
 //! Durability in the engine is `latest checkpoint + WAL suffix`: every
-//! mutating request against a durable session — propose, label, step,
-//! run-budget — is appended to the session's log *before* the session is
+//! mutation of a durable session — propose, label, step, run-budget, lease
+//! expiry — is appended to the session's log *before* the session is
 //! mutated, and a restart replays the records whose sequence numbers lie at
-//! or beyond the checkpoint's high-water mark.  Because every [`Session`]
+//! or beyond the checkpoint's high-water mark.  Live requests,
+//! `Engine::run_parallel` jobs and replay all change a session through
+//! [`WalEntry::apply`], so replay runs the very code the live mutation ran.
+//! Because every [`Session`]
 //! mutator is deterministic given the session state (the RNG lives inside
 //! the checkpoint) and validates its whole batch before touching anything,
 //! replaying the suffix reproduces the pre-crash state bit for bit:
@@ -20,7 +23,8 @@
 //! batches land in the log in the order they were applied.
 
 use crate::error::{EngineError, EngineResult};
-use crate::session::Session;
+use crate::session::{Session, Ticket};
+use oasis::Estimate;
 use serde::json::{FromJson, Json, JsonError, JsonResult, ToJson};
 
 /// One loggable session mutation.
@@ -61,34 +65,68 @@ pub enum WalEntry {
     },
 }
 
+/// What applying a [`WalEntry`] did to a session.
+#[derive(Debug)]
+pub struct Applied {
+    /// Ticket ids whose leases the entry's sweep reclaimed — even when the
+    /// mutation that follows the sweep is rejected.
+    pub expired: Vec<u64>,
+    /// What the mutation produced, or why the session rejected it.
+    pub outcome: EngineResult<Outcome>,
+}
+
+/// The payload of an accepted mutation.
+#[derive(Debug)]
+pub enum Outcome {
+    /// `propose`: the minted tickets.
+    Tickets(Vec<Ticket>),
+    /// `label`: how many labels were applied.
+    Labelled(usize),
+    /// `step` and `run_budget`: the estimate after the run.
+    Estimate(Estimate),
+    /// `expire`: nothing beyond [`Applied::expired`].
+    Swept,
+}
+
 impl WalEntry {
-    /// Apply this mutation to a session, discarding the result payload.
-    ///
-    /// # Errors
-    /// Whatever the underlying session method returns.  During replay a
-    /// failure means the record also failed live (see the module docs), so
-    /// the caller skips it rather than aborting.
-    pub fn apply(&self, session: &mut Session) -> EngineResult<()> {
+    /// The record's `op` tag: the protocol verb, except `expire` for
+    /// `expire_leases`.
+    pub(crate) fn op(&self) -> &'static str {
         match self {
-            WalEntry::Propose { count, now_us } => {
-                if let Some(now) = now_us {
-                    let _ = session.expire_leases(*now);
-                }
-                session.propose(*count).map(|_| ())
+            WalEntry::Propose { .. } => "propose",
+            WalEntry::Expire { .. } => "expire",
+            WalEntry::Label { .. } => "label",
+            WalEntry::Step { .. } => "step",
+            WalEntry::RunBudget { .. } => "run_budget",
+        }
+    }
+
+    /// Apply this mutation to a session: first the lease sweep at the
+    /// logged timestamp, if any, then the mutation itself.  Live requests,
+    /// `run_parallel` jobs and replay all mutate sessions through here.
+    /// During replay a rejection means the record was also rejected live
+    /// (see the module docs), so the caller skips it rather than aborting.
+    pub fn apply(&self, session: &mut Session) -> Applied {
+        let expired = match *self {
+            WalEntry::Propose {
+                now_us: Some(now), ..
             }
-            WalEntry::Expire { now_us } => {
-                let _ = session.expire_leases(*now_us);
-                Ok(())
-            }
-            WalEntry::Label { labels } => session.apply_labels(labels).map(|_| ()),
-            WalEntry::Step { steps } => session.step(*steps).map(|_| ()),
+            | WalEntry::Expire { now_us: now } => session.expire_leases(now),
+            _ => Vec::new(),
+        };
+        let outcome = match self {
+            WalEntry::Propose { count, .. } => session.propose(*count).map(Outcome::Tickets),
+            WalEntry::Expire { .. } => Ok(Outcome::Swept),
+            WalEntry::Label { labels } => session.apply_labels(labels).map(Outcome::Labelled),
+            WalEntry::Step { steps } => session.step(*steps).map(Outcome::Estimate),
             WalEntry::RunBudget {
                 label_budget,
                 max_steps,
             } => session
                 .run_until_budget(*label_budget, *max_steps)
-                .map(|_| ()),
-        }
+                .map(Outcome::Estimate),
+        };
+        Applied { expired, outcome }
     }
 }
 
@@ -123,20 +161,16 @@ impl ToJson for WalRecord {
     fn to_json(&self) -> Json {
         let mut obj = Json::object();
         obj.set("seq", self.seq.to_json());
+        obj.set("op", Json::String(self.entry.op().to_string()));
         match &self.entry {
             WalEntry::Propose { count, now_us } => {
-                obj.set("op", Json::String("propose".to_string()));
                 obj.set("count", count.to_json());
                 if let Some(now) = now_us {
                     obj.set("now_us", now.to_json());
                 }
             }
-            WalEntry::Expire { now_us } => {
-                obj.set("op", Json::String("expire".to_string()));
-                obj.set("now_us", now_us.to_json());
-            }
+            WalEntry::Expire { now_us } => obj.set("now_us", now_us.to_json()),
             WalEntry::Label { labels } => {
-                obj.set("op", Json::String("label".to_string()));
                 let items = labels
                     .iter()
                     .map(|&(ticket, label)| {
@@ -148,15 +182,11 @@ impl ToJson for WalRecord {
                     .collect();
                 obj.set("labels", Json::Array(items));
             }
-            WalEntry::Step { steps } => {
-                obj.set("op", Json::String("step".to_string()));
-                obj.set("steps", steps.to_json());
-            }
+            WalEntry::Step { steps } => obj.set("steps", steps.to_json()),
             WalEntry::RunBudget {
                 label_budget,
                 max_steps,
             } => {
-                obj.set("op", Json::String("run_budget".to_string()));
                 obj.set("label_budget", label_budget.to_json());
                 obj.set("max_steps", max_steps.to_json());
             }
@@ -378,33 +408,29 @@ mod tests {
         // Drive a live session, logging what a durable engine would log.
         let mut live = make();
         let mut log = Vec::new();
-        let tickets = live.propose(4).unwrap();
-        log.push(WalRecord {
-            seq: 0,
-            entry: WalEntry::Propose {
-                count: 4,
-                now_us: None,
-            },
-        });
-        let labels: Vec<(u64, bool)> = tickets
+        let mut logged = |entry: WalEntry| {
+            let outcome = entry.apply(&mut live).outcome;
+            log.push(WalRecord {
+                seq: log.len() as u64,
+                entry,
+            });
+            outcome
+        };
+        let propose = WalEntry::Propose {
+            count: 4,
+            now_us: None,
+        };
+        let Ok(Outcome::Tickets(tickets)) = logged(propose) else {
+            panic!("an external session proposes")
+        };
+        // A request that is logged, then rejected: unknown ticket 999.
+        let unknown = vec![(999, true)];
+        assert!(logged(WalEntry::Label { labels: unknown }).is_err());
+        let labels = tickets
             .iter()
             .map(|t| (t.id, truth[t.proposal.item]))
             .collect();
-        // A request that is logged, then rejected: unknown ticket 999.
-        log.push(WalRecord {
-            seq: 1,
-            entry: WalEntry::Label {
-                labels: vec![(999, true)],
-            },
-        });
-        assert!(live.apply_labels(&[(999, true)]).is_err());
-        log.push(WalRecord {
-            seq: 2,
-            entry: WalEntry::Label {
-                labels: labels.clone(),
-            },
-        });
-        live.apply_labels(&labels).unwrap();
+        logged(WalEntry::Label { labels }).unwrap();
 
         let mut replayed = make();
         assert_eq!(replay(&mut replayed, &log, 0).unwrap(), 3);
@@ -422,8 +448,8 @@ mod tests {
 
         // Replaying from a later watermark ignores the compacted prefix.
         let mut partial = make();
-        partial.propose(4).unwrap();
-        assert!(partial.apply_labels(&[(999, true)]).is_err());
+        assert!(log[0].entry.apply(&mut partial).outcome.is_ok());
+        assert!(log[1].entry.apply(&mut partial).outcome.is_err());
         assert_eq!(replay(&mut partial, &log, 2).unwrap(), 1);
         assert_eq!(
             partial.estimate().f_measure.to_bits(),

@@ -1,5 +1,6 @@
 //! Property-based fuzzing at the protocol boundary, plus lease-expiry and
-//! checkpoint round-trip properties.
+//! checkpoint round-trip properties (inline, and through store + WAL replay
+//! after random request sequences).
 //!
 //! The dispatcher's contract with untrusted clients: *every* input line —
 //! arbitrary bytes, truncated JSON, pathological nesting, junk interleaved
@@ -10,10 +11,13 @@
 use oasis_engine::guard::guarded_dispatch;
 use oasis_engine::protocol::Request;
 use oasis_engine::server::serve_lines;
-use oasis_engine::{ClientPolicy, ConnState, Engine, ManualClock};
+use oasis_engine::{
+    CheckpointStore, ClientPolicy, ConnState, Engine, FsCheckpointStore, ManualClock,
+};
 use proptest::prelude::*;
 use serde::json::Json;
 use std::io::Cursor;
+use std::path::Path;
 use std::sync::Arc;
 
 /// Drive `lines` through the line server and return one response per
@@ -211,55 +215,112 @@ proptest! {
         // Seeds ride the wire as JSON numbers (f64), so the protocol's
         // contract covers exactly-representable integers: < 2^53.
         seed in 0u64..(1u64 << 53),
-        steps in 0usize..50,
         method_selector in 0usize..4,
+        ops in prop::collection::vec((0usize..6, any::<u16>(), 0u64..1_500), 0..24),
     ) {
         let method = ["oasis", "passive", "importance", "stratified"][method_selector];
-        let engine = Engine::new();
-        let script: Vec<String> = vec![
-            r#"{"cmd":"load_pool","pool":"p","scores":[0.95,0.8,0.6,0.4,0.2,0.1],"predictions":[true,true,true,false,false,false]}"#.to_string(),
+        let pool = r#"{"cmd":"load_pool","pool":"p","scores":[0.95,0.8,0.6,0.4,0.2,0.1],"predictions":[true,true,true,false,false,false]}"#;
+        let dir = std::env::temp_dir().join(format!("oasis-fuzz-round-trip-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        let clock = Arc::new(ManualClock::new());
+        let engine = durable_engine(&dir, Arc::clone(&clock));
+        // `a` runs on an oracle; `x` is labelled over the wire, under a
+        // lease timeout and a pending-ticket cap.
+        let setup: Vec<String> = vec![
+            pool.to_string(),
             format!(
                 r#"{{"cmd":"create_session","session":"a","pool":"p","seed":{seed},"method":"{method}","config":{{"strata_count":2}},"truth":[true,false,true,false,false,true]}}"#
             ),
-            format!(r#"{{"cmd":"step","session":"a","steps":{steps}}}"#),
-            r#"{"cmd":"checkpoint","session":"a"}"#.to_string(),
-            r#"{"cmd":"estimate","session":"a"}"#.to_string(),
+            format!(
+                r#"{{"cmd":"create_session","session":"x","pool":"p","seed":{seed},"method":"{method}","config":{{"strata_count":2}},"lease_timeout_us":1000,"max_pending":4}}"#
+            ),
         ];
-        let responses = serve(&engine, &script);
-        for response in &responses {
+        for response in serve(&engine, &setup) {
             prop_assert!(response.contains(r#""ok":true"#), "{response}");
         }
+        // Some requests fail by design (backpressure, stale or unknown
+        // tickets); a failure that was logged must replay as a failure.
+        for (kind, arg, advance) in ops {
+            clock.advance(advance);
+            let line = match kind {
+                0 => format!(r#"{{"cmd":"propose","session":"x","count":{}}}"#, 1 + arg % 6),
+                1 => format!(
+                    r#"{{"cmd":"label","session":"x","labels":[{{"ticket":{},"label":{}}}]}}"#,
+                    arg % 12,
+                    arg % 2 == 0
+                ),
+                2 => format!(r#"{{"cmd":"step","session":"a","steps":{}}}"#, arg % 20),
+                3 => format!(
+                    r#"{{"cmd":"run_budget","session":"a","budget":{},"max_steps":50}}"#,
+                    arg % 6
+                ),
+                4 => r#"{"cmd":"expire_leases","session":"x"}"#.to_string(),
+                _ => format!(
+                    r#"{{"cmd":"checkpoint_to","session":"{}"}}"#,
+                    ["a", "x"][usize::from(arg % 2)]
+                ),
+            };
+            let response = &serve(&engine, &[line])[0];
+            prop_assert!(response.contains(r#""ok":"#), "{response}");
+        }
+        let inspect = [
+            r#"{"cmd":"checkpoint","session":"a"}"#.to_string(),
+            r#"{"cmd":"estimate","session":"a"}"#.to_string(),
+            r#"{"cmd":"checkpoint","session":"x"}"#.to_string(),
+            r#"{"cmd":"estimate","session":"x"}"#.to_string(),
+        ];
+        let live = serve(&engine, &inspect);
+        drop(engine);
+
+        // Restart over the same store: checkpoint plus WAL replay must
+        // rebuild both sessions byte-for-byte, lease clock included.
+        let revived = durable_engine(&dir, Arc::new(ManualClock::new()));
+        let script = [
+            pool.to_string(),
+            r#"{"cmd":"restore_from","session":"a"}"#.to_string(),
+            r#"{"cmd":"restore_from","session":"x"}"#.to_string(),
+        ];
+        let restored = serve(&revived, &script);
+        prop_assert!(restored[1..].iter().all(|r| r.contains(r#""restored":true"#)), "{restored:?}");
+        prop_assert!(live.iter().all(|r| r.contains(r#""ok":true"#)), "{live:?}");
+        prop_assert_eq!(&serve(&revived, &inspect), &live);
+
         // Checkpoints and estimates embed the session name; normalize it so
         // the comparison sees only sampler/RNG/estimator state.
-        let checkpoint = Json::parse(&responses[3])
+        let checkpoint = Json::parse(&live[0])
             .unwrap()
             .get("checkpoint")
             .unwrap()
             .render()
             .replace(r#""session":"a""#, r#""session":"b""#);
-        let estimate_a = responses[4].replace(r#""session":"a""#, r#""session":"b""#);
+        let estimate_a = live[1].replace(r#""session":"a""#, r#""session":"b""#);
 
-        // Restore the serialized state into a fresh engine under a new name:
-        // the estimate — point value and confidence interval — must be
+        // Restore the serialized state inline under a new name: the
+        // estimate — point value and confidence interval — must be
         // byte-identical, and re-checkpointing must reproduce the bytes.
-        let other = Engine::new();
         let script: Vec<String> = vec![
-            // Checkpoints reference their pool; the fresh engine loads it first.
-            r#"{"cmd":"load_pool","pool":"p","scores":[0.95,0.8,0.6,0.4,0.2,0.1],"predictions":[true,true,true,false,false,false]}"#.to_string(),
             format!(r#"{{"cmd":"restore","session":"b","checkpoint":{checkpoint}}}"#),
             r#"{"cmd":"estimate","session":"b"}"#.to_string(),
             r#"{"cmd":"checkpoint","session":"b"}"#.to_string(),
         ];
-        let responses = serve(&other, &script);
-        prop_assert!(responses[1].contains(r#""restored":true"#), "{}", responses[1]);
-        prop_assert_eq!(&responses[2], &estimate_a);
-        let round_tripped = Json::parse(&responses[3])
+        let responses = serve(&revived, &script);
+        prop_assert!(responses[0].contains(r#""restored":true"#), "{}", responses[0]);
+        prop_assert_eq!(&responses[1], &estimate_a);
+        let round_tripped = Json::parse(&responses[2])
             .unwrap()
             .get("checkpoint")
             .unwrap()
             .render();
         prop_assert_eq!(round_tripped, checkpoint);
+        let _ = std::fs::remove_dir_all(&dir);
     }
+}
+
+fn durable_engine(dir: &Path, clock: Arc<ManualClock>) -> Engine {
+    let store = FsCheckpointStore::open(dir).expect("scratch store opens");
+    Engine::new()
+        .with_store(Arc::new(store) as Arc<dyn CheckpointStore>)
+        .with_lease_clock(clock as _)
 }
 
 /// Regression for the framing overflow path: a line longer than

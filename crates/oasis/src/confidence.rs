@@ -95,7 +95,7 @@ impl VarianceTracker {
     /// Rebuild a tracker from previously captured sums (see
     /// [`VarianceTracker::sums`]).  The restored tracker continues its
     /// variance accumulation bit-for-bit — this is the restore half of the
-    /// checkpoint path ([`crate::samplers::state::TrackerState`]).
+    /// checkpoint path ([`crate::samplers::TrackerState`]).
     ///
     /// # Errors
     /// [`Error::InvalidParameter`] on corrupt values: non-finite numbers,

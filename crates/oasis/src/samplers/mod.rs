@@ -339,7 +339,7 @@ pub trait Sampler: InteractiveSampler {
 /// The tracker observes every applied label, so the wrapper works through
 /// both driving styles (`step` loops and propose/apply drivers).  Its
 /// [`state`](InteractiveSampler::state) is the inner sampler's with the
-/// tracker's running sums attached ([`TrackerState`](state::TrackerState)),
+/// tracker's running sums attached ([`TrackerState`]),
 /// so a restored `TrackedSampler` resumes both the estimate *and* its
 /// variance accumulation bit-for-bit — the confidence interval after
 /// checkpoint → restore → continue is identical to an uninterrupted run.

@@ -236,14 +236,13 @@ pub struct OasisSampler {
     /// function of the posterior and the running estimate, both of which
     /// move only on `apply_label`, so consecutive proposals without
     /// intervening labels reuse the cached CDF instead of paying the O(K)
-    /// refit per draw.  Transient: not part of [`SamplerState`].
+    /// refit per draw.  Captured in [`SamplerState`] so a restored sampler
+    /// refits exactly when the captured one would have.
     proposal_dirty: bool,
     /// How many times the instrumental distribution (and its CDF) has been
     /// refit — the cache-miss count behind the batched-proposal win, exposed
     /// through [`InteractiveSampler::diagnostics`].  Serialized with the
-    /// state so diagnostics stay stable across checkpoint/restore; note a
-    /// restored sampler refits once on its next proposal (the cache itself
-    /// is transient), which counts.
+    /// state so diagnostics stay stable across checkpoint/restore.
     cdf_rebuilds: u64,
 }
 
@@ -382,6 +381,7 @@ impl OasisSampler {
 
     /// Assemble a sampler from restored components; shared by
     /// [`OasisState::rebuild`].
+    #[allow(clippy::too_many_arguments)]
     pub(super) fn from_parts(
         config: OasisConfig,
         strata: Strata,
@@ -389,6 +389,7 @@ impl OasisSampler {
         estimator: AisEstimator,
         initial_f_guess: f64,
         current_proposal: Vec<f64>,
+        proposal_current: bool,
         cdf_rebuilds: u64,
     ) -> Result<Self> {
         config.validate()?;
@@ -403,6 +404,20 @@ impl OasisSampler {
                 ),
             });
         }
+        // A proposal fit since the last label is the one the next draw uses:
+        // rebuilding its CDF here is not a refit, so it is not counted.
+        let mut cdf_scratch = Vec::new();
+        if proposal_current {
+            let valid = current_proposal.iter().all(|p| p.is_finite() && *p >= 0.0)
+                && current_proposal.iter().sum::<f64>() > 0.0;
+            if !valid {
+                return Err(Error::InvalidParameter {
+                    name: "state",
+                    message: "current_proposal is not a distribution".to_string(),
+                });
+            }
+            super::fill_cumulative(&current_proposal, &mut cdf_scratch);
+        }
         Ok(OasisSampler {
             config,
             strata,
@@ -410,8 +425,8 @@ impl OasisSampler {
             estimator,
             initial_f_guess,
             current_proposal,
-            cdf_scratch: Vec::new(),
-            proposal_dirty: true,
+            cdf_scratch,
+            proposal_dirty: !proposal_current,
             cdf_rebuilds,
         })
     }
@@ -537,6 +552,7 @@ impl InteractiveSampler for OasisSampler {
             estimator: EstimatorState::capture(&self.estimator),
             initial_f_guess: self.initial_f_guess,
             current_proposal: self.current_proposal.clone(),
+            proposal_current: !self.proposal_dirty,
             cdf_rebuilds: self.cdf_rebuilds,
             tracker: None,
         })

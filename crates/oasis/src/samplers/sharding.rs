@@ -160,7 +160,7 @@ impl ShardedPool {
 
 /// K independent inner samplers over a [`ShardedPool`], presented as one
 /// [`InteractiveSampler`] whose estimate is the exact merged global estimate
-/// (see the [module docs](self) for the weight algebra).
+/// (the weight algebra is derived in this module's source docs).
 #[derive(Debug, Clone)]
 pub struct ShardedSampler {
     /// The method every shard runs.

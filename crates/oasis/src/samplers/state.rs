@@ -262,6 +262,10 @@ pub struct OasisState {
     pub initial_f_guess: f64,
     /// The instrumental distribution used at the most recent step.
     pub current_proposal: Vec<f64>,
+    /// Whether `current_proposal` was fit after the last label, so the next
+    /// draw uses it without a refit.  `false` for documents written before
+    /// the flag existed: a restored sampler then refits on its first draw.
+    pub proposal_current: bool,
     /// How many times the instrumental CDF had been refit when the state was
     /// captured (0 for documents written before the counter existed).
     pub cdf_rebuilds: u64,
@@ -300,6 +304,7 @@ impl OasisState {
             self.estimator.rebuild()?,
             self.initial_f_guess,
             self.current_proposal,
+            self.proposal_current,
             self.cdf_rebuilds,
         )
     }
@@ -456,8 +461,8 @@ impl StratifiedState {
 /// itself is not stored — it is the canonical contiguous split of the pool
 /// into `shards.len()` pieces, recomputed exactly on rebuild.
 ///
-/// The rebuild path lives next to the sampler in
-/// [`super::sharding`]; this type is plain data.
+/// The rebuild path lives next to the sampler, in
+/// [`ShardedSampler`](super::ShardedSampler); this type is plain data.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct ShardedState {
     /// The method every shard runs (shards are homogeneous).
@@ -479,7 +484,7 @@ pub struct ShardedState {
 /// Produced by [`InteractiveSampler::state`](super::InteractiveSampler::state),
 /// consumed by [`InteractiveSampler::from_state`](super::InteractiveSampler::from_state)
 /// (which rejects a variant for the wrong sampler) or by
-/// [`AnySampler::from_state`](super::AnySampler::from_state) (which dispatches
+/// [`AnySampler`](super::AnySampler)'s `from_state` (which dispatches
 /// on the tag).  The JSON encoding carries the tag as a `"method"` field;
 /// documents without one predate the tagged form and are read as OASIS states
 /// for backward compatibility.
@@ -644,6 +649,48 @@ mod tests {
             assert_eq!(oa.item, ob.item);
             assert_eq!(oa.weight.to_bits(), ob.weight.to_bits());
         }
+    }
+
+    #[test]
+    fn restore_refits_only_where_the_captured_sampler_would_have() {
+        let (pool, truth) = pool_and_truth(400, 13);
+        let mut oracle = GroundTruthOracle::new(truth);
+        let mut rng = StdRng::seed_from_u64(8);
+        let mut sampler =
+            OasisSampler::new(&pool, OasisConfig::default().with_strata_count(6)).unwrap();
+        for _ in 0..20 {
+            sampler.step(&pool, &mut oracle, &mut rng).unwrap();
+        }
+        // A label leaves the proposal stale; a propose leaves it current.
+        for propose_first in [false, true] {
+            let mut live = sampler.clone();
+            if propose_first {
+                live.propose(&pool, &mut rng);
+            }
+            let mut restored = OasisSampler::from_state(&pool, live.state()).unwrap();
+            let mut rng_a = StdRng::seed_from_u64(9);
+            let mut rng_b = StdRng::seed_from_u64(9);
+            let a = live.propose(&pool, &mut rng_a);
+            let b = restored.propose(&pool, &mut rng_b);
+            assert_eq!(a.item, b.item);
+            assert_eq!(a.weight.to_bits(), b.weight.to_bits());
+            assert_eq!(
+                live.cdf_rebuilds(),
+                restored.cdf_rebuilds(),
+                "{propose_first}"
+            );
+            assert_eq!(live.state(), restored.state(), "{propose_first}");
+        }
+
+        // A current proposal is drawn from as is, so it must be one.
+        let mut stale = oasis_state(&sampler);
+        sampler.propose(&pool, &mut rng);
+        let mut current = oasis_state(&sampler);
+        assert!(current.proposal_current && !stale.proposal_current);
+        current.current_proposal[0] = f64::NAN;
+        assert!(current.rebuild(&pool).is_err());
+        stale.current_proposal[0] = f64::NAN;
+        assert!(stale.rebuild(&pool).is_ok(), "a stale proposal is refit");
     }
 
     #[test]

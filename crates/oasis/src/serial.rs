@@ -366,6 +366,11 @@ impl ToJson for OasisState {
         obj.set("estimator", self.estimator.to_json());
         obj.set("initial_f_guess", self.initial_f_guess.to_json());
         obj.set("current_proposal", self.current_proposal.to_json());
+        // Written only when set, so documents of samplers awaiting a refit
+        // keep their earlier bytes.
+        if self.proposal_current {
+            obj.set("proposal_current", Json::Bool(true));
+        }
         obj.set("cdf_rebuilds", self.cdf_rebuilds.to_json());
         obj.set("tracker", tracker_to_json(&self.tracker));
         obj
@@ -385,6 +390,10 @@ impl FromJson for OasisState {
             estimator: EstimatorState::from_json(value.require("estimator")?)?,
             initial_f_guess: field_f64(value, "initial_f_guess")?,
             current_proposal: Vec::<f64>::from_json(value.require("current_proposal")?)?,
+            proposal_current: match value.get("proposal_current") {
+                None => false,
+                Some(v) => v.as_bool()?,
+            },
             // Pre-PR7 documents carry no rebuild counter; start from zero.
             cdf_rebuilds: match value.get("cdf_rebuilds") {
                 None => 0,
