@@ -9,37 +9,19 @@
 //! exact as the in-memory one.
 //!
 //! The pool itself is *not* embedded — pools are shared across many sessions
-//! and can be huge.  Instead the checkpoint records the pool id, length and a
-//! content fingerprint, and [`Session::restore`](crate::Session::restore)
-//! refuses to resume against a pool that does not match.
+//! and can be huge.  Instead the checkpoint records the pool id, length and
+//! content [fingerprint](oasis::ScoredPool::fingerprint), and
+//! [`Session::restore`](crate::Session::restore) refuses to resume against a
+//! pool that does not match.
 
 use crate::error::EngineResult;
 use crate::session::{SessionLimits, Ticket};
 use oasis::samplers::SamplerState;
-use oasis::{Proposal, ScoredPool};
+use oasis::Proposal;
 use serde::json::{FromJson, Json, JsonError, JsonResult, ToJson};
 
 /// Version tag embedded in every checkpoint document.
 pub const CHECKPOINT_FORMAT: &str = "oasis-engine/checkpoint-v1";
-
-/// FNV-1a content fingerprint of a pool (score bits + predictions), used to
-/// verify a checkpoint is restored against the pool it was captured on.
-pub fn pool_fingerprint(pool: &ScoredPool) -> u64 {
-    const OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
-    const PRIME: u64 = 0x0000_0100_0000_01b3;
-    let mut hash = OFFSET;
-    let mut eat = |byte: u8| {
-        hash ^= u64::from(byte);
-        hash = hash.wrapping_mul(PRIME);
-    };
-    for (&score, &prediction) in pool.scores().iter().zip(pool.predictions().iter()) {
-        for byte in score.to_bits().to_le_bytes() {
-            eat(byte);
-        }
-        eat(u8::from(prediction));
-    }
-    hash
-}
 
 /// Oracle/budget state carried in a checkpoint.
 #[derive(Debug, Clone, PartialEq)]
@@ -256,7 +238,7 @@ impl FromJson for SessionCheckpoint {
 mod tests {
     use super::*;
     use crate::session::{LabelSource, Session};
-    use oasis::{GroundTruthOracle, OasisConfig, SamplerMethod};
+    use oasis::{GroundTruthOracle, OasisConfig, SamplerMethod, ScoredPool};
     use std::sync::Arc;
 
     fn pool_and_truth(n: usize, seed: u64) -> (Arc<ScoredPool>, Vec<bool>) {
@@ -267,8 +249,8 @@ mod tests {
     fn fingerprint_tracks_pool_content() {
         let (a, _) = pool_and_truth(100, 1);
         let (b, _) = pool_and_truth(100, 2);
-        assert_eq!(pool_fingerprint(&a), pool_fingerprint(&a));
-        assert_ne!(pool_fingerprint(&a), pool_fingerprint(&b));
+        assert_eq!(a.fingerprint(), a.fingerprint());
+        assert_ne!(a.fingerprint(), b.fingerprint());
     }
 
     #[test]
@@ -368,6 +350,43 @@ mod tests {
             err,
             crate::error::EngineError::CheckpointMismatch(_)
         ));
+    }
+
+    #[test]
+    fn restore_rejects_a_same_length_pool_with_other_content_after_caching() {
+        let (pool, truth) = pool_and_truth(300, 13);
+        let mut session = Session::new(
+            "s",
+            "p",
+            Arc::clone(&pool),
+            SamplerMethod::Oasis,
+            OasisConfig::default().with_strata_count(5),
+            2,
+            LabelSource::GroundTruth(GroundTruthOracle::new(truth)),
+        )
+        .unwrap();
+        session.step(10).unwrap();
+        // Capturing caches the original pool's fingerprint.
+        let checkpoint = session.checkpoint();
+
+        // One score nudged by one ulp: same length, different content.
+        let mut scores = pool.scores().to_vec();
+        scores[123] = f64::from_bits(scores[123].to_bits() + 1);
+        let nudged = Arc::new(ScoredPool::new(scores, pool.predictions().to_vec()).unwrap());
+        // The first restore fills the other pool's cache; the second reads it.
+        for _ in 0..2 {
+            let err = Session::restore(checkpoint.clone(), Arc::clone(&nudged)).unwrap_err();
+            assert!(matches!(
+                err,
+                crate::error::EngineError::CheckpointMismatch(_)
+            ));
+        }
+
+        // An equal pool built afresh (empty cache) and a clone (copied
+        // cache) both still restore.
+        let rebuilt = ScoredPool::new(pool.scores().to_vec(), pool.predictions().to_vec()).unwrap();
+        assert!(Session::restore(checkpoint.clone(), Arc::new(rebuilt)).is_ok());
+        assert!(Session::restore(checkpoint, Arc::new(ScoredPool::clone(&pool))).is_ok());
     }
 
     #[test]

@@ -581,18 +581,19 @@ impl Engine {
         };
         let handle = self.session(id)?;
         // Hold the session lock across capture + write + truncate so no
-        // mutation (and no WAL append) can slip between them.
+        // mutation (and no WAL append) can slip between them.  The
+        // engine-wide `meta` lock is taken only to read the watermark and to
+        // clear `dirty`: other sessions' appends must not wait on this
+        // session's render and fsync.
         let session = handle.lock();
-        let mut meta = self.meta.lock();
-        let slot = meta.entry(id.to_string()).or_default();
-        let wal_seq = slot.wal_seq;
+        let wal_seq = self.meta.lock().entry(id.to_string()).or_default().wal_seq;
         let timer = self.metrics.timer();
         let document = render_envelope(&session.checkpoint(), wal_seq);
         self.with_store_retry("checkpoint write", || store.put_checkpoint(id, &document))?;
         self.with_store_retry("WAL truncate", || store.truncate_wal(id))?;
         self.metrics.incr(Counter::CheckpointWrite);
         self.metrics.record("checkpoint.write", timer);
-        slot.dirty = false;
+        self.meta.lock().entry(id.to_string()).or_default().dirty = false;
         Ok(wal_seq)
     }
 
@@ -653,13 +654,18 @@ impl Engine {
     /// sequence number.  Only [`Engine::mutate`] calls it: with the
     /// session's mutex held and *before* the mutation is applied — that
     /// ordering is what makes the log a write-*ahead* log and keeps
-    /// concurrent batches in application order.  No-op (except dirtiness
-    /// tracking) without a store.
+    /// concurrent batches in application order.  The session's mutex, not
+    /// the engine-wide `meta` lock, orders its records, so `meta` is held
+    /// only to read and then bump `wal_seq`, never across the append.
+    /// No-op (except dirtiness tracking) without a store.
     fn log_wal(&self, session_id: &str, record: &mut WalRecord) -> EngineResult<()> {
-        let mut meta = self.meta.lock();
-        let slot = meta.entry(session_id.to_string()).or_default();
         if let Some(store) = &self.store {
-            record.seq = slot.wal_seq;
+            record.seq = self
+                .meta
+                .lock()
+                .entry(session_id.to_string())
+                .or_default()
+                .wal_seq;
             let line = record.render();
             let timer = self.metrics.timer();
             if let Err(err) =
@@ -674,7 +680,11 @@ impl Engine {
             }
             self.metrics.incr(Counter::WalAppend);
             self.metrics.record("wal.append", timer);
-            slot.wal_seq += 1;
+        }
+        let mut meta = self.meta.lock();
+        let slot = meta.entry(session_id.to_string()).or_default();
+        if self.store.is_some() {
+            slot.wal_seq = record.seq + 1;
         }
         slot.dirty = true;
         Ok(())
@@ -1125,6 +1135,98 @@ mod tests {
         assert_eq!(a.lower.to_bits(), b.lower.to_bits());
         assert_eq!(a.upper.to_bits(), b.upper.to_bits());
         assert!(session.variance_tracked());
+
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    /// A filesystem store whose first armed `put_checkpoint` parks on a
+    /// two-party barrier twice: on entry (the test then knows the writer is
+    /// inside the store call) and again until the test releases it.
+    #[derive(Debug)]
+    struct GatedStore {
+        inner: crate::store::FsCheckpointStore,
+        armed: std::sync::atomic::AtomicBool,
+        gate: std::sync::Barrier,
+    }
+
+    impl CheckpointStore for GatedStore {
+        fn put_checkpoint(&self, session_id: &str, document: &str) -> EngineResult<()> {
+            if self.armed.swap(false, Ordering::SeqCst) {
+                self.gate.wait();
+                self.gate.wait();
+            }
+            self.inner.put_checkpoint(session_id, document)
+        }
+        fn load_checkpoint(&self, session_id: &str) -> EngineResult<Option<String>> {
+            self.inner.load_checkpoint(session_id)
+        }
+        fn append_wal(&self, session_id: &str, line: &str) -> EngineResult<()> {
+            self.inner.append_wal(session_id, line)
+        }
+        fn read_wal(&self, session_id: &str) -> EngineResult<Vec<String>> {
+            self.inner.read_wal(session_id)
+        }
+        fn truncate_wal(&self, session_id: &str) -> EngineResult<()> {
+            self.inner.truncate_wal(session_id)
+        }
+        fn list_sessions(&self) -> EngineResult<Vec<String>> {
+            self.inner.list_sessions()
+        }
+        fn remove(&self, session_id: &str) -> EngineResult<()> {
+            self.inner.remove(session_id)
+        }
+    }
+
+    #[test]
+    fn a_checkpoint_write_does_not_block_other_sessions_wal_appends() {
+        let (dir, _) = scratch_store("gated");
+        let store = Arc::new(GatedStore {
+            inner: crate::store::FsCheckpointStore::open(&dir).unwrap(),
+            armed: std::sync::atomic::AtomicBool::new(false),
+            gate: std::sync::Barrier::new(2),
+        });
+        let engine =
+            Arc::new(Engine::new().with_store(Arc::clone(&store) as Arc<dyn CheckpointStore>));
+        let (pool, _) = pool_and_truth(400, 33);
+        engine.load_pool("p", pool.clone()).unwrap();
+        for id in ["a", "b"] {
+            engine
+                .create_session(
+                    id,
+                    "p",
+                    SamplerMethod::Oasis,
+                    OasisConfig::default().with_strata_count(4),
+                    9,
+                    LabelSource::external(pool.len()),
+                )
+                .unwrap();
+        }
+
+        store.armed.store(true, Ordering::SeqCst);
+        let writer = {
+            let engine = Arc::clone(&engine);
+            std::thread::spawn(move || engine.checkpoint_to("a"))
+        };
+        store.gate.wait(); // a's checkpoint write is now parked in the store
+        let (answer, answered) = std::sync::mpsc::channel();
+        let proposer = {
+            let engine = Arc::clone(&engine);
+            std::thread::spawn(move || {
+                let request = crate::protocol::Request::Propose {
+                    session: "b".to_string(),
+                    count: 1,
+                };
+                let dispatch = crate::protocol::dispatch(&engine, request);
+                let _ = answer.send(dispatch.response.render());
+            })
+        };
+        let response = answered.recv_timeout(std::time::Duration::from_secs(5));
+        store.gate.wait(); // release a's write
+        assert_eq!(writer.join().unwrap().unwrap(), 0);
+        proposer.join().unwrap();
+        let response = response.expect("propose on b waited for a's checkpoint write");
+        assert!(response.contains(r#""ok":true"#), "{response}");
+        assert_eq!(engine.store().unwrap().read_wal("b").unwrap().len(), 1);
 
         let _ = std::fs::remove_dir_all(&dir);
     }

@@ -114,7 +114,7 @@ mod session;
 pub mod store;
 pub mod wal;
 
-pub use checkpoint::{pool_fingerprint, OracleCheckpoint, SessionCheckpoint, CHECKPOINT_FORMAT};
+pub use checkpoint::{OracleCheckpoint, SessionCheckpoint, CHECKPOINT_FORMAT};
 pub use engine::{Engine, ReplayReport, RetryPolicy, SessionJob, SessionOverview};
 pub use error::{EngineError, EngineResult};
 pub use fault::{FaultKind, FaultyStore, StoreOp};

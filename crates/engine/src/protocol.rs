@@ -275,17 +275,12 @@ impl Request {
                 },
             }),
             "label" => {
-                let labels = value
-                    .require("labels")?
-                    .as_array()?
-                    .iter()
-                    .map(|entry| {
-                        Ok::<_, EngineError>((
-                            entry.require("ticket")?.as_u64()?,
-                            entry.require("label")?.as_bool()?,
-                        ))
-                    })
-                    .collect::<EngineResult<Vec<_>>>()?;
+                let labels = value.require("labels")?.map_array(|entry| {
+                    Ok::<_, EngineError>((
+                        entry.require("ticket")?.as_u64()?,
+                        entry.require("label")?.as_bool()?,
+                    ))
+                })?;
                 Ok(Request::Label {
                     session: string_field(&value, "session")?,
                     labels,

@@ -507,7 +507,7 @@ impl Session {
             session_id: self.id.clone(),
             pool_id: self.pool_id.clone(),
             pool_len: self.pool.len(),
-            pool_fingerprint: crate::checkpoint::pool_fingerprint(&self.pool),
+            pool_fingerprint: self.pool.fingerprint(),
             seed: self.seed,
             rng_words: self.rng.state_words(),
             sampler: self.sampler.state(),
@@ -544,7 +544,7 @@ impl Session {
                 checkpoint.pool_len
             )));
         }
-        let fingerprint = crate::checkpoint::pool_fingerprint(&pool);
+        let fingerprint = pool.fingerprint();
         if fingerprint != checkpoint.pool_fingerprint {
             return Err(EngineError::CheckpointMismatch(format!(
                 "pool fingerprint {fingerprint:#x} != checkpointed {:#x}",

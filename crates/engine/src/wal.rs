@@ -210,16 +210,14 @@ impl FromJson for WalRecord {
                 now_us: value.require("now_us")?.as_u64()?,
             },
             "label" => {
-                let items = match value.require("labels")? {
-                    Json::Array(items) => items,
-                    other => {
-                        return Err(JsonError::new(format!(
-                            "labels must be an array, got {other:?}"
-                        )))
-                    }
+                let raw = value.require("labels")?;
+                let Ok(items) = raw.as_array() else {
+                    return Err(JsonError::new(format!(
+                        "labels must be an array, got {raw:?}"
+                    )));
                 };
                 let mut labels = Vec::with_capacity(items.len());
-                for item in items {
+                for item in items.iter() {
                     labels.push((
                         item.require("ticket")?.as_u64()?,
                         item.require("label")?.as_bool()?,

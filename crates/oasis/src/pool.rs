@@ -8,6 +8,8 @@
 
 use crate::error::{Error, Result};
 use serde::{Deserialize, Serialize};
+use std::fmt;
+use std::sync::OnceLock;
 
 /// A pool of record pairs with similarity scores and predicted labels.
 ///
@@ -15,10 +17,31 @@ use serde::{Deserialize, Serialize};
 /// indices back to concrete record pairs (e.g. `(record_a, record_b)` ids)
 /// should keep that mapping alongside the pool; the sampling machinery only
 /// ever needs scores and predictions.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+///
+/// A pool never changes after construction, so its content
+/// [fingerprint](ScoredPool::fingerprint) is computed once and cached.
+#[derive(Clone, Serialize, Deserialize)]
 pub struct ScoredPool {
     scores: Vec<f64>,
     predictions: Vec<bool>,
+    fingerprint: OnceLock<u64>,
+}
+
+/// Pools are equal when their contents are; the fingerprint cache is not
+/// content.
+impl PartialEq for ScoredPool {
+    fn eq(&self, other: &Self) -> bool {
+        self.scores == other.scores && self.predictions == other.predictions
+    }
+}
+
+impl fmt::Debug for ScoredPool {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.debug_struct("ScoredPool")
+            .field("scores", &self.scores)
+            .field("predictions", &self.predictions)
+            .finish()
+    }
 }
 
 impl ScoredPool {
@@ -49,6 +72,30 @@ impl ScoredPool {
         Ok(ScoredPool {
             scores,
             predictions,
+            fingerprint: OnceLock::new(),
+        })
+    }
+
+    /// FNV-1a content fingerprint of the pool (each item's score bits, then
+    /// its prediction).  Checkpoints record it so a restore can verify it
+    /// runs against the pool it was captured on.  One pass over the pool on
+    /// the first call; later calls return the cached value.
+    pub fn fingerprint(&self) -> u64 {
+        *self.fingerprint.get_or_init(|| {
+            const OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
+            const PRIME: u64 = 0x0000_0100_0000_01b3;
+            let mut hash = OFFSET;
+            let mut eat = |byte: u8| {
+                hash ^= u64::from(byte);
+                hash = hash.wrapping_mul(PRIME);
+            };
+            for (&score, &prediction) in self.scores.iter().zip(self.predictions.iter()) {
+                for byte in score.to_bits().to_le_bytes() {
+                    eat(byte);
+                }
+                eat(u8::from(prediction));
+            }
+            hash
         })
     }
 

@@ -340,24 +340,11 @@ impl FromJson for SamplerMethod {
     }
 }
 
-fn allocations_to_json(allocations: &[Vec<usize>]) -> Json {
-    Json::Array(allocations.iter().map(ToJson::to_json).collect())
-}
-
-fn allocations_from_json(value: &Json) -> JsonResult<Vec<Vec<usize>>> {
-    value
-        .require("allocations")?
-        .as_array()?
-        .iter()
-        .map(Vec::<usize>::from_json)
-        .collect()
-}
-
 impl ToJson for OasisState {
     fn to_json(&self) -> Json {
         let mut obj = Json::object();
         obj.set("config", self.config.to_json());
-        obj.set("allocations", allocations_to_json(&self.allocations));
+        obj.set("allocations", self.allocations.to_json());
         obj.set("prior_gamma0", self.prior_gamma0.to_json());
         obj.set("prior_gamma1", self.prior_gamma1.to_json());
         obj.set("observed_matches", self.observed_matches.to_json());
@@ -381,7 +368,7 @@ impl FromJson for OasisState {
     fn from_json(value: &Json) -> JsonResult<Self> {
         Ok(OasisState {
             config: OasisConfig::from_json(value.require("config")?)?,
-            allocations: allocations_from_json(value)?,
+            allocations: Vec::<Vec<usize>>::from_json(value.require("allocations")?)?,
             prior_gamma0: Vec::<f64>::from_json(value.require("prior_gamma0")?)?,
             prior_gamma1: Vec::<f64>::from_json(value.require("prior_gamma1")?)?,
             observed_matches: Vec::<f64>::from_json(value.require("observed_matches")?)?,
@@ -446,7 +433,7 @@ impl ToJson for StratifiedState {
     fn to_json(&self) -> Json {
         let mut obj = Json::object();
         obj.set("alpha", self.alpha.to_json());
-        obj.set("allocations", allocations_to_json(&self.allocations));
+        obj.set("allocations", self.allocations.to_json());
         obj.set("samples", self.samples.to_json());
         obj.set("true_positives", self.true_positives.to_json());
         obj.set("actual_positives", self.actual_positives.to_json());
@@ -460,7 +447,7 @@ impl FromJson for StratifiedState {
     fn from_json(value: &Json) -> JsonResult<Self> {
         Ok(StratifiedState {
             alpha: field_f64(value, "alpha")?,
-            allocations: allocations_from_json(value)?,
+            allocations: Vec::<Vec<usize>>::from_json(value.require("allocations")?)?,
             samples: Vec::<f64>::from_json(value.require("samples")?)?,
             true_positives: Vec::<f64>::from_json(value.require("true_positives")?)?,
             actual_positives: Vec::<f64>::from_json(value.require("actual_positives")?)?,
