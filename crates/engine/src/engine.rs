@@ -172,7 +172,7 @@ impl Engine {
     }
 
     /// Replace the metrics registry — pass [`MetricsRegistry::disabled`] for
-    /// an uninstrumented engine (the overhead-bench baseline) or a registry
+    /// an uninstrumented engine (the overhead baseline) or a registry
     /// on a [`ManualClock`](crate::metrics::ManualClock) for deterministic
     /// latency tests.  The default engine is instrumented on the monotonic
     /// clock.

@@ -14,8 +14,9 @@
 //! exact histogram contents by advancing the manual clock themselves.
 //!
 //! A registry built with [`MetricsRegistry::disabled`] turns every record
-//! into an early-returning no-op; the `engine_throughput` bench compares an
-//! instrumented engine against a disabled one to bound the overhead.
+//! into an early-returning no-op; the benchmark's traced run compares an
+//! instrumented engine against a disabled one (`metrics.overhead_pct`) to
+//! bound the overhead.
 
 use parking_lot::Mutex;
 use serde::json::{Json, ToJson};
@@ -371,7 +372,7 @@ impl MetricsRegistry {
     }
 
     /// A registry whose every operation is a no-op — the uninstrumented
-    /// baseline of the overhead bench.
+    /// baseline of the benchmark's `metrics.overhead_pct`.
     pub fn disabled() -> Self {
         MetricsRegistry {
             enabled: false,

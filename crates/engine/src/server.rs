@@ -6,7 +6,7 @@
 //! [`serve_lines`] is the transport-agnostic core — one request line in, one
 //! response line out — used directly for stdin/stdout mode and per-connection
 //! by [`serve_listener`], `oasis-serve`'s TCP server, which handles each
-//! connection on a vendored-crossbeam scoped thread sharing one [`Engine`],
+//! connection on a scoped thread sharing one [`Engine`],
 //! so concurrent clients can drive disjoint sessions in parallel
 //! (per-session locks serialise conflicting access).
 //!
@@ -27,6 +27,7 @@ use std::io::{BufRead, BufReader, Read, Write};
 use std::net::{Shutdown, TcpListener, TcpStream};
 use std::ops::ControlFlow;
 use std::sync::atomic::{AtomicBool, Ordering};
+use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 /// Largest request line either serving loop will buffer.  Checkpoint
@@ -386,6 +387,21 @@ impl AcceptBackoff {
 pub(crate) trait AcceptSource {
     /// Accept one connection.
     fn accept_stream(&self) -> std::io::Result<TcpStream>;
+
+    /// Start the handler thread for one accepted connection.  Tests
+    /// override this to make the OS refuse the thread.
+    fn spawn_handler<'scope, F>(
+        &self,
+        scope: &'scope std::thread::Scope<'scope, '_>,
+        handler: F,
+    ) -> std::io::Result<()>
+    where
+        F: FnOnce() + Send + 'scope,
+    {
+        std::thread::Builder::new()
+            .spawn_scoped(scope, handler)
+            .map(drop)
+    }
 }
 
 impl AcceptSource for TcpListener {
@@ -421,7 +437,7 @@ impl Read for ConnReader<'_> {
 /// after a poll interval.
 fn serve_tcp_connection(
     engine: &Engine,
-    stream: TcpStream,
+    stream: &TcpStream,
     registry: &ConnRegistry,
     stop: &AtomicBool,
     log: Option<&EventLog>,
@@ -439,11 +455,8 @@ fn serve_tcp_connection(
         Err(_) => return false,
     };
     // A read or write error ends only this connection.
-    let reader = BufReader::new(ConnReader {
-        stream: &stream,
-        stop,
-    });
-    let shutdown = serve_lines_guarded(engine, reader, &mut &stream, log, policy).unwrap_or(false);
+    let reader = BufReader::new(ConnReader { stream, stop });
+    let shutdown = serve_lines_guarded(engine, reader, &mut &*stream, log, policy).unwrap_or(false);
     registry.deregister(registered);
     shutdown
 }
@@ -484,7 +497,7 @@ pub fn serve_listener_guarded(
 }
 
 /// The blocking accept loop over any [`AcceptSource`] (production:
-/// [`TcpListener`]; tests: sources that inject accept failures).
+/// [`TcpListener`]; tests: sources that inject accept and spawn failures).
 pub(crate) fn serve_accept_loop<A: AcceptSource + Sync>(
     engine: &Engine,
     source: &A,
@@ -495,14 +508,13 @@ pub(crate) fn serve_accept_loop<A: AcceptSource + Sync>(
     let stop = AtomicBool::new(false);
     let registry = ConnRegistry::default();
     let mut backoff = AcceptBackoff::new();
-    crossbeam::thread::scope(|scope| -> std::io::Result<()> {
+    std::thread::scope(|scope| {
         loop {
             if stop.load(Ordering::SeqCst) {
                 break;
             }
             let stream = match source.accept_stream() {
                 Ok(stream) => {
-                    backoff.reset();
                     engine.metrics().incr(Counter::Connection);
                     stream
                 }
@@ -524,10 +536,14 @@ pub(crate) fn serve_accept_loop<A: AcceptSource + Sync>(
                     continue;
                 }
             };
+            // Shared with the handler: a refused spawn drops the handler,
+            // and the loop still holds the socket to answer on.
+            let stream = Arc::new(stream);
+            let conn = Arc::clone(&stream);
             let stop = &stop;
             let registry = &registry;
-            scope.spawn(move |_| {
-                if serve_tcp_connection(engine, stream, registry, stop, log, policy) {
+            let spawned = source.spawn_handler(scope, move || {
+                if serve_tcp_connection(engine, &conn, registry, stop, log, policy) {
                     // Set before the sweep below, so every handler it wakes
                     // sees the flag.
                     stop.store(true, Ordering::SeqCst);
@@ -562,10 +578,32 @@ pub(crate) fn serve_accept_loop<A: AcceptSource + Sync>(
                     }
                 }
             });
+            match spawned {
+                Ok(()) => backoff.reset(),
+                Err(error) => {
+                    // The OS refused a thread (EAGAIN at the process or user
+                    // thread limit).  Refuse this client with a retryable
+                    // error and close it; the other connections keep
+                    // running.  The line is best effort: request bytes the
+                    // client already sent are never read, so the close may
+                    // reset the connection.
+                    let refusal =
+                        EngineError::Backpressure("no thread to serve this connection".into());
+                    let _ = (&*stream).write_all(&response_line(&error_response(&refusal)));
+                    let delay = backoff.next_delay();
+                    log_message(
+                        log,
+                        &format!(
+                            "connection handler spawn failed (accepting again in {}ms): {error}",
+                            delay.as_millis()
+                        ),
+                    );
+                    std::thread::sleep(delay);
+                }
+            }
         }
-        Ok(())
-    })
-    .map_err(|_| std::io::Error::other(EngineError::Protocol("worker panicked".into())))?
+    });
+    Ok(())
 }
 
 #[cfg(test)]
@@ -762,25 +800,58 @@ mod tests {
         assert_eq!(backoff.next_delay(), ACCEPT_BACKOFF_MIN);
     }
 
-    /// An [`AcceptSource`] that fails its first N accepts with EMFILE, then
-    /// delegates to a real listener — the fd-exhaustion scenario that a
-    /// log-and-continue accept loop turns into a hot spin.
+    /// An [`AcceptSource`] over a real listener that fails its first N
+    /// accepts with EMFILE — the fd-exhaustion scenario that a
+    /// log-and-continue accept loop turns into a hot spin — and then its
+    /// first M handler spawns with EAGAIN, as the OS does at the thread
+    /// limit.
     struct FlakyListener {
         inner: TcpListener,
-        failures: std::sync::atomic::AtomicUsize,
+        accept_failures: std::sync::atomic::AtomicUsize,
+        spawn_failures: std::sync::atomic::AtomicUsize,
+    }
+
+    impl FlakyListener {
+        fn new(inner: TcpListener, accept_failures: usize, spawn_failures: usize) -> Self {
+            FlakyListener {
+                inner,
+                accept_failures: accept_failures.into(),
+                spawn_failures: spawn_failures.into(),
+            }
+        }
+    }
+
+    /// Take one injected failure from `budget`, if any is left.
+    fn take_failure(budget: &std::sync::atomic::AtomicUsize) -> bool {
+        budget
+            .fetch_update(Ordering::SeqCst, Ordering::SeqCst, |n| n.checked_sub(1))
+            .is_ok()
     }
 
     impl AcceptSource for FlakyListener {
         fn accept_stream(&self) -> std::io::Result<TcpStream> {
-            if self
-                .failures
-                .fetch_update(Ordering::SeqCst, Ordering::SeqCst, |n| n.checked_sub(1))
-                .is_ok()
-            {
+            if take_failure(&self.accept_failures) {
                 // EMFILE: "Too many open files".
                 return Err(std::io::Error::from_raw_os_error(24));
             }
             self.inner.accept_stream()
+        }
+
+        fn spawn_handler<'scope, F>(
+            &self,
+            scope: &'scope std::thread::Scope<'scope, '_>,
+            handler: F,
+        ) -> std::io::Result<()>
+        where
+            F: FnOnce() + Send + 'scope,
+        {
+            if take_failure(&self.spawn_failures) {
+                // EAGAIN: "Resource temporarily unavailable".
+                return Err(std::io::Error::from_raw_os_error(11));
+            }
+            std::thread::Builder::new()
+                .spawn_scoped(scope, handler)
+                .map(drop)
         }
     }
 
@@ -792,10 +863,7 @@ mod tests {
         let engine = Engine::new();
         let listener = TcpListener::bind("127.0.0.1:0").unwrap();
         let addr = listener.local_addr().unwrap();
-        let flaky = FlakyListener {
-            inner: listener,
-            failures: std::sync::atomic::AtomicUsize::new(INJECTED_FAILURES),
-        };
+        let flaky = FlakyListener::new(listener, INJECTED_FAILURES, 0);
         crossbeam::thread::scope(|scope| {
             let engine = &engine;
             let flaky = &flaky;
@@ -832,6 +900,49 @@ mod tests {
             assert!(engine.metrics().counter(Counter::Connection) >= 1);
         })
         .unwrap();
+    }
+
+    #[test]
+    fn a_refused_handler_thread_answers_backpressure_and_keeps_accepting() {
+        use std::io::{BufRead as _, Write as _};
+
+        let engine = Engine::new();
+        let listener = TcpListener::bind("127.0.0.1:0").unwrap();
+        let addr = listener.local_addr().unwrap();
+        let flaky = FlakyListener::new(listener, 0, 1);
+        std::thread::scope(|scope| {
+            let server = scope.spawn(|| serve_accept_loop(&engine, &flaky, addr, None, None));
+
+            // The first client gets no thread: one structured, retryable
+            // error line, then the server closes the connection.
+            let refused = TcpStream::connect(addr).unwrap();
+            let lines: Vec<String> = BufReader::new(refused)
+                .lines()
+                .collect::<Result<_, _>>()
+                .unwrap();
+            assert_eq!(lines.len(), 1, "{lines:?}");
+            assert!(lines[0].contains(r#""ok":false"#), "{}", lines[0]);
+            assert!(
+                lines[0].contains(r#""kind":"backpressure""#),
+                "{}",
+                lines[0]
+            );
+
+            // The loop kept accepting: the next client is served...
+            let mut stream = TcpStream::connect(addr).unwrap();
+            stream
+                .write_all(b"{\"cmd\":\"sessions\"}\n{\"cmd\":\"shutdown\"}\n")
+                .unwrap();
+            let mut reader = BufReader::new(stream);
+            let mut line = String::new();
+            reader.read_line(&mut line).unwrap();
+            assert!(line.contains(r#""ok":true"#), "{line}");
+            line.clear();
+            reader.read_line(&mut line).unwrap();
+            assert!(line.contains(r#""shutdown":true"#), "{line}");
+            // ...and its shutdown ends the loop cleanly.
+            server.join().unwrap().unwrap();
+        });
     }
 
     #[test]

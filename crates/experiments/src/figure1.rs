@@ -41,7 +41,7 @@ pub fn run(scale: f64, strata_count: usize, seed: u64) -> Figure1 {
     run_on_pool(&pool, strata_count, scale)
 }
 
-/// Same as [`run`] but on a caller-supplied pool (used by the benches).
+/// Same as [`run`] but on a caller-supplied pool.
 pub fn run_on_pool(pool: &ExperimentPool, strata_count: usize, scale: f64) -> Figure1 {
     let strata = CsfStratifier::new(strata_count)
         .stratify(&pool.pool)

@@ -71,7 +71,7 @@ pub fn figure3_methods() -> Vec<Method> {
 }
 
 /// Run one panel (one dataset, one calibration regime).
-pub fn run_panel(
+fn run_panel(
     profile: &DatasetProfile,
     calibrated: bool,
     config: &Figure3Config,

@@ -3,8 +3,7 @@
 //! Each table and figure of the paper's evaluation (Section 6) has a module
 //! here that builds the required pools, runs the sampling methods, and returns
 //! a structured result that the corresponding binary (`src/bin/<name>.rs`)
-//! prints as a plain-text table.  The Criterion benches in `crates/bench`
-//! reuse the same entry points at reduced scale.
+//! prints as a plain-text table.  CI runs every binary at its defaults.
 //!
 //! | Module | Paper content |
 //! |---|---|
@@ -16,6 +15,7 @@
 //! | [`figure3`] | Calibrated vs uncalibrated scores (IS & OASIS) |
 //! | [`figure4`] | Convergence of F̂, π̂, v̂ and KL divergence |
 //! | [`figure5`] | Error after a fixed budget for five classifiers |
+//! | [`ablations`] | OASIS error under ε / K / prior-decay / stratifier changes |
 //! | [`engine_parity`] | `oasis-engine` sessions vs library runs (bitwise) |
 //!
 //! Shared infrastructure: [`methods`] (the sampling methods under
@@ -26,6 +26,7 @@
 #![warn(rust_2018_idioms)]
 #![deny(unsafe_code)]
 
+pub mod ablations;
 pub mod curves;
 pub mod engine_parity;
 pub mod figure1;
