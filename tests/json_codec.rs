@@ -10,7 +10,10 @@
 //! * `Vec<f64>`, `Vec<usize>` and `Vec<bool>` decode both forms to the same
 //!   values or the same error, and encode to the same bytes.
 //!
-//! The parser's verdicts on a few malformed arrays are pinned exactly.
+//! The parser's verdicts on a few malformed arrays are pinned exactly, and
+//! so are the bytes of the report records no checkpoint golden covers
+//! (`Estimate`, `Measures`, `ConfusionCounts`, `ConfidenceInterval`,
+//! `OracleReference`, `SamplerDiagnostics`) with their missing-field errors.
 
 use proptest::prelude::*;
 use serde::json::{FromJson, Json, ToJson, MAX_PARSE_DEPTH};
@@ -214,4 +217,135 @@ fn empty_arrays_are_equal_in_every_form() {
     }
     assert!(Json::Numbers(vec![1.0]) != Json::Bools(vec![true]));
     assert!(Json::Numbers(vec![1.0]) != Json::Numbers(vec![1.0, 2.0]));
+}
+
+/// A report value, its rendered bytes, and the keys its decoder may find
+/// missing (the `Option` fields).
+fn pin_record<T>(value: &T, golden: &str, optional: &[&str])
+where
+    T: ToJson + FromJson + std::fmt::Debug,
+{
+    let rendered = value.to_json().render();
+    assert_eq!(rendered, golden);
+    // `Debug` prints every f64 in shortest round-trip form (NaN as `NaN`),
+    // so equal text means bit-equal fields where `==` would fail on NaN.
+    let back = T::from_json(&Json::parse(golden).unwrap()).unwrap();
+    assert_eq!(format!("{back:?}"), format!("{value:?}"), "{golden}");
+    let Json::Object(map) = Json::parse(golden).unwrap() else {
+        panic!("{golden} is not an object");
+    };
+    for key in map.keys() {
+        let mut doc = Json::parse(golden).unwrap();
+        doc.remove(key);
+        match T::from_json(&doc) {
+            Ok(back) if optional.contains(&key.as_str()) => {
+                let mut expected = Json::parse(golden).unwrap();
+                expected.set(key, Json::Null);
+                assert_eq!(back.to_json(), expected, "{key} missing parses to None");
+            }
+            Ok(back) => panic!("document without required `{key}` parsed: {back:?}"),
+            Err(err) => assert_eq!(err.message, format!("missing field `{key}`")),
+        }
+    }
+}
+
+/// The first field each record decodes, which an empty object names.
+fn first_missing<T: FromJson + std::fmt::Debug>(key: &str) {
+    let err = T::from_json(&Json::object()).unwrap_err();
+    assert_eq!(err.message, format!("missing field `{key}`"));
+}
+
+#[test]
+fn report_records_render_pinned_bytes() {
+    use oasis::diagnostics::OracleReference;
+    use oasis::{
+        ConfidenceInterval, ConfusionCounts, Estimate, Measures, SamplerDiagnostics, SamplerMethod,
+    };
+
+    pin_record(
+        &Estimate {
+            f_measure: f64::NAN,
+            precision: 0.25,
+            recall: 1.0 / 3.0,
+            alpha: 0.5,
+            iterations: 17,
+        },
+        r#"{"alpha":0.5,"f_measure":"NaN","iterations":17,"precision":0.25,"recall":0.3333333333333333}"#,
+        &[],
+    );
+    pin_record(
+        &Measures {
+            precision: 0.75,
+            recall: 6.0 / 7.0,
+            f_measure: 0.8,
+            alpha: 0.5,
+        },
+        r#"{"alpha":0.5,"f_measure":0.8,"precision":0.75,"recall":0.8571428571428571}"#,
+        &[],
+    );
+    pin_record(
+        &ConfusionCounts {
+            tp: 1.5,
+            fp: 0.25,
+            fn_: 3.0,
+            tn: 1e6,
+        },
+        r#"{"fn":3,"fp":0.25,"tn":1000000,"tp":1.5}"#,
+        &[],
+    );
+    pin_record(
+        &ConfidenceInterval {
+            estimate: 0.5,
+            lower: 0.4,
+            upper: 0.6,
+            standard_error: 0.051,
+            level: 0.95,
+        },
+        r#"{"estimate":0.5,"level":0.95,"lower":0.4,"standard_error":0.051,"upper":0.6}"#,
+        &[],
+    );
+    pin_record(
+        &OracleReference {
+            true_pi: vec![0.9, 0.1, 0.0],
+            true_f_measure: 6.0 / 7.0,
+            optimal_v: vec![0.5, 0.3, 0.2],
+            alpha: 0.5,
+        },
+        r#"{"alpha":0.5,"optimal_v":[0.5,0.3,0.2],"true_f_measure":0.8571428571428571,"true_pi":[0.9,0.1,0]}"#,
+        &[],
+    );
+    let optional = ["effective_sample_size", "normalized_weight_variance"];
+    pin_record(
+        &SamplerDiagnostics {
+            method: SamplerMethod::Passive,
+            iterations: 0,
+            effective_sample_size: None,
+            normalized_weight_variance: None,
+            stratum_labels: vec![0.0],
+            instrumental: vec![1.0],
+            cdf_rebuilds: 0,
+        },
+        r#"{"cdf_rebuilds":"0","effective_sample_size":null,"instrumental":[1],"iterations":0,"method":"passive","normalized_weight_variance":null,"stratum_labels":[0]}"#,
+        &optional,
+    );
+    pin_record(
+        &SamplerDiagnostics {
+            method: SamplerMethod::Oasis,
+            iterations: 120,
+            effective_sample_size: Some(87.5),
+            normalized_weight_variance: Some(0.3714285714285714),
+            stratum_labels: vec![40.0, 50.0, 30.0],
+            instrumental: vec![0.2, 0.5, 0.3],
+            cdf_rebuilds: (1 << 53) + 1,
+        },
+        r#"{"cdf_rebuilds":"9007199254740993","effective_sample_size":87.5,"instrumental":[0.2,0.5,0.3],"iterations":120,"method":"oasis","normalized_weight_variance":0.3714285714285714,"stratum_labels":[40,50,30]}"#,
+        &optional,
+    );
+
+    first_missing::<Estimate>("f_measure");
+    first_missing::<Measures>("precision");
+    first_missing::<ConfusionCounts>("tp");
+    first_missing::<ConfidenceInterval>("estimate");
+    first_missing::<OracleReference>("true_pi");
+    first_missing::<SamplerDiagnostics>("method");
 }
