@@ -811,9 +811,9 @@ impl Engine {
         let results: Vec<Mutex<Option<EngineResult<Estimate>>>> =
             jobs.iter().map(|_| Mutex::new(None)).collect();
 
-        crossbeam::thread::scope(|scope| {
+        std::thread::scope(|scope| {
             for _ in 0..workers {
-                scope.spawn(|_| loop {
+                scope.spawn(|| loop {
                     let index = cursor.fetch_add(1, Ordering::Relaxed);
                     if index >= jobs.len() {
                         break;
@@ -823,8 +823,7 @@ impl Engine {
                     *results[index].lock() = Some(outcome);
                 });
             }
-        })
-        .expect("engine worker panicked");
+        });
 
         let mut estimates = Vec::with_capacity(jobs.len());
         for slot in results {

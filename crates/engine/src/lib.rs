@@ -11,7 +11,7 @@
 //!   sampler runs (any [`SamplerMethod`](oasis::SamplerMethod): OASIS,
 //!   passive, importance, stratified) over shared
 //!   [`Arc<ScoredPool>`](oasis::ScoredPool)s, managed by an [`Engine`] and
-//!   driven by a worker pool on vendored-crossbeam scoped threads
+//!   driven by a worker pool on `std::thread::scope` threads
 //!   ([`Engine::run_parallel`]).  Sessions are independent, so concurrency
 //!   never changes results: estimates are bit-identical to sequential
 //!   library runs with the same seeds, whatever the method.

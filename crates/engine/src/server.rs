@@ -864,11 +864,11 @@ mod tests {
         let listener = TcpListener::bind("127.0.0.1:0").unwrap();
         let addr = listener.local_addr().unwrap();
         let flaky = FlakyListener::new(listener, INJECTED_FAILURES, 0);
-        crossbeam::thread::scope(|scope| {
+        std::thread::scope(|scope| {
             let engine = &engine;
             let flaky = &flaky;
             let started = Instant::now();
-            let server = scope.spawn(move |_| serve_accept_loop(engine, flaky, addr, None, None));
+            let server = scope.spawn(move || serve_accept_loop(engine, flaky, addr, None, None));
 
             // The client connects while the accepts are failing; the
             // listener backlog holds it until the backoff ladder admits it.
@@ -898,8 +898,7 @@ mod tests {
                 INJECTED_FAILURES as u64
             );
             assert!(engine.metrics().counter(Counter::Connection) >= 1);
-        })
-        .unwrap();
+        });
     }
 
     #[test]
@@ -1046,13 +1045,13 @@ mod tests {
 
         let engine = Engine::new();
         let policy = ClientPolicy::new().with_auth_token("secret");
-        crossbeam::thread::scope(|scope| {
+        std::thread::scope(|scope| {
             let listener = TcpListener::bind("127.0.0.1:0").unwrap();
             let addr = listener.local_addr().unwrap();
             let engine = &engine;
             let policy = &policy;
             let server =
-                scope.spawn(move |_| serve_listener_guarded(engine, listener, None, Some(policy)));
+                scope.spawn(move || serve_listener_guarded(engine, listener, None, Some(policy)));
 
             let mut first = loop {
                 match TcpStream::connect(addr) {
@@ -1086,8 +1085,7 @@ mod tests {
             assert!(line.contains(r#""shutdown":true"#), "{line}");
             server.join().unwrap().unwrap();
             drop(second);
-        })
-        .unwrap();
+        });
     }
 
     #[test]
@@ -1105,11 +1103,11 @@ mod tests {
         use std::io::{BufRead as _, Write as _};
 
         let engine = Engine::new();
-        crossbeam::thread::scope(|scope| {
+        std::thread::scope(|scope| {
             let listener = TcpListener::bind("127.0.0.1:0").unwrap();
             let addr = listener.local_addr().unwrap();
             let engine = &engine;
-            let server = scope.spawn(move |_| serve_listener(engine, listener));
+            let server = scope.spawn(move || serve_listener(engine, listener));
 
             // An idle client that connects and never sends a byte.
             let idle = loop {
@@ -1138,8 +1136,7 @@ mod tests {
                 waited.elapsed()
             );
             drop(idle);
-        })
-        .unwrap();
+        });
     }
 
     #[test]
@@ -1148,12 +1145,12 @@ mod tests {
         use std::net::TcpStream;
 
         let engine = Engine::new();
-        crossbeam::thread::scope(|scope| {
+        std::thread::scope(|scope| {
             // Bind on an ephemeral port, then serve from a scoped thread.
             let listener = TcpListener::bind("127.0.0.1:0").unwrap();
             let addr = listener.local_addr().unwrap();
             let engine = &engine;
-            let server = scope.spawn(move |_| serve_listener(engine, listener));
+            let server = scope.spawn(move || serve_listener(engine, listener));
 
             // Client: retry connect until the server is listening.
             let mut stream = loop {
@@ -1173,7 +1170,6 @@ mod tests {
             reader.read_line(&mut line).unwrap();
             assert!(line.contains(r#""shutdown":true"#));
             server.join().unwrap().unwrap();
-        })
-        .unwrap();
+        });
     }
 }

@@ -69,17 +69,16 @@ where
     let engine = Engine::new();
     let listener = TcpListener::bind("127.0.0.1:0").unwrap();
     let addr = listener.local_addr().unwrap();
-    crossbeam::thread::scope(|scope| {
+    std::thread::scope(|scope| {
         let engine = &engine;
         let policy = policy.as_ref();
         let config = &config;
-        let server = scope.spawn(move |_| {
+        let server = scope.spawn(move || {
             serve_listener_evented_with_config(engine, listener, None, policy, config)
         });
         serving(addr, body);
         server.join().unwrap().unwrap();
-    })
-    .unwrap();
+    });
     engine
 }
 
@@ -92,13 +91,12 @@ where
     let engine = Engine::new();
     let listener = TcpListener::bind("127.0.0.1:0").unwrap();
     let addr = listener.local_addr().unwrap();
-    crossbeam::thread::scope(|scope| {
+    std::thread::scope(|scope| {
         let engine = &engine;
-        let server = scope.spawn(move |_| serve_listener(engine, listener));
+        let server = scope.spawn(move || serve_listener(engine, listener));
         serving(addr, body);
         server.join().unwrap().unwrap();
-    })
-    .unwrap();
+    });
     engine
 }
 
@@ -117,9 +115,9 @@ fn smoke_script_responses_are_byte_identical_to_the_blocking_path() {
     let engine = Engine::new();
     let listener = TcpListener::bind("127.0.0.1:0").unwrap();
     let addr = listener.local_addr().unwrap();
-    crossbeam::thread::scope(|scope| {
+    std::thread::scope(|scope| {
         let engine = &engine;
-        let server = scope.spawn(move |_| {
+        let server = scope.spawn(move || {
             serve_listener_evented_with_config(
                 engine,
                 listener,
@@ -141,8 +139,7 @@ fn smoke_script_responses_are_byte_identical_to_the_blocking_path() {
             String::from_utf8_lossy(&reference),
             "evented and blocking transports must be wire-identical"
         );
-    })
-    .unwrap();
+    });
 }
 
 /// Median round trip of 50 sequential requests from a `TCP_NODELAY` client
@@ -249,10 +246,10 @@ fn a_line_unfinished_at_shutdown_is_never_dispatched() {
 fn slowloris_client_does_not_starve_concurrent_clients() {
     const FAN_OUT: usize = 100;
     let engine = with_evented_server(ReactorConfig::default(), None, |addr| {
-        crossbeam::thread::scope(|scope| {
+        std::thread::scope(|scope| {
             // A slowloris client dribbles one request byte at a time, the
             // connection held open throughout.
-            let slow = scope.spawn(move |_| {
+            let slow = scope.spawn(move || {
                 let mut stream = connect(addr);
                 for &byte in b"{\"cmd\":\"sessions\"}\n" {
                     stream.write_all(&[byte]).unwrap();
@@ -267,7 +264,7 @@ fn slowloris_client_does_not_starve_concurrent_clients() {
             // trips — the reactor never blocks on the slow one.
             let mut clients = Vec::new();
             for _ in 0..FAN_OUT {
-                clients.push(scope.spawn(move |_| {
+                clients.push(scope.spawn(move || {
                     let mut stream = connect(addr);
                     stream.write_all(b"{\"cmd\":\"sessions\"}\n").unwrap();
                     let mut line = String::new();
@@ -279,8 +276,7 @@ fn slowloris_client_does_not_starve_concurrent_clients() {
                 client.join().unwrap();
             }
             slow.join().unwrap();
-        })
-        .unwrap();
+        });
     });
     assert!(engine.metrics().counter(oasis_engine::Counter::Connection) >= (FAN_OUT + 1) as u64);
 }

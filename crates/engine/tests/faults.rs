@@ -97,8 +97,8 @@ fn run_lines_over_tcp(
     let listener = TcpListener::bind("127.0.0.1:0").unwrap();
     let addr = listener.local_addr().unwrap();
     let mut collected = Vec::new();
-    crossbeam::thread::scope(|scope| {
-        let server = scope.spawn(move |_| serve(engine, listener));
+    std::thread::scope(|scope| {
+        let server = scope.spawn(move || serve(engine, listener));
         let mut stream = loop {
             match TcpStream::connect(addr) {
                 Ok(stream) => break stream,
@@ -113,8 +113,7 @@ fn run_lines_over_tcp(
         stop.write_all(b"{\"cmd\":\"shutdown\"}\n").unwrap();
         let _ = stop.read_to_end(&mut Vec::new());
         server.join().unwrap().unwrap();
-    })
-    .unwrap();
+    });
     String::from_utf8(collected)
         .unwrap()
         .lines()

@@ -8,10 +8,9 @@
 
 use crate::record::FieldValue;
 use rand::Rng;
-use serde::{Deserialize, Serialize};
 
 /// Corruption intensity parameters, all probabilities per field or per token.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct CorruptionConfig {
     /// Probability of introducing a character-level typo per token.
     pub typo_probability: f64,

@@ -20,10 +20,9 @@
 
 use oasis::pool::ScoredPool;
 use rand::Rng;
-use serde::{Deserialize, Serialize};
 
 /// Configuration of the direct pool generator.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct DirectPoolConfig {
     /// Number of items (record pairs) in the pool.
     pub pool_size: usize,

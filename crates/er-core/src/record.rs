@@ -6,12 +6,11 @@
 //! Section 6.1.2: trigram Jaccard for short text, tf–idf cosine for long
 //! text, normalised absolute difference for numbers).
 
-use serde::{Deserialize, Serialize};
 use std::fmt;
 
 /// The kind of data a field holds, which selects the similarity measure used
 /// to compare it across records.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum FieldType {
     /// Short free text (names, titles): compared with trigram Jaccard.
     ShortText,
@@ -25,7 +24,7 @@ pub enum FieldType {
 
 /// A single field value. Missing values are explicit so imputation can be
 /// exercised.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub enum FieldValue {
     /// A textual value.
     Text(String),
@@ -69,7 +68,7 @@ impl fmt::Display for FieldValue {
 }
 
 /// A named, typed field in a schema.
-#[derive(Debug, Clone, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq, Hash)]
 pub struct FieldSpec {
     /// Field name, e.g. `"name"` or `"price"`.
     pub name: String,
@@ -78,7 +77,7 @@ pub struct FieldSpec {
 }
 
 /// The schema shared by all records of a data source.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Schema {
     fields: Vec<FieldSpec>,
 }
@@ -119,7 +118,7 @@ impl Schema {
 }
 
 /// A record: an entity description from one of the data sources.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Record {
     /// Unique identifier within the source.
     pub id: u64,

@@ -13,8 +13,10 @@ use oasis::samplers::{InteractiveSampler, OasisConfig, OasisSampler, Sampler, St
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
-/// Abt-Buy pool scale the ablations run at.
-const SCALE: f64 = 0.05;
+/// Abt-Buy pool scale the ablations run at.  Full scale, because the pool
+/// must hold enough matches for F to lie strictly between 0 and 1: with a
+/// handful of matches, all predicted, F = 1 and every row reads 0.
+const SCALE: f64 = 1.0;
 /// Seeded repeats averaged per row.
 pub const REPEATS: usize = 20;
 /// Labels each run consumes.
@@ -41,6 +43,8 @@ pub struct Ablations {
     pub repeats: usize,
     /// Labels per run.
     pub budget: usize,
+    /// The pool's true F-measure, which every row's estimates target.
+    pub true_f_measure: f64,
 }
 
 /// The ablated settings: each is the default OASIS configuration with one
@@ -78,7 +82,7 @@ fn settings() -> Vec<(String, OasisConfig)> {
 }
 
 /// Run every setting for `repeats` seeded runs of `budget` labels on the
-/// calibrated Abt-Buy pool at scale 0.05.
+/// calibrated full-scale Abt-Buy pool.
 pub fn run(repeats: usize, budget: usize) -> Ablations {
     let pool = direct_pool(&DatasetProfile::abt_buy(), SCALE, true, POOL_SEED);
     let rows = settings()
@@ -92,6 +96,7 @@ pub fn run(repeats: usize, budget: usize) -> Ablations {
         rows,
         repeats,
         budget,
+        true_f_measure: pool.true_f_measure,
     }
 }
 
@@ -130,7 +135,8 @@ impl Ablations {
             ]);
         }
         format!(
-            "Ablations: mean |F̂ − F| of OASIS on Abt-Buy (scale {SCALE}) after {} labels, {} repeats\n{}",
+            "Ablations: mean |F̂ − F| of OASIS on Abt-Buy (scale {SCALE}, F = {}) after {} labels, {} repeats\n{}",
+            fmt_float(self.true_f_measure, 4),
             self.budget,
             self.repeats,
             table.render()
@@ -144,7 +150,10 @@ mod tests {
 
     #[test]
     fn every_setting_yields_one_finite_row() {
-        let ablations = run(2, BUDGET);
+        // The binary's repeat count: at ε = 1 the draws are near uniform
+        // over 53,753 pairs holding 50 matches, so a couple of runs can all
+        // end with F̂ undefined.
+        let ablations = run(REPEATS, BUDGET);
         let settings = settings();
         assert_eq!(ablations.rows.len(), settings.len());
         for (row, (setting, _)) in ablations.rows.iter().zip(&settings) {
@@ -157,5 +166,20 @@ mod tests {
             );
         }
         assert!(ablations.render().lines().count() >= settings.len() + 3);
+        // The pool must leave something to estimate, and the settings must
+        // make a difference to the error.
+        assert!(
+            ablations.true_f_measure > 0.0 && ablations.true_f_measure < 1.0,
+            "true F = {}",
+            ablations.true_f_measure
+        );
+        let first = ablations.rows[0].mean_absolute_error;
+        assert!(
+            ablations
+                .rows
+                .iter()
+                .any(|row| row.mean_absolute_error != first),
+            "every row reads {first}"
+        );
     }
 }

@@ -4,12 +4,12 @@
 
 use crate::methods::Method;
 use crate::pools::ExperimentPool;
-use crossbeam::thread;
 use oasis::oracle::{GroundTruthOracle, Oracle};
 use oasis::samplers::{InteractiveSampler, Sampler};
 use parking_lot::Mutex;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
+use std::thread;
 
 /// Configuration of a curve experiment.
 #[derive(Debug, Clone, PartialEq)]
@@ -123,7 +123,7 @@ pub fn method_curve(pool: &ExperimentPool, method: Method, config: &CurveConfig)
         thread::scope(|scope| {
             for worker in 0..threads {
                 let collected = &collected;
-                scope.spawn(move |_| {
+                scope.spawn(move || {
                     let mut local = Vec::new();
                     for r in (worker..repeats).step_by(threads) {
                         local.push((r, run_once(pool, method, config, config.seed + r as u64)));
@@ -134,8 +134,7 @@ pub fn method_curve(pool: &ExperimentPool, method: Method, config: &CurveConfig)
                     }
                 });
             }
-        })
-        .expect("worker threads do not panic");
+        });
         collected.into_inner()
     };
 

@@ -14,14 +14,13 @@
 //! misspecified priors.
 
 use crate::error::{Error, Result};
-use serde::{Deserialize, Serialize};
 
 /// Per-stratum Beta–Bernoulli posterior over the match probabilities `π`.
 ///
 /// Hyperparameter naming follows the paper: row 0 (`gamma0`) counts matches
 /// (label 1), row 1 (`gamma1`) counts non-matches (label 0), so the posterior
 /// mean of stratum `k` is `γ₀ₖ / (γ₀ₖ + γ₁ₖ)`.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct BetaBernoulliModel {
     /// Prior pseudo-counts for label 1 (matches), one entry per stratum.
     prior_gamma0: Vec<f64>,

@@ -23,10 +23,9 @@
 //! practice (see the tests below and the `experiments` crate).
 
 use crate::error::{Error, Result};
-use serde::{Deserialize, Serialize};
 
 /// A normal-approximation confidence interval for the F-measure.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct ConfidenceInterval {
     /// Point estimate.
     pub estimate: f64,
@@ -58,7 +57,7 @@ impl ConfidenceInterval {
 /// Feed it the same `(weight, prediction, label)` triples the
 /// [`crate::estimator::AisEstimator`] receives (or use
 /// [`crate::samplers::TrackedSampler`] which does both).
-#[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default, PartialEq)]
 pub struct VarianceTracker {
     alpha: f64,
     count: f64,

@@ -14,10 +14,9 @@
 
 use crate::error::{Error, Result};
 use crate::measures::Measures;
-use serde::{Deserialize, Serialize};
 
 /// A point estimate of the ER evaluation measures plus sampling metadata.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct Estimate {
     /// Estimated α-weighted F-measure.  `NaN` while undefined (no weighted
     /// positives observed yet).
@@ -62,7 +61,7 @@ impl Estimate {
 }
 
 /// Accumulator for the adaptive importance sampling estimator of Eqn. 3.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct AisEstimator {
     alpha: f64,
     /// Σ w·ℓ·ℓ̂ — weighted true positives.

@@ -10,13 +10,11 @@
 //! F-measure (F1).  The F-measure is invariant to true negatives, which is what
 //! makes it robust to the extreme class imbalance inherent in ER.
 
-use serde::{Deserialize, Serialize};
-
 /// Raw confusion-matrix counts accumulated over labelled record pairs.
 ///
 /// Counts are stored as `f64` so the same type can hold both integer counts
 /// (exhaustive evaluation) and importance-weighted counts (AIS estimation).
-#[derive(Debug, Clone, Copy, Default, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, Default, PartialEq)]
 pub struct ConfusionCounts {
     /// Weighted count of true positives (predicted match, truly a match).
     pub tp: f64,
@@ -121,7 +119,7 @@ impl ConfusionCounts {
 }
 
 /// The triple of headline ER evaluation measures at a given α.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct Measures {
     /// Precision = F_{α=1}.
     pub precision: f64,

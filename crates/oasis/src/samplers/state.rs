@@ -25,7 +25,6 @@ use crate::error::{Error, Result};
 use crate::estimator::AisEstimator;
 use crate::pool::ScoredPool;
 use crate::strata::Strata;
-use serde::{Deserialize, Serialize};
 
 /// The sampling method a state (or a live sampler) belongs to.
 ///
@@ -97,7 +96,7 @@ impl std::fmt::Display for SamplerMethod {
 
 /// Snapshot of an [`AisEstimator`]: the four weighted sums of Eqn. 3 plus the
 /// iteration count.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct EstimatorState {
     /// F-measure weight α.
     pub alpha: f64,
@@ -160,7 +159,7 @@ impl EstimatorState {
 /// [`super::TrackedSampler`] whose variance history is *incomplete* — the
 /// wrapper flags that instead of reporting intervals as if nothing were
 /// missing.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct TrackerState {
     /// F-measure weight α.
     pub alpha: f64,
@@ -240,7 +239,7 @@ fn validate_allocations_disjoint(pool: &ScoredPool, allocations: &[Vec<usize>]) 
 /// round trip through this type (and through its JSON form,
 /// [`crate::serial`]) is exact: resuming a restored sampler with a restored
 /// RNG produces the same estimates, bit-for-bit, as never having stopped.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct OasisState {
     /// The sampler configuration.
     pub config: OasisConfig,
@@ -313,7 +312,7 @@ impl OasisState {
 /// Full serializable state of a [`PassiveSampler`]: the estimator
 /// accumulator is the whole sampler (draws are uniform, so nothing else is
 /// adaptive or random beyond the caller's RNG).
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct PassiveState {
     /// The (unit-weight) estimator accumulator.
     pub estimator: EstimatorState,
@@ -340,7 +339,7 @@ impl PassiveState {
 /// identical IEEE-754 operations and lands on identical bits.  The engine
 /// layer's pool fingerprint guarantees the pool is the one the state was
 /// captured against.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct ImportanceState {
     /// Decision threshold τ used to squash non-probability scores.
     pub score_threshold: f64,
@@ -365,7 +364,7 @@ impl ImportanceState {
 
 /// Full serializable state of a [`StratifiedSampler`]: the exact
 /// stratification plus the per-stratum tallies of the stratified estimator.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct StratifiedState {
     /// F-measure weight α.
     pub alpha: f64,
@@ -463,7 +462,7 @@ impl StratifiedState {
 ///
 /// The rebuild path lives next to the sampler, in
 /// [`ShardedSampler`](super::ShardedSampler); this type is plain data.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct ShardedState {
     /// The method every shard runs (shards are homogeneous).
     pub method: SamplerMethod,
@@ -488,7 +487,7 @@ pub struct ShardedState {
 /// on the tag).  The JSON encoding carries the tag as a `"method"` field;
 /// documents without one predate the tagged form and are read as OASIS states
 /// for backward compatibility.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub enum SamplerState {
     /// State of an [`OasisSampler`].
     Oasis(OasisState),

@@ -1,23 +1,31 @@
 //! JSON serialization of the crate's state and report types.
 //!
-//! The vendored `serde` stub provides the derive *markers*; actual
-//! persistence goes through the concrete [`serde::json`] layer
-//! ([`ToJson`] / [`FromJson`]), which guarantees exact `f64` round-trips —
+//! Every persisted type implements the vendored [`serde::json`] traits
+//! ([`ToJson`] / [`FromJson`]), which guarantee exact `f64` round-trips —
 //! the property the checkpoint subsystem's bit-identical-resume contract
-//! rests on.  This module implements those traits for:
+//! rests on.  A plain record, whose fields each travel under their own name,
+//! names its fields once in a [`serde::json_record!`] line; an `Option`
+//! field is written as an explicit `null` when unset and reads a missing
+//! key as `None`, so documents that predate the field keep parsing.  The
+//! types are:
 //!
 //! * the report types — [`Estimate`], [`Measures`], [`ConfusionCounts`],
-//!   [`ConfidenceInterval`], [`OracleReference`] — so experiment results can
-//!   be persisted and compared across runs;
+//!   [`ConfidenceInterval`], [`OracleReference`], [`SamplerDiagnostics`] —
+//!   so experiment results can be persisted and compared across runs;
 //! * the configuration — [`OasisConfig`] / [`StratifierChoice`];
 //! * the resumable sampler state — the method-tagged [`SamplerState`] enum
 //!   and its per-method payloads ([`OasisState`], [`PassiveState`],
-//!   [`ImportanceState`], [`StratifiedState`], [`EstimatorState`]).
+//!   [`ImportanceState`], [`StratifiedState`], [`ShardedState`], with
+//!   [`EstimatorState`] and [`TrackerState`] inside them).
 //!
-//! The tagged encoding is flat: every state serialises as one object whose
-//! `"method"` field names the variant.  Documents *without* a `"method"`
-//! field predate the tagged form and are read as OASIS states, so
-//! checkpoints written before the redesign keep restoring.
+//! The hand-written impls are the ones with rules of their own: the config's
+//! defaults and unknown-key rejection, the OASIS state's fields written only
+//! when set, the `"fn"` key of [`ConfusionCounts`], the sharded state's
+//! 4-word RNG arrays, and the tagged enums.  The tagged encoding is flat:
+//! every state serialises as one object whose `"method"` field names the
+//! variant.  Documents *without* a `"method"` field predate the tagged form
+//! and are read as OASIS states, so checkpoints written before the redesign
+//! keep restoring.
 
 use crate::confidence::ConfidenceInterval;
 use crate::diagnostics::OracleReference;
@@ -28,55 +36,89 @@ use crate::samplers::{
     SamplerMethod, SamplerState, ShardedState, StratifiedState, StratifierChoice, TrackerState,
 };
 use serde::json::{FromJson, Json, JsonError, JsonResult, ToJson};
+use serde::json_record;
 
-fn field_f64(value: &Json, key: &str) -> JsonResult<f64> {
-    value.require(key)?.as_f64()
-}
+json_record!(Estimate {
+    f_measure,
+    precision,
+    recall,
+    alpha,
+    iterations
+});
+json_record!(Measures {
+    precision,
+    recall,
+    f_measure,
+    alpha
+});
+json_record!(ConfidenceInterval {
+    estimate,
+    lower,
+    upper,
+    standard_error,
+    level
+});
+json_record!(OracleReference {
+    true_pi,
+    true_f_measure,
+    optimal_v,
+    alpha
+});
+// `weight_sq` is null when the Σw² history is unknown (a snapshot restored
+// from a pre-diagnostics document): the estimator restores exactly but
+// reports no ESS.
+json_record!(EstimatorState {
+    alpha,
+    weighted_tp,
+    weighted_predicted,
+    weighted_actual,
+    total_weight,
+    weight_sq,
+    iterations
+});
+json_record!(TrackerState {
+    alpha,
+    count,
+    sum_n,
+    sum_d,
+    sum_nn,
+    sum_dd,
+    sum_nd
+});
+// A null or missing `tracker` means no variance history was captured.
+json_record!(PassiveState { estimator, tracker });
+json_record!(ImportanceState {
+    score_threshold,
+    estimator,
+    tracker
+});
+json_record!(StratifiedState {
+    alpha,
+    allocations,
+    samples,
+    true_positives,
+    actual_positives,
+    iterations,
+    tracker
+});
+// The health report's optional statistics are null before the first label
+// (or for snapshots restored from pre-diagnostics documents), so consumers
+// can tell "not yet defined" apart from a dropped field.
+json_record!(SamplerDiagnostics {
+    method,
+    iterations,
+    effective_sample_size,
+    normalized_weight_variance,
+    stratum_labels,
+    instrumental,
+    cdf_rebuilds
+});
 
-impl ToJson for Estimate {
-    fn to_json(&self) -> Json {
-        let mut obj = Json::object();
-        obj.set("f_measure", self.f_measure.to_json());
-        obj.set("precision", self.precision.to_json());
-        obj.set("recall", self.recall.to_json());
-        obj.set("alpha", self.alpha.to_json());
-        obj.set("iterations", self.iterations.to_json());
-        obj
-    }
-}
-
-impl FromJson for Estimate {
-    fn from_json(value: &Json) -> JsonResult<Self> {
-        Ok(Estimate {
-            f_measure: field_f64(value, "f_measure")?,
-            precision: field_f64(value, "precision")?,
-            recall: field_f64(value, "recall")?,
-            alpha: field_f64(value, "alpha")?,
-            iterations: value.require("iterations")?.as_usize()?,
-        })
-    }
-}
-
-impl ToJson for Measures {
-    fn to_json(&self) -> Json {
-        let mut obj = Json::object();
-        obj.set("precision", self.precision.to_json());
-        obj.set("recall", self.recall.to_json());
-        obj.set("f_measure", self.f_measure.to_json());
-        obj.set("alpha", self.alpha.to_json());
-        obj
-    }
-}
-
-impl FromJson for Measures {
-    fn from_json(value: &Json) -> JsonResult<Self> {
-        Ok(Measures {
-            precision: field_f64(value, "precision")?,
-            recall: field_f64(value, "recall")?,
-            f_measure: field_f64(value, "f_measure")?,
-            alpha: field_f64(value, "alpha")?,
-        })
-    }
+/// Decode an object key's value, or `default` when the key is absent.  An
+/// explicit `null` is decoded like any other value (and rejected unless `T`
+/// is an `Option`).
+fn field_or<T: FromJson>(value: &Json, key: &str, default: T) -> JsonResult<T> {
+    value.get(key).map_or(Ok(default), T::from_json)
 }
 
 impl ToJson for ConfusionCounts {
@@ -93,56 +135,10 @@ impl ToJson for ConfusionCounts {
 impl FromJson for ConfusionCounts {
     fn from_json(value: &Json) -> JsonResult<Self> {
         Ok(ConfusionCounts {
-            tp: field_f64(value, "tp")?,
-            fp: field_f64(value, "fp")?,
-            fn_: field_f64(value, "fn")?,
-            tn: field_f64(value, "tn")?,
-        })
-    }
-}
-
-impl ToJson for ConfidenceInterval {
-    fn to_json(&self) -> Json {
-        let mut obj = Json::object();
-        obj.set("estimate", self.estimate.to_json());
-        obj.set("lower", self.lower.to_json());
-        obj.set("upper", self.upper.to_json());
-        obj.set("standard_error", self.standard_error.to_json());
-        obj.set("level", self.level.to_json());
-        obj
-    }
-}
-
-impl FromJson for ConfidenceInterval {
-    fn from_json(value: &Json) -> JsonResult<Self> {
-        Ok(ConfidenceInterval {
-            estimate: field_f64(value, "estimate")?,
-            lower: field_f64(value, "lower")?,
-            upper: field_f64(value, "upper")?,
-            standard_error: field_f64(value, "standard_error")?,
-            level: field_f64(value, "level")?,
-        })
-    }
-}
-
-impl ToJson for OracleReference {
-    fn to_json(&self) -> Json {
-        let mut obj = Json::object();
-        obj.set("true_pi", self.true_pi.to_json());
-        obj.set("true_f_measure", self.true_f_measure.to_json());
-        obj.set("optimal_v", self.optimal_v.to_json());
-        obj.set("alpha", self.alpha.to_json());
-        obj
-    }
-}
-
-impl FromJson for OracleReference {
-    fn from_json(value: &Json) -> JsonResult<Self> {
-        Ok(OracleReference {
-            true_pi: Vec::<f64>::from_json(value.require("true_pi")?)?,
-            true_f_measure: field_f64(value, "true_f_measure")?,
-            optimal_v: Vec::<f64>::from_json(value.require("optimal_v")?)?,
-            alpha: field_f64(value, "alpha")?,
+            tp: value.field("tp")?,
+            fp: value.field("fp")?,
+            fn_: value.field("fn")?,
+            tn: value.field("tn")?,
         })
     }
 }
@@ -215,116 +211,15 @@ impl FromJson for OasisConfig {
             }
         }
         let defaults = OasisConfig::default();
-        let get_or = |key: &str, fallback: f64| -> JsonResult<f64> {
-            match value.get(key) {
-                Some(v) => v.as_f64(),
-                None => Ok(fallback),
-            }
-        };
         Ok(OasisConfig {
-            alpha: get_or("alpha", defaults.alpha)?,
-            epsilon: get_or("epsilon", defaults.epsilon)?,
-            strata_count: match value.get("strata_count") {
-                Some(v) => v.as_usize()?,
-                None => defaults.strata_count,
-            },
-            prior_strength: match value.get("prior_strength") {
-                Some(v) => Option::<f64>::from_json(v)?,
-                None => defaults.prior_strength,
-            },
-            decay_prior: match value.get("decay_prior") {
-                Some(v) => v.as_bool()?,
-                None => defaults.decay_prior,
-            },
-            score_threshold: get_or("score_threshold", defaults.score_threshold)?,
-            stratifier: match value.get("stratifier") {
-                Some(v) => StratifierChoice::from_json(v)?,
-                None => defaults.stratifier,
-            },
+            alpha: field_or(value, "alpha", defaults.alpha)?,
+            epsilon: field_or(value, "epsilon", defaults.epsilon)?,
+            strata_count: field_or(value, "strata_count", defaults.strata_count)?,
+            prior_strength: field_or(value, "prior_strength", defaults.prior_strength)?,
+            decay_prior: field_or(value, "decay_prior", defaults.decay_prior)?,
+            score_threshold: field_or(value, "score_threshold", defaults.score_threshold)?,
+            stratifier: field_or(value, "stratifier", defaults.stratifier)?,
         })
-    }
-}
-
-impl ToJson for EstimatorState {
-    fn to_json(&self) -> Json {
-        let mut obj = Json::object();
-        obj.set("alpha", self.alpha.to_json());
-        obj.set("weighted_tp", self.weighted_tp.to_json());
-        obj.set("weighted_predicted", self.weighted_predicted.to_json());
-        obj.set("weighted_actual", self.weighted_actual.to_json());
-        obj.set("total_weight", self.total_weight.to_json());
-        // Explicit null when the Σw² history is unknown (a snapshot restored
-        // from a pre-diagnostics document), mirroring the tracker convention:
-        // post-PR7 documents always carry the key.
-        obj.set("weight_sq", self.weight_sq.to_json());
-        obj.set("iterations", self.iterations.to_json());
-        obj
-    }
-}
-
-impl FromJson for EstimatorState {
-    fn from_json(value: &Json) -> JsonResult<Self> {
-        Ok(EstimatorState {
-            alpha: field_f64(value, "alpha")?,
-            weighted_tp: field_f64(value, "weighted_tp")?,
-            weighted_predicted: field_f64(value, "weighted_predicted")?,
-            weighted_actual: field_f64(value, "weighted_actual")?,
-            total_weight: field_f64(value, "total_weight")?,
-            // Missing key (pre-PR7 document) and explicit null both mean "no
-            // Σw² history": the estimator restores exactly but reports no ESS.
-            weight_sq: match value.get("weight_sq") {
-                None | Some(Json::Null) => None,
-                Some(v) => Some(v.as_f64()?),
-            },
-            iterations: value.require("iterations")?.as_usize()?,
-        })
-    }
-}
-
-impl ToJson for TrackerState {
-    fn to_json(&self) -> Json {
-        let mut obj = Json::object();
-        obj.set("alpha", self.alpha.to_json());
-        obj.set("count", self.count.to_json());
-        obj.set("sum_n", self.sum_n.to_json());
-        obj.set("sum_d", self.sum_d.to_json());
-        obj.set("sum_nn", self.sum_nn.to_json());
-        obj.set("sum_dd", self.sum_dd.to_json());
-        obj.set("sum_nd", self.sum_nd.to_json());
-        obj
-    }
-}
-
-impl FromJson for TrackerState {
-    fn from_json(value: &Json) -> JsonResult<Self> {
-        Ok(TrackerState {
-            alpha: field_f64(value, "alpha")?,
-            count: field_f64(value, "count")?,
-            sum_n: field_f64(value, "sum_n")?,
-            sum_d: field_f64(value, "sum_d")?,
-            sum_nn: field_f64(value, "sum_nn")?,
-            sum_dd: field_f64(value, "sum_dd")?,
-            sum_nd: field_f64(value, "sum_nd")?,
-        })
-    }
-}
-
-/// Serialize an optional tracker as an *explicit* `"tracker": null` when
-/// absent, so post-PR6 documents always carry the key and the absence is a
-/// deliberate statement rather than an omission.
-fn tracker_to_json(tracker: &Option<TrackerState>) -> Json {
-    match tracker {
-        Some(t) => t.to_json(),
-        None => Json::Null,
-    }
-}
-
-/// Parse the optional tracker: a missing key (pre-PR6 document) and an
-/// explicit `null` both mean "no variance history was captured".
-fn tracker_from_json(value: &Json) -> JsonResult<Option<TrackerState>> {
-    match value.get("tracker") {
-        None | Some(Json::Null) => Ok(None),
-        Some(t) => Ok(Some(TrackerState::from_json(t)?)),
     }
 }
 
@@ -359,7 +254,7 @@ impl ToJson for OasisState {
             obj.set("proposal_current", Json::Bool(true));
         }
         obj.set("cdf_rebuilds", self.cdf_rebuilds.to_json());
-        obj.set("tracker", tracker_to_json(&self.tracker));
+        obj.set("tracker", self.tracker.to_json());
         obj
     }
 }
@@ -367,92 +262,20 @@ impl ToJson for OasisState {
 impl FromJson for OasisState {
     fn from_json(value: &Json) -> JsonResult<Self> {
         Ok(OasisState {
-            config: OasisConfig::from_json(value.require("config")?)?,
-            allocations: Vec::<Vec<usize>>::from_json(value.require("allocations")?)?,
-            prior_gamma0: Vec::<f64>::from_json(value.require("prior_gamma0")?)?,
-            prior_gamma1: Vec::<f64>::from_json(value.require("prior_gamma1")?)?,
-            observed_matches: Vec::<f64>::from_json(value.require("observed_matches")?)?,
-            observed_non_matches: Vec::<f64>::from_json(value.require("observed_non_matches")?)?,
-            decay_prior: value.require("decay_prior")?.as_bool()?,
-            estimator: EstimatorState::from_json(value.require("estimator")?)?,
-            initial_f_guess: field_f64(value, "initial_f_guess")?,
-            current_proposal: Vec::<f64>::from_json(value.require("current_proposal")?)?,
-            proposal_current: match value.get("proposal_current") {
-                None => false,
-                Some(v) => v.as_bool()?,
-            },
+            config: value.field("config")?,
+            allocations: value.field("allocations")?,
+            prior_gamma0: value.field("prior_gamma0")?,
+            prior_gamma1: value.field("prior_gamma1")?,
+            observed_matches: value.field("observed_matches")?,
+            observed_non_matches: value.field("observed_non_matches")?,
+            decay_prior: value.field("decay_prior")?,
+            estimator: value.field("estimator")?,
+            initial_f_guess: value.field("initial_f_guess")?,
+            current_proposal: value.field("current_proposal")?,
+            proposal_current: field_or(value, "proposal_current", false)?,
             // Pre-PR7 documents carry no rebuild counter; start from zero.
-            cdf_rebuilds: match value.get("cdf_rebuilds") {
-                None => 0,
-                Some(v) => v.as_u64()?,
-            },
-            tracker: tracker_from_json(value)?,
-        })
-    }
-}
-
-impl ToJson for PassiveState {
-    fn to_json(&self) -> Json {
-        let mut obj = Json::object();
-        obj.set("estimator", self.estimator.to_json());
-        obj.set("tracker", tracker_to_json(&self.tracker));
-        obj
-    }
-}
-
-impl FromJson for PassiveState {
-    fn from_json(value: &Json) -> JsonResult<Self> {
-        Ok(PassiveState {
-            estimator: EstimatorState::from_json(value.require("estimator")?)?,
-            tracker: tracker_from_json(value)?,
-        })
-    }
-}
-
-impl ToJson for ImportanceState {
-    fn to_json(&self) -> Json {
-        let mut obj = Json::object();
-        obj.set("score_threshold", self.score_threshold.to_json());
-        obj.set("estimator", self.estimator.to_json());
-        obj.set("tracker", tracker_to_json(&self.tracker));
-        obj
-    }
-}
-
-impl FromJson for ImportanceState {
-    fn from_json(value: &Json) -> JsonResult<Self> {
-        Ok(ImportanceState {
-            score_threshold: field_f64(value, "score_threshold")?,
-            estimator: EstimatorState::from_json(value.require("estimator")?)?,
-            tracker: tracker_from_json(value)?,
-        })
-    }
-}
-
-impl ToJson for StratifiedState {
-    fn to_json(&self) -> Json {
-        let mut obj = Json::object();
-        obj.set("alpha", self.alpha.to_json());
-        obj.set("allocations", self.allocations.to_json());
-        obj.set("samples", self.samples.to_json());
-        obj.set("true_positives", self.true_positives.to_json());
-        obj.set("actual_positives", self.actual_positives.to_json());
-        obj.set("iterations", self.iterations.to_json());
-        obj.set("tracker", tracker_to_json(&self.tracker));
-        obj
-    }
-}
-
-impl FromJson for StratifiedState {
-    fn from_json(value: &Json) -> JsonResult<Self> {
-        Ok(StratifiedState {
-            alpha: field_f64(value, "alpha")?,
-            allocations: Vec::<Vec<usize>>::from_json(value.require("allocations")?)?,
-            samples: Vec::<f64>::from_json(value.require("samples")?)?,
-            true_positives: Vec::<f64>::from_json(value.require("true_positives")?)?,
-            actual_positives: Vec::<f64>::from_json(value.require("actual_positives")?)?,
-            iterations: value.require("iterations")?.as_usize()?,
-            tracker: tracker_from_json(value)?,
+            cdf_rebuilds: field_or(value, "cdf_rebuilds", 0)?,
+            tracker: value.field("tracker")?,
         })
     }
 }
@@ -476,18 +299,15 @@ impl ToJson for ShardedState {
                     .collect(),
             ),
         );
-        obj.set(
-            "shards",
-            Json::Array(self.shards.iter().map(ToJson::to_json).collect()),
-        );
-        obj.set("tracker", tracker_to_json(&self.tracker));
+        obj.set("shards", self.shards.to_json());
+        obj.set("tracker", self.tracker.to_json());
         obj
     }
 }
 
 impl FromJson for ShardedState {
     fn from_json(value: &Json) -> JsonResult<Self> {
-        let raw_rngs = Vec::<Vec<u64>>::from_json(value.require("shard_rngs")?)?;
+        let raw_rngs: Vec<Vec<u64>> = value.field("shard_rngs")?;
         let mut shard_rngs = Vec::with_capacity(raw_rngs.len());
         for words in raw_rngs {
             let words: [u64; 4] = words
@@ -496,54 +316,10 @@ impl FromJson for ShardedState {
             shard_rngs.push(words);
         }
         Ok(ShardedState {
-            method: SamplerMethod::from_json(value.require("inner_method")?)?,
+            method: value.field("inner_method")?,
             shard_rngs,
-            shards: Vec::<SamplerState>::from_json(value.require("shards")?)?,
-            tracker: tracker_from_json(value)?,
-        })
-    }
-}
-
-impl ToJson for SamplerDiagnostics {
-    /// Wire encoding of the health report.  Optional statistics (undefined
-    /// before the first label, or unknown for snapshots restored from
-    /// pre-diagnostics documents) serialize as explicit `null`s so consumers
-    /// can tell "not yet defined" apart from a dropped field.
-    fn to_json(&self) -> Json {
-        let mut obj = Json::object();
-        obj.set("method", self.method.to_json());
-        obj.set("iterations", self.iterations.to_json());
-        obj.set(
-            "effective_sample_size",
-            self.effective_sample_size.to_json(),
-        );
-        obj.set(
-            "normalized_weight_variance",
-            self.normalized_weight_variance.to_json(),
-        );
-        obj.set("stratum_labels", self.stratum_labels.to_json());
-        obj.set("instrumental", self.instrumental.to_json());
-        obj.set("cdf_rebuilds", self.cdf_rebuilds.to_json());
-        obj
-    }
-}
-
-impl FromJson for SamplerDiagnostics {
-    fn from_json(value: &Json) -> JsonResult<Self> {
-        let optional_f64 = |key: &str| -> JsonResult<Option<f64>> {
-            match value.get(key) {
-                None | Some(Json::Null) => Ok(None),
-                Some(v) => Ok(Some(v.as_f64()?)),
-            }
-        };
-        Ok(SamplerDiagnostics {
-            method: SamplerMethod::from_json(value.require("method")?)?,
-            iterations: value.require("iterations")?.as_usize()?,
-            effective_sample_size: optional_f64("effective_sample_size")?,
-            normalized_weight_variance: optional_f64("normalized_weight_variance")?,
-            stratum_labels: Vec::<f64>::from_json(value.require("stratum_labels")?)?,
-            instrumental: Vec::<f64>::from_json(value.require("instrumental")?)?,
-            cdf_rebuilds: value.require("cdf_rebuilds")?.as_u64()?,
+            shards: value.field("shards")?,
+            tracker: value.field("tracker")?,
         })
     }
 }
