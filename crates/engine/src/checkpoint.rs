@@ -237,8 +237,9 @@ impl FromJson for SessionCheckpoint {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::session::{LabelSource, Session};
-    use oasis::{GroundTruthOracle, OasisConfig, SamplerMethod, ScoredPool};
+    use crate::session::{LabelSource, Session, SessionSpec};
+    use crate::test_support::{oasis_session, oasis_spec};
+    use oasis::{GroundTruthOracle, OasisConfig, ScoredPool};
     use std::sync::Arc;
 
     fn pool_and_truth(n: usize, seed: u64) -> (Arc<ScoredPool>, Vec<bool>) {
@@ -257,25 +258,26 @@ mod tests {
     fn checkpoint_json_round_trip_is_exact() {
         let (pool, truth) = pool_and_truth(600, 3);
         let mut session = Session::new(
-            "s1",
-            "p1",
+            SessionSpec {
+                config: OasisConfig::default().with_strata_count(8),
+                ..SessionSpec::new(
+                    "s1",
+                    "p1",
+                    42,
+                    LabelSource::GroundTruth(GroundTruthOracle::new(truth)),
+                )
+            },
             Arc::clone(&pool),
-            SamplerMethod::Oasis,
-            OasisConfig::default().with_strata_count(8),
-            42,
-            LabelSource::GroundTruth(GroundTruthOracle::new(truth)),
         )
         .unwrap();
         session.step(120).unwrap();
         // Leave a suspended ticket in flight so the pending path is exercised.
         let mut external = Session::new(
-            "s2",
-            "p1",
+            SessionSpec {
+                config: OasisConfig::default().with_strata_count(8),
+                ..SessionSpec::new("s2", "p1", 43, LabelSource::external(pool.len()))
+            },
             Arc::clone(&pool),
-            SamplerMethod::Oasis,
-            OasisConfig::default().with_strata_count(8),
-            43,
-            LabelSource::external(pool.len()),
         )
         .unwrap();
         external.propose(3).unwrap();
@@ -290,32 +292,14 @@ mod tests {
     #[test]
     fn interrupted_resume_is_bit_identical_to_uninterrupted_run() {
         let (pool, truth) = pool_and_truth(1500, 4);
-        let config = OasisConfig::default().with_strata_count(10);
+        let oracle = || LabelSource::GroundTruth(GroundTruthOracle::new(truth.clone()));
 
         // Uninterrupted: 500 steps straight through.
-        let mut straight = Session::new(
-            "s",
-            "p",
-            Arc::clone(&pool),
-            SamplerMethod::Oasis,
-            config.clone(),
-            2017,
-            LabelSource::GroundTruth(GroundTruthOracle::new(truth.clone())),
-        )
-        .unwrap();
+        let mut straight = oasis_session(&pool, 10, 2017, oracle());
         let expected = straight.step(500).unwrap();
 
         // Interrupted at step 180: checkpoint → JSON → restore → continue.
-        let mut interrupted = Session::new(
-            "s",
-            "p",
-            Arc::clone(&pool),
-            SamplerMethod::Oasis,
-            config,
-            2017,
-            LabelSource::GroundTruth(GroundTruthOracle::new(truth)),
-        )
-        .unwrap();
+        let mut interrupted = oasis_session(&pool, 10, 2017, oracle());
         interrupted.step(180).unwrap();
         let text = interrupted.checkpoint().to_json_string();
         drop(interrupted);
@@ -333,16 +317,12 @@ mod tests {
     fn restore_rejects_mismatched_pools() {
         let (pool, truth) = pool_and_truth(400, 5);
         let (other, _) = pool_and_truth(400, 6);
-        let mut session = Session::new(
-            "s",
-            "p",
-            Arc::clone(&pool),
-            SamplerMethod::Oasis,
-            OasisConfig::default().with_strata_count(6),
+        let mut session = oasis_session(
+            &pool,
+            6,
             1,
             LabelSource::GroundTruth(GroundTruthOracle::new(truth)),
-        )
-        .unwrap();
+        );
         session.step(20).unwrap();
         let checkpoint = session.checkpoint();
         let err = Session::restore(checkpoint, other).unwrap_err();
@@ -355,16 +335,12 @@ mod tests {
     #[test]
     fn restore_rejects_a_same_length_pool_with_other_content_after_caching() {
         let (pool, truth) = pool_and_truth(300, 13);
-        let mut session = Session::new(
-            "s",
-            "p",
-            Arc::clone(&pool),
-            SamplerMethod::Oasis,
-            OasisConfig::default().with_strata_count(5),
+        let mut session = oasis_session(
+            &pool,
+            5,
             2,
             LabelSource::GroundTruth(GroundTruthOracle::new(truth)),
-        )
-        .unwrap();
+        );
         session.step(10).unwrap();
         // Capturing caches the original pool's fingerprint.
         let checkpoint = session.checkpoint();
@@ -394,16 +370,12 @@ mod tests {
         // A crafted checkpoint must not smuggle out-of-range indices past
         // restore (they would panic a later apply_labels).
         let (pool, truth) = pool_and_truth(300, 8);
-        let mut session = Session::new(
-            "s",
-            "p",
-            Arc::clone(&pool),
-            SamplerMethod::Oasis,
-            OasisConfig::default().with_strata_count(5),
+        let mut session = oasis_session(
+            &pool,
+            5,
             3,
             LabelSource::GroundTruth(GroundTruthOracle::new(truth)),
-        )
-        .unwrap();
+        );
         session.step(10).unwrap();
         session.propose(1).unwrap();
         let good = session.checkpoint();
@@ -427,42 +399,15 @@ mod tests {
             labelled: vec![false; 10],
             distinct: 0,
         };
-        assert!(Session::new(
-            "s",
-            "p",
-            Arc::clone(&pool),
-            SamplerMethod::Oasis,
-            OasisConfig::default().with_strata_count(4),
-            1,
-            short_bitmap
-        )
-        .is_err());
+        assert!(Session::new(oasis_spec("s", 4, 1, short_bitmap), Arc::clone(&pool)).is_err());
         let short_truth = LabelSource::GroundTruth(GroundTruthOracle::new(truth[..50].to_vec()));
-        assert!(Session::new(
-            "s",
-            "p",
-            pool,
-            SamplerMethod::Oasis,
-            OasisConfig::default().with_strata_count(4),
-            1,
-            short_truth
-        )
-        .is_err());
+        assert!(Session::new(oasis_spec("s", 4, 1, short_truth), pool).is_err());
     }
 
     #[test]
     fn restore_sanitises_budget_and_weights() {
         let (pool, _) = pool_and_truth(200, 10);
-        let mut session = Session::new(
-            "s",
-            "p",
-            Arc::clone(&pool),
-            SamplerMethod::Oasis,
-            OasisConfig::default().with_strata_count(4),
-            5,
-            LabelSource::external(pool.len()),
-        )
-        .unwrap();
+        let mut session = oasis_session(&pool, 4, 5, LabelSource::external(pool.len()));
         session.propose(2).unwrap();
         let good = session.checkpoint();
 
@@ -488,16 +433,7 @@ mod tests {
     #[test]
     fn restore_rejects_duplicate_or_reissuable_ticket_ids() {
         let (pool, _) = pool_and_truth(200, 11);
-        let mut session = Session::new(
-            "s",
-            "p",
-            Arc::clone(&pool),
-            SamplerMethod::Oasis,
-            OasisConfig::default().with_strata_count(4),
-            6,
-            LabelSource::external(pool.len()),
-        )
-        .unwrap();
+        let mut session = oasis_session(&pool, 4, 6, LabelSource::external(pool.len()));
         session.propose(2).unwrap();
         let good = session.checkpoint();
 
@@ -517,16 +453,12 @@ mod tests {
     #[test]
     fn restore_rejects_corrupt_estimator_sums() {
         let (pool, truth) = pool_and_truth(200, 12);
-        let mut session = Session::new(
-            "s",
-            "p",
-            Arc::clone(&pool),
-            SamplerMethod::Oasis,
-            OasisConfig::default().with_strata_count(4),
+        let mut session = oasis_session(
+            &pool,
+            4,
             7,
             LabelSource::GroundTruth(GroundTruthOracle::new(truth)),
-        )
-        .unwrap();
+        );
         session.step(20).unwrap();
         let good = session.checkpoint();
         for corrupt in [f64::NAN, f64::INFINITY, -1.0] {

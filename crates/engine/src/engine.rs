@@ -10,12 +10,12 @@
 use crate::checkpoint::SessionCheckpoint;
 use crate::error::{EngineError, EngineResult};
 use crate::metrics::{Clock, Counter, MetricsRegistry, MonotonicClock};
-use crate::session::{LabelSource, Session, SessionLimits};
+use crate::session::{LabelSource, Session, SessionSpec};
 use crate::store::{parse_envelope, render_envelope, CheckpointStore};
 use crate::wal::{self, Applied, Outcome, WalEntry, WalRecord};
-use oasis::{Estimate, OasisConfig, SamplerMethod, ScoredPool};
+use oasis::{AnySampler, Estimate, OasisConfig, SamplerMethod, ScoredPool};
 use parking_lot::{Mutex, RwLock};
-use std::collections::HashMap;
+use std::collections::{HashMap, HashSet};
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::Arc;
 use std::time::Duration;
@@ -108,6 +108,19 @@ pub struct SessionOverview {
     pub resident: bool,
 }
 
+/// An id held by one in-flight admission; dropping it releases the id on
+/// every exit path, a panic included.
+struct Reservation<'a> {
+    admitting: &'a Mutex<HashSet<String>>,
+    id: String,
+}
+
+impl Drop for Reservation<'_> {
+    fn drop(&mut self) {
+        self.admitting.lock().remove(&self.id);
+    }
+}
+
 /// The engine: a registry of shared pools and concurrent sessions.
 ///
 /// All methods take `&self`; interior locking makes the engine shareable
@@ -123,6 +136,8 @@ pub struct SessionOverview {
 pub struct Engine {
     pools: RwLock<HashMap<String, Arc<ScoredPool>>>,
     sessions: RwLock<HashMap<String, Arc<Mutex<Session>>>>,
+    /// Ids reserved by in-flight admissions (see `Engine::reserve`).
+    admitting: Mutex<HashSet<String>>,
     store: Option<Arc<dyn CheckpointStore>>,
     meta: Mutex<HashMap<String, SessionMeta>>,
     max_resident: Option<usize>,
@@ -137,6 +152,7 @@ impl Default for Engine {
         Engine {
             pools: RwLock::default(),
             sessions: RwLock::default(),
+            admitting: Mutex::default(),
             store: None,
             meta: Mutex::default(),
             max_resident: None,
@@ -273,33 +289,23 @@ impl Engine {
         ids
     }
 
-    /// Create a session over a loaded pool, running the given sampling
-    /// method (see [`oasis::AnySampler::build`] for how the shared config
-    /// maps onto each method).
+    /// Create the session `spec` describes over its loaded pool (see
+    /// [`Session::new`]).  With a store attached, the session's base
+    /// checkpoint is durable before this returns.
     ///
     /// # Errors
     /// Unknown pool, duplicate session id, or sampler construction failure.
-    pub fn create_session(
-        &self,
-        session_id: impl Into<String>,
-        pool_id: &str,
-        method: SamplerMethod,
-        config: OasisConfig,
-        seed: u64,
-        source: LabelSource,
-    ) -> EngineResult<()> {
-        self.create_session_sharded(session_id, pool_id, method, config, None, seed, source)
+    pub fn create_session(&self, spec: SessionSpec) -> EngineResult<()> {
+        let (session_id, pool_id) = (spec.id.clone(), spec.pool_id.clone());
+        self.admit(session_id, &pool_id, |pool| Session::new(spec, pool))
     }
 
-    /// Create a session like [`Engine::create_session`], optionally sharding
-    /// the pool into `shards` partitions with per-shard strata and samplers
-    /// (see [`Session::new_sharded`]).  The session still speaks every
-    /// protocol verb unchanged; only proposal routing differs.
-    ///
-    /// # Errors
-    /// As [`Engine::create_session`], plus rejection of `Some(0)` or more
-    /// shards than pool items.
-    #[allow(clippy::too_many_arguments)]
+    /// Create a session from positional arguments.
+    #[deprecated(note = "use SessionSpec; perfbench moves off it in ROADMAP item 1")]
+    #[expect(
+        clippy::too_many_arguments,
+        reason = "the signature perfbench calls until it moves to SessionSpec"
+    )]
     pub fn create_session_sharded(
         &self,
         session_id: impl Into<String>,
@@ -310,75 +316,67 @@ impl Engine {
         seed: u64,
         source: LabelSource,
     ) -> EngineResult<()> {
-        self.create_session_with_limits(
-            session_id,
-            pool_id,
+        let spec = SessionSpec::new(session_id, pool_id, seed, source);
+        self.create_session(SessionSpec {
             method,
             config,
             shards,
-            seed,
-            source,
-            SessionLimits::default(),
-        )
+            ..spec
+        })
     }
 
-    /// Create a session like [`Engine::create_session_sharded`], additionally
-    /// applying robustness [`SessionLimits`]: a propose-lease timeout and/or
-    /// a pending-ticket cap.
+    /// Restore a session from a checkpoint; the checkpointed pool id must be
+    /// loaded and match the fingerprint.  The session is registered under
+    /// `session_id`, which may differ from the checkpointed id (restore-as).
     ///
     /// # Errors
-    /// As [`Engine::create_session_sharded`].
-    #[allow(clippy::too_many_arguments)]
-    pub fn create_session_with_limits(
+    /// Unknown pool, duplicate session id, or checkpoint mismatch.
+    pub fn restore_session(
         &self,
         session_id: impl Into<String>,
-        pool_id: &str,
-        method: SamplerMethod,
-        config: OasisConfig,
-        shards: Option<usize>,
-        seed: u64,
-        source: LabelSource,
-        limits: SessionLimits,
+        mut checkpoint: SessionCheckpoint,
     ) -> EngineResult<()> {
         let session_id = session_id.into();
-        let pool = self.pool(pool_id)?;
-        // Fail fast on an obvious duplicate, but do the expensive sampler
-        // construction (stratification is O(N log N)) outside any lock so
-        // concurrent traffic on other sessions is not stalled.
-        if self.sessions.read().contains_key(&session_id) {
-            return Err(EngineError::DuplicateId(session_id));
-        }
-        self.reject_stored_duplicate(&session_id)?;
-        let session = Session::new_with_limits(
-            session_id.clone(),
-            pool_id,
-            pool,
-            method,
-            config,
-            shards,
-            seed,
-            source,
-            limits,
-        )?;
-        if shards.is_some() {
-            self.metrics.incr(Counter::ShardedSession);
-        }
-        self.register(session_id, session)
+        checkpoint.session_id = session_id.clone();
+        let pool_id = checkpoint.pool_id.clone();
+        self.admit(session_id, &pool_id, |pool| {
+            let timer = self.metrics.timer();
+            let session = Session::restore(checkpoint, pool)?;
+            self.metrics.incr(Counter::CheckpointRestore);
+            self.metrics.record("checkpoint.restore", timer);
+            Ok(session)
+        })
     }
 
-    /// A stored-but-evicted session owns its id just as a resident one does.
-    fn reject_stored_duplicate(&self, session_id: &str) -> EngineResult<()> {
+    /// The one admission path of a new session, created or restored: look
+    /// up its pool, reserve its id, `build` the session, write its base
+    /// checkpoint and register it.  Building (stratification is
+    /// O(N log N)) and store I/O run under no engine-wide lock, so
+    /// admissions of different ids do not wait on each other.
+    fn admit(
+        &self,
+        session_id: String,
+        pool_id: &str,
+        build: impl FnOnce(Arc<ScoredPool>) -> EngineResult<Session>,
+    ) -> EngineResult<()> {
+        let pool = self.pool(pool_id)?;
+        // Held until this function returns: a concurrent admission of the
+        // same id fails here, before it can write over this one's base
+        // checkpoint or truncate the WAL it starts.
+        let _reservation = self.reserve(&session_id)?;
         if let Some(store) = &self.store {
-            if store.load_checkpoint(session_id)?.is_some() {
-                return Err(EngineError::DuplicateId(session_id.to_string()));
+            // A stored-but-evicted session owns its id just as a resident
+            // one does.
+            if store.load_checkpoint(&session_id)?.is_some() {
+                return Err(EngineError::DuplicateId(session_id));
             }
         }
-        Ok(())
-    }
-
-    /// Register a freshly built session; with a store attached, write its
-    /// base checkpoint first so the WAL always has something to replay onto.
-    fn register(&self, session_id: String, session: Session) -> EngineResult<()> {
+        let session = build(pool)?;
+        if matches!(session.sampler(), AnySampler::Sharded(_)) {
+            self.metrics.incr(Counter::ShardedSession);
+        }
+        // The base checkpoint goes first, so the WAL always has something
+        // to replay onto.
         if let Some(store) = &self.store {
             let timer = self.metrics.timer();
             let document = render_envelope(&session.checkpoint(), 0);
@@ -392,6 +390,8 @@ impl Engine {
         let handle = Arc::new(Mutex::new(session));
         {
             let mut sessions = self.sessions.write();
+            // A rehydration from the base checkpoint just written can get
+            // here first.
             if sessions.contains_key(&session_id) {
                 return Err(EngineError::DuplicateId(session_id));
             }
@@ -405,35 +405,21 @@ impl Engine {
         self.enforce_resident_cap()
     }
 
-    /// Restore a session from a checkpoint; the checkpointed pool id must be
-    /// loaded and match the fingerprint.  The session is registered under
-    /// `session_id`, which may differ from the checkpointed id (restore-as).
-    ///
-    /// # Errors
-    /// Unknown pool, duplicate session id, or checkpoint mismatch.
-    pub fn restore_session(
-        &self,
-        session_id: impl Into<String>,
-        checkpoint: SessionCheckpoint,
-    ) -> EngineResult<()> {
-        let session_id = session_id.into();
-        let pool = self.pool(&checkpoint.pool_id)?;
-        if self.sessions.read().contains_key(&session_id) {
-            return Err(EngineError::DuplicateId(session_id));
+    /// Reserve `id` for one admission, or fail with
+    /// [`EngineError::DuplicateId`] if it is resident or already being
+    /// admitted.
+    fn reserve(&self, id: &str) -> EngineResult<Reservation<'_>> {
+        // The `sessions` lock spans both checks: an admission inserts its
+        // id into `sessions` (under the write lock) before it releases its
+        // reservation, so the id is always in one of the two.
+        let sessions = self.sessions.read();
+        if sessions.contains_key(id) || !self.admitting.lock().insert(id.to_string()) {
+            return Err(EngineError::DuplicateId(id.to_string()));
         }
-        self.reject_stored_duplicate(&session_id)?;
-        // Fingerprint verification and sampler reconstruction are O(N);
-        // keep them outside the write lock (same pattern as create_session).
-        let mut checkpoint = checkpoint;
-        checkpoint.session_id = session_id.clone();
-        let timer = self.metrics.timer();
-        let session = Session::restore(checkpoint, pool)?;
-        self.metrics.incr(Counter::CheckpointRestore);
-        if session.shard_count() > 1 {
-            self.metrics.incr(Counter::ShardedSession);
-        }
-        self.metrics.record("checkpoint.restore", timer);
-        self.register(session_id, session)
+        Ok(Reservation {
+            admitting: &self.admitting,
+            id: id.to_string(),
+        })
     }
 
     /// Fetch a session handle.  With a store attached, a stored-but-evicted
@@ -857,6 +843,7 @@ impl Engine {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::test_support::oasis_spec;
     use oasis::{GroundTruthOracle, OasisSampler, Sampler};
     use rand::rngs::StdRng;
     use rand::SeedableRng;
@@ -879,24 +866,15 @@ mod tests {
         assert_eq!(engine.pool_ids(), vec!["p".to_string()]);
 
         engine
-            .create_session(
+            .create_session(oasis_spec(
                 "s",
-                "p",
-                SamplerMethod::Oasis,
-                OasisConfig::default().with_strata_count(4),
+                4,
                 1,
                 LabelSource::GroundTruth(GroundTruthOracle::new(truth)),
-            )
+            ))
             .unwrap();
         assert!(matches!(
-            engine.create_session(
-                "s",
-                "p",
-                SamplerMethod::Oasis,
-                OasisConfig::default(),
-                1,
-                LabelSource::external(300)
-            ),
+            engine.create_session(SessionSpec::new("s", "p", 1, LabelSource::external(300))),
             Err(EngineError::DuplicateId(_))
         ));
         assert_eq!(engine.session_ids(), vec!["s".to_string()]);
@@ -928,14 +906,15 @@ mod tests {
         engine.load_pool("p", pool).unwrap();
         for &seed in &seeds {
             engine
-                .create_session(
-                    format!("s{seed}"),
-                    "p",
-                    SamplerMethod::Oasis,
-                    config.clone(),
-                    seed,
-                    LabelSource::GroundTruth(GroundTruthOracle::new(truth.clone())),
-                )
+                .create_session(SessionSpec {
+                    config: config.clone(),
+                    ..SessionSpec::new(
+                        format!("s{seed}"),
+                        "p",
+                        seed,
+                        LabelSource::GroundTruth(GroundTruthOracle::new(truth.clone())),
+                    )
+                })
                 .unwrap();
         }
         let jobs: Vec<SessionJob> = seeds
@@ -960,14 +939,12 @@ mod tests {
         let engine = Engine::new();
         engine.load_pool("p", pool).unwrap();
         engine
-            .create_session(
+            .create_session(oasis_spec(
                 "good",
-                "p",
-                SamplerMethod::Oasis,
-                OasisConfig::default().with_strata_count(6),
+                6,
                 5,
                 LabelSource::GroundTruth(GroundTruthOracle::new(truth)),
-            )
+            ))
             .unwrap();
         let jobs = vec![
             SessionJob::Budget {
@@ -997,16 +974,13 @@ mod tests {
         let engine = || {
             let engine = Engine::new();
             engine.load_pool("p", pool.clone()).unwrap();
+            let source = LabelSource::GroundTruth(GroundTruthOracle::new(truth.clone()));
+            let spec = oasis_spec("s", 4, 21, source);
             engine
-                .create_session_sharded(
-                    "s",
-                    "p",
-                    SamplerMethod::Oasis,
-                    OasisConfig::default().with_strata_count(4),
-                    Some(3),
-                    21,
-                    LabelSource::GroundTruth(GroundTruthOracle::new(truth.clone())),
-                )
+                .create_session(SessionSpec {
+                    shards: Some(3),
+                    ..spec
+                })
                 .unwrap();
             engine
         };
@@ -1068,14 +1042,12 @@ mod tests {
 
     fn oracle_session(engine: &Engine, id: &str, truth: &[bool], seed: u64) {
         engine
-            .create_session(
+            .create_session(oasis_spec(
                 id,
-                "p",
-                SamplerMethod::Oasis,
-                OasisConfig::default().with_strata_count(6),
+                6,
                 seed,
                 LabelSource::GroundTruth(GroundTruthOracle::new(truth.to_vec())),
-            )
+            ))
             .unwrap();
     }
 
@@ -1190,14 +1162,7 @@ mod tests {
         engine.load_pool("p", pool.clone()).unwrap();
         for id in ["a", "b"] {
             engine
-                .create_session(
-                    id,
-                    "p",
-                    SamplerMethod::Oasis,
-                    OasisConfig::default().with_strata_count(4),
-                    9,
-                    LabelSource::external(pool.len()),
-                )
+                .create_session(oasis_spec(id, 4, 9, LabelSource::external(pool.len())))
                 .unwrap();
         }
 
@@ -1228,6 +1193,74 @@ mod tests {
         assert_eq!(engine.store().unwrap().read_wal("b").unwrap().len(), 1);
 
         let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn a_losing_admission_leaves_the_winners_durable_state_alone() {
+        let (pool, _) = pool_and_truth(300, 39);
+        // Two admissions of one id race, either one a create or a restore:
+        // the first parks inside its base checkpoint write while the second
+        // runs, a propose follows each.
+        let spec = |seed| oasis_spec("s", 4, seed, LabelSource::external(300));
+        let shared = Arc::new(pool.clone());
+        let admit = |engine: &Engine, seed, restore: bool| {
+            if !restore {
+                return engine.create_session(spec(seed));
+            }
+            let session = Session::new(spec(seed), Arc::clone(&shared)).unwrap();
+            engine.restore_session("s", session.checkpoint())
+        };
+        for (first, second) in [(false, false), (true, false), (false, true)] {
+            let name = |restore| if restore { "restore" } else { "create" };
+            let tag = format!("{} vs {}", name(first), name(second));
+            let (dir, _) = scratch_store(&format!("race-{first}-{second}"));
+            let store = Arc::new(GatedStore {
+                inner: crate::store::FsCheckpointStore::open(&dir).unwrap(),
+                armed: std::sync::atomic::AtomicBool::new(true),
+                gate: std::sync::Barrier::new(2),
+            });
+            let engine = Engine::new().with_store(Arc::clone(&store) as Arc<dyn CheckpointStore>);
+            engine.load_pool("p", pool.clone()).unwrap();
+            let propose = || {
+                let request = crate::protocol::Request::Propose {
+                    session: "s".to_string(),
+                    count: 1,
+                };
+                crate::protocol::dispatch(&engine, request)
+                    .response
+                    .render()
+            };
+            let (parked, racer, acked) = std::thread::scope(|scope| {
+                let parked = scope.spawn(|| admit(&engine, 1, first));
+                store.gate.wait(); // the seed-1 base checkpoint write is parked
+                                   // An admission of another id does not wait for it.
+                let other = oasis_spec("other", 4, 3, LabelSource::external(300));
+                engine.create_session(other).unwrap();
+                let racer = admit(&engine, 2, second);
+                let early = propose();
+                store.gate.wait();
+                let parked = parked.join().unwrap();
+                let acked = [early, propose()]
+                    .iter()
+                    .filter(|r| r.contains(r#""ok":true"#))
+                    .count();
+                (parked, racer, acked)
+            });
+            let winner_seed = match (&parked, &racer) {
+                (Ok(()), Err(EngineError::DuplicateId(_))) => 1,
+                (Err(EngineError::DuplicateId(_)), Ok(())) => 2,
+                other => panic!("{tag}: exactly one admission wins: {other:?}"),
+            };
+            let document = store.load_checkpoint("s").unwrap().unwrap();
+            let stored_seed = parse_envelope(&document).unwrap().0.seed;
+            assert_eq!(stored_seed, winner_seed, "{tag}: stored seed");
+            let records = store.read_wal("s").unwrap().len();
+            assert_eq!(records, acked, "{tag}: WAL records vs ok proposes");
+            // The first admission to reserve the id wins.
+            assert_eq!((winner_seed, acked), (1, 1), "{tag}");
+
+            let _ = std::fs::remove_dir_all(&dir);
+        }
     }
 
     #[test]
@@ -1430,14 +1463,12 @@ mod tests {
         let engine = durable_engine(&store);
         engine.load_pool("p", pool).unwrap();
         assert!(matches!(
-            engine.create_session(
+            engine.create_session(oasis_spec(
                 "s",
-                "p",
-                SamplerMethod::Oasis,
-                OasisConfig::default().with_strata_count(4),
+                4,
                 1,
                 LabelSource::GroundTruth(GroundTruthOracle::new(truth.clone()))
-            ),
+            )),
             Err(EngineError::DuplicateId(_))
         ));
         // Deleting a stored-but-not-resident session clears the store entry
@@ -1455,14 +1486,12 @@ mod tests {
         let engine = Engine::new();
         engine.load_pool("p", pool).unwrap();
         engine
-            .create_session(
+            .create_session(oasis_spec(
                 "orig",
-                "p",
-                SamplerMethod::Oasis,
-                OasisConfig::default().with_strata_count(6),
+                6,
                 9,
                 LabelSource::GroundTruth(GroundTruthOracle::new(truth)),
-            )
+            ))
             .unwrap();
         let handle = engine.session("orig").unwrap();
         handle.lock().step(50).unwrap();

@@ -34,6 +34,24 @@ struct Bucket {
     last_us: u64,
 }
 
+impl Bucket {
+    /// The fill at `now_us`: `rate` tokens/second is `rate`
+    /// micro-tokens/microsecond.
+    fn level_at(&self, now_us: u64, rate: u64, capacity: u64) -> u64 {
+        let elapsed = now_us.saturating_sub(self.last_us);
+        self.level
+            .saturating_add(elapsed.saturating_mul(rate))
+            .min(capacity)
+    }
+}
+
+/// The token buckets by key, and when full ones were last swept out.
+#[derive(Debug, Default)]
+struct Buckets {
+    by_key: HashMap<String, Bucket>,
+    swept_us: u64,
+}
+
 /// Connection-screening policy: an optional shared-secret auth token and an
 /// optional per-session request rate limit.
 #[derive(Debug)]
@@ -42,7 +60,7 @@ pub struct ClientPolicy {
     rate_per_second: Option<u64>,
     burst: Option<u64>,
     clock: Arc<dyn Clock>,
-    buckets: Mutex<HashMap<String, Bucket>>,
+    buckets: Mutex<Buckets>,
 }
 
 impl Default for ClientPolicy {
@@ -52,7 +70,7 @@ impl Default for ClientPolicy {
             rate_per_second: None,
             burst: None,
             clock: Arc::new(MonotonicClock::new()),
-            buckets: Mutex::new(HashMap::new()),
+            buckets: Mutex::default(),
         }
     }
 }
@@ -126,16 +144,20 @@ impl ClientPolicy {
         let capacity = self.burst.unwrap_or(rate).saturating_mul(REQUEST_COST);
         let now = self.clock.now_micros();
         let mut buckets = self.buckets.lock();
-        let bucket = buckets.entry(key.to_string()).or_insert(Bucket {
+        let Buckets { by_key, swept_us } = &mut *buckets;
+        // A full bucket admits exactly like a missing one, so dropping it
+        // changes no decision.  Sweeping at most once per refill period, when
+        // a new key arrives, bounds the map by the keys admitted in the last
+        // two periods, and each admission is visited by at most two sweeps.
+        if !by_key.contains_key(key) && now.saturating_sub(*swept_us) >= capacity.div_ceil(rate) {
+            by_key.retain(|_, bucket| bucket.level_at(now, rate, capacity) < capacity);
+            *swept_us = now;
+        }
+        let bucket = by_key.entry(key.to_string()).or_insert(Bucket {
             level: capacity,
             last_us: now,
         });
-        let elapsed = now.saturating_sub(bucket.last_us);
-        // rate tokens/second == rate micro-tokens/microsecond.
-        bucket.level = bucket
-            .level
-            .saturating_add(elapsed.saturating_mul(rate))
-            .min(capacity);
+        bucket.level = bucket.level_at(now, rate, capacity);
         bucket.last_us = now;
         if bucket.level >= REQUEST_COST {
             bucket.level -= REQUEST_COST;
@@ -244,6 +266,28 @@ mod tests {
         policy.admit("s").unwrap();
         policy.admit("s").unwrap();
         assert!(policy.admit("s").is_err());
+    }
+
+    #[test]
+    fn full_buckets_are_swept_when_a_new_key_arrives() {
+        let clock = Arc::new(ManualClock::new());
+        let policy = ClientPolicy::new()
+            .with_rate_limit(10)
+            .with_clock(Arc::clone(&clock) as _);
+        for key in 0..100_000 {
+            policy.admit(&key.to_string()).unwrap();
+        }
+        clock.advance(600_000);
+        // Spend a whole burst: half a second later the bucket is half full.
+        for _ in 0..10 {
+            policy.admit("recent").unwrap();
+        }
+        // Past one refill period (1 s) for the first 100k keys.
+        clock.advance(500_000);
+        policy.admit("new").unwrap();
+        let mut keys: Vec<String> = policy.buckets.lock().by_key.keys().cloned().collect();
+        keys.sort();
+        assert_eq!(keys, ["new", "recent"]);
     }
 
     #[test]

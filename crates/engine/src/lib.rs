@@ -64,8 +64,8 @@
 //! ## Quick example
 //!
 //! ```
-//! use oasis::{OasisConfig, SamplerMethod, ScoredPool};
-//! use oasis_engine::{Engine, LabelSource};
+//! use oasis::{OasisConfig, ScoredPool};
+//! use oasis_engine::{Engine, LabelSource, SessionSpec};
 //!
 //! let engine = Engine::new();
 //! engine
@@ -75,14 +75,10 @@
 //!     )
 //!     .unwrap();
 //! engine
-//!     .create_session(
-//!         "s1",
-//!         "demo",
-//!         SamplerMethod::Oasis,
-//!         OasisConfig::default().with_strata_count(2),
-//!         42,
-//!         LabelSource::external(4),
-//!     )
+//!     .create_session(SessionSpec {
+//!         config: OasisConfig::default().with_strata_count(2),
+//!         ..SessionSpec::new("s1", "demo", 42, LabelSource::external(4))
+//!     })
 //!     .unwrap();
 //!
 //! // Suspend at a label request…
@@ -123,7 +119,7 @@ pub use log::{EventLog, LogFormat};
 pub use metrics::{Clock, Counter, LatencyHistogram, ManualClock, MetricsRegistry, MonotonicClock};
 #[cfg(target_os = "linux")]
 pub use reactor::{serve_listener_evented, serve_listener_evented_with_config, ReactorConfig};
-pub use session::{LabelSource, Session, SessionLimits, Ticket};
+pub use session::{LabelSource, Session, SessionLimits, SessionSpec, Ticket};
 pub use store::{CheckpointStore, FsCheckpointStore, STORE_FORMAT};
 pub use wal::{WalEntry, WalParseOutcome, WalRecord};
 
@@ -134,7 +130,8 @@ pub(crate) mod test_support {
     //! dev-dependency feature), so the synthetic pool generator lives in
     //! exactly one place.
 
-    use oasis::ScoredPool;
+    use crate::session::{LabelSource, Session, SessionSpec};
+    use oasis::{OasisConfig, ScoredPool};
     use std::sync::Arc;
 
     /// A deterministic imbalanced pool plus its hidden truth: scores
@@ -147,5 +144,28 @@ pub(crate) mod test_support {
     ) -> (Arc<ScoredPool>, Vec<bool>) {
         let (pool, truth) = oasis::test_fixtures::pool_and_truth(n, seed, match_rate);
         (Arc::new(pool), truth)
+    }
+
+    /// An OASIS session `id` over pool `p` with `strata` strata.
+    pub(crate) fn oasis_spec(
+        id: &str,
+        strata: usize,
+        seed: u64,
+        source: LabelSource,
+    ) -> SessionSpec {
+        SessionSpec {
+            config: OasisConfig::default().with_strata_count(strata),
+            ..SessionSpec::new(id, "p", seed, source)
+        }
+    }
+
+    /// [`oasis_spec`]'s session `s`, built over `pool`.
+    pub(crate) fn oasis_session(
+        pool: &Arc<ScoredPool>,
+        strata: usize,
+        seed: u64,
+        source: LabelSource,
+    ) -> Session {
+        Session::new(oasis_spec("s", strata, seed, source), Arc::clone(pool)).unwrap()
     }
 }

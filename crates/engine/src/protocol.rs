@@ -52,7 +52,7 @@
 use crate::checkpoint::SessionCheckpoint;
 use crate::engine::Engine;
 use crate::error::{EngineError, EngineResult};
-use crate::session::{LabelSource, Session, SessionLimits};
+use crate::session::{LabelSource, Session, SessionLimits, SessionSpec};
 use crate::wal::{Outcome, WalEntry};
 use oasis::{GroundTruthOracle, OasisConfig, SamplerMethod, ScoredPool};
 use serde::json::{FromJson, Json, ToJson};
@@ -479,9 +479,13 @@ fn apply(engine: &Engine, request: Request) -> EngineResult<Dispatch> {
                     LabelSource::external(pool_len)
                 }
             };
-            engine.create_session_with_limits(
-                &session, &pool, method, config, shards, seed, source, limits,
-            )?;
+            engine.create_session(SessionSpec {
+                method,
+                config,
+                shards,
+                limits,
+                ..SessionSpec::new(session.clone(), pool, seed, source)
+            })?;
             let mut obj = ok_response();
             obj.set("session", Json::String(session));
             obj.set("method", method.to_json());
@@ -1179,15 +1183,22 @@ mod tests {
 
     #[test]
     fn config_defaults_apply_when_omitted() {
-        let request =
-            Request::parse(r#"{"cmd":"create_session","session":"s","pool":"p","seed":7}"#)
-                .unwrap();
-        match request {
+        let line = r#"{"cmd":"create_session","session":"s","pool":"p","seed":7}"#;
+        match Request::parse(line).unwrap() {
             Request::CreateSession { config, truth, .. } => {
                 assert_eq!(config, OasisConfig::default());
                 assert!(truth.is_none());
             }
             other => panic!("unexpected parse {other:?}"),
         }
+        // The wire defaults are `SessionSpec::new`'s: the same session either
+        // way, down to its checkpoint bytes.
+        let (wire, library) = (demo_engine(), demo_engine());
+        let created = render(&wire, line);
+        assert!(created.contains(r#""ok":true"#), "{created}");
+        let spec = SessionSpec::new("s", "p", 7, LabelSource::external(8));
+        library.create_session(spec).unwrap();
+        let checkpoint = r#"{"cmd":"checkpoint","session":"s"}"#;
+        assert_eq!(render(&wire, checkpoint), render(&library, checkpoint));
     }
 }

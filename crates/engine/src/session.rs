@@ -108,79 +108,74 @@ pub struct Session {
     lease_now_us: u64,
 }
 
-impl Session {
-    /// Create a session over `pool` running the given sampling method, with
-    /// its own RNG seeded from `seed`.  All methods draw their
-    /// hyperparameters from the one `config` (see [`AnySampler::build`]).
-    ///
-    /// # Errors
-    /// Propagates sampler construction failures (invalid config, degenerate
-    /// pool) and rejects a label source that does not cover the pool (a
-    /// ground truth or `External` bitmap of the wrong length).
+/// Everything that defines a new session.  [`SessionSpec::new`] fills the
+/// defaults; override fields with `..SessionSpec::new(..)`.
+#[derive(Debug, Clone)]
+pub struct SessionSpec {
+    /// The session id.
+    pub id: String,
+    /// The id of the pool the session evaluates.
+    pub pool_id: String,
+    /// The sampling method.
+    pub method: SamplerMethod,
+    /// Hyperparameters shared by every method (see [`AnySampler::build`]).
+    pub config: OasisConfig,
+    /// Partition the pool into this many shards, each with its own strata
+    /// and inner sampler (see [`oasis::ShardedSampler`]), or `None` for a
+    /// flat sampler, which `Some(1)` matches up to the shard-selection draw.
+    /// Shard `s` seeds its own RNG from `seed.wrapping_add(s)`, while the
+    /// session RNG is consumed only for shard selection.
+    pub shards: Option<usize>,
+    /// The seed of the session RNG.
+    pub seed: u64,
+    /// Where labels come from.
+    pub source: LabelSource,
+    /// Robustness limits (propose-lease timeout, pending-ticket cap).
+    pub limits: SessionLimits,
+}
+
+impl SessionSpec {
+    /// A spec with the wire protocol's defaults: OASIS with the default
+    /// config, flat, no limits.
     pub fn new(
         id: impl Into<String>,
         pool_id: impl Into<String>,
-        pool: Arc<ScoredPool>,
-        method: SamplerMethod,
-        config: OasisConfig,
         seed: u64,
         source: LabelSource,
-    ) -> EngineResult<Self> {
-        Session::new_sharded(id, pool_id, pool, method, config, None, seed, source)
+    ) -> Self {
+        SessionSpec {
+            id: id.into(),
+            pool_id: pool_id.into(),
+            method: SamplerMethod::Oasis,
+            config: OasisConfig::default(),
+            shards: None,
+            seed,
+            source,
+            limits: SessionLimits::default(),
+        }
     }
+}
 
-    /// Create a session like [`Session::new`], optionally sharding the pool
-    /// into `shards` partitions, each with its own strata and inner sampler
-    /// (see [`oasis::ShardedSampler`]).  `None` (and `Some(1)` up to the
-    /// shard-selection draw) behaves exactly like the flat constructor;
-    /// shard `s` seeds its own RNG from `seed.wrapping_add(s)`, while the
-    /// session RNG (seeded from `seed`) is consumed only for shard
-    /// selection.
+impl Session {
+    /// Create the session `spec` describes over `pool`, with its own RNG
+    /// seeded from `spec.seed`.
     ///
     /// # Errors
-    /// As [`Session::new`], plus rejection of `Some(0)` and of more shards
-    /// than pool items.
-    #[allow(clippy::too_many_arguments)]
-    pub fn new_sharded(
-        id: impl Into<String>,
-        pool_id: impl Into<String>,
-        pool: Arc<ScoredPool>,
-        method: SamplerMethod,
-        config: OasisConfig,
-        shards: Option<usize>,
-        seed: u64,
-        source: LabelSource,
-    ) -> EngineResult<Self> {
-        Session::new_with_limits(
+    /// Propagates sampler construction failures (invalid config, degenerate
+    /// pool, `Some(0)` shards or more shards than pool items) and rejects a
+    /// label source that does not cover the pool (a ground truth or
+    /// `External` bitmap of the wrong length).
+    pub fn new(spec: SessionSpec, pool: Arc<ScoredPool>) -> EngineResult<Self> {
+        let SessionSpec {
             id,
             pool_id,
-            pool,
             method,
             config,
             shards,
             seed,
             source,
-            SessionLimits::default(),
-        )
-    }
-
-    /// Create a session like [`Session::new_sharded`], with explicit
-    /// robustness limits (propose-lease timeout, pending-queue cap).
-    ///
-    /// # Errors
-    /// As [`Session::new_sharded`].
-    #[allow(clippy::too_many_arguments)]
-    pub fn new_with_limits(
-        id: impl Into<String>,
-        pool_id: impl Into<String>,
-        pool: Arc<ScoredPool>,
-        method: SamplerMethod,
-        config: OasisConfig,
-        shards: Option<usize>,
-        seed: u64,
-        source: LabelSource,
-        limits: SessionLimits,
-    ) -> EngineResult<Self> {
+            limits,
+        } = spec;
         validate_source(&source, pool.len())?;
         let sampler = match shards {
             Some(k) => AnySampler::build_sharded(method, &pool, &config, k, seed)?,
@@ -188,8 +183,8 @@ impl Session {
         };
         let sampler = TrackedSampler::new(sampler, config.alpha);
         Ok(Session {
-            id: id.into(),
-            pool_id: pool_id.into(),
+            id,
+            pool_id,
             pool,
             sampler,
             rng: StdRng::seed_from_u64(seed),
@@ -200,6 +195,34 @@ impl Session {
             limits,
             lease_now_us: 0,
         })
+    }
+
+    /// Create a session from positional arguments.
+    #[deprecated(note = "use SessionSpec; perfbench moves off it in ROADMAP item 1")]
+    #[expect(
+        clippy::too_many_arguments,
+        reason = "the signature perfbench calls until it moves to SessionSpec"
+    )]
+    pub fn new_sharded(
+        id: impl Into<String>,
+        pool_id: impl Into<String>,
+        pool: Arc<ScoredPool>,
+        method: SamplerMethod,
+        config: OasisConfig,
+        shards: Option<usize>,
+        seed: u64,
+        source: LabelSource,
+    ) -> EngineResult<Self> {
+        let spec = SessionSpec::new(id, pool_id, seed, source);
+        Session::new(
+            SessionSpec {
+                method,
+                config,
+                shards,
+                ..spec
+            },
+            pool,
+        )
     }
 
     /// The session id.
@@ -645,6 +668,7 @@ fn validate_source(source: &LabelSource, pool_len: usize) -> EngineResult<()> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::test_support::{oasis_session, oasis_spec};
     use oasis::{OasisSampler, Sampler};
 
     fn pool_and_truth(n: usize, seed: u64) -> (Arc<ScoredPool>, Vec<bool>) {
@@ -670,16 +694,12 @@ mod tests {
     fn oracle_session_is_bit_identical_to_library_run() {
         let (pool, truth) = pool_and_truth(2000, 1);
         let expected = library_run(&pool, &truth, 7, 400);
-        let mut session = Session::new(
-            "s",
-            "p",
-            Arc::clone(&pool),
-            SamplerMethod::Oasis,
-            OasisConfig::default().with_strata_count(12),
+        let mut session = oasis_session(
+            &pool,
+            12,
             7,
             LabelSource::GroundTruth(GroundTruthOracle::new(truth)),
-        )
-        .unwrap();
+        );
         let estimate = session.step(400).unwrap();
         assert_bit_identical(&estimate, &expected);
     }
@@ -688,16 +708,7 @@ mod tests {
     fn external_session_fed_true_labels_matches_library_run() {
         let (pool, truth) = pool_and_truth(1200, 2);
         let expected = library_run(&pool, &truth, 11, 300);
-        let mut session = Session::new(
-            "s",
-            "p",
-            Arc::clone(&pool),
-            SamplerMethod::Oasis,
-            OasisConfig::default().with_strata_count(12),
-            11,
-            LabelSource::external(pool.len()),
-        )
-        .unwrap();
+        let mut session = oasis_session(&pool, 12, 11, LabelSource::external(pool.len()));
         // Suspend/resume one ticket at a time, the client answering from the
         // hidden truth — exactly what a human-annotator driver would do.
         for _ in 0..300 {
@@ -716,16 +727,7 @@ mod tests {
     #[test]
     fn batch_proposals_share_a_posterior_and_resume_in_any_order() {
         let (pool, truth) = pool_and_truth(800, 3);
-        let mut session = Session::new(
-            "s",
-            "p",
-            Arc::clone(&pool),
-            SamplerMethod::Oasis,
-            OasisConfig::default().with_strata_count(8),
-            13,
-            LabelSource::external(pool.len()),
-        )
-        .unwrap();
+        let mut session = oasis_session(&pool, 8, 13, LabelSource::external(pool.len()));
         let tickets = session.propose(5).unwrap();
         assert_eq!(session.pending_count(), 5);
         // Answer out of order and in two batches; stragglers stay pending.
@@ -750,16 +752,7 @@ mod tests {
     #[test]
     fn unknown_or_replayed_tickets_are_rejected_atomically() {
         let (pool, truth) = pool_and_truth(500, 4);
-        let mut session = Session::new(
-            "s",
-            "p",
-            Arc::clone(&pool),
-            SamplerMethod::Oasis,
-            OasisConfig::default().with_strata_count(6),
-            17,
-            LabelSource::external(pool.len()),
-        )
-        .unwrap();
+        let mut session = oasis_session(&pool, 6, 17, LabelSource::external(pool.len()));
         let tickets = session.propose(2).unwrap();
         // One good id + one bogus id → nothing applied.
         let err = session
@@ -778,16 +771,7 @@ mod tests {
     #[test]
     fn duplicate_tickets_in_one_batch_are_rejected_atomically() {
         let (pool, _) = pool_and_truth(400, 9);
-        let mut session = Session::new(
-            "s",
-            "p",
-            Arc::clone(&pool),
-            SamplerMethod::Oasis,
-            OasisConfig::default().with_strata_count(4),
-            37,
-            LabelSource::external(pool.len()),
-        )
-        .unwrap();
+        let mut session = oasis_session(&pool, 4, 37, LabelSource::external(pool.len()));
         let tickets = session.propose(2).unwrap();
         let err = session
             .apply_labels(&[(tickets[0].id, true), (tickets[0].id, false)])
@@ -801,16 +785,12 @@ mod tests {
     #[test]
     fn external_labels_on_an_oracle_session_charge_the_oracle_budget() {
         let (pool, truth) = pool_and_truth(400, 10);
-        let mut session = Session::new(
-            "s",
-            "p",
-            Arc::clone(&pool),
-            SamplerMethod::Oasis,
-            OasisConfig::default().with_strata_count(4),
+        let mut session = oasis_session(
+            &pool,
+            4,
             41,
             LabelSource::GroundTruth(GroundTruthOracle::new(truth.clone())),
-        )
-        .unwrap();
+        );
         // Drive an oracle-attached session through the suspend/resume path
         // (allowed, e.g. when a client overrides labels): the footnote-5
         // budget must advance exactly as if the oracle had been queried.
@@ -831,16 +811,7 @@ mod tests {
     #[test]
     fn external_budget_charges_distinct_items_once() {
         let (pool, _) = pool_and_truth(300, 5);
-        let mut session = Session::new(
-            "s",
-            "p",
-            Arc::clone(&pool),
-            SamplerMethod::Oasis,
-            OasisConfig::default().with_strata_count(4),
-            19,
-            LabelSource::external(pool.len()),
-        )
-        .unwrap();
+        let mut session = oasis_session(&pool, 4, 19, LabelSource::external(pool.len()));
         // Draws are with replacement, so after many proposals the distinct
         // count must be ≤ the number of labels applied.
         for _ in 0..120 {
@@ -854,16 +825,7 @@ mod tests {
     #[test]
     fn stepping_an_external_session_is_an_error() {
         let (pool, _) = pool_and_truth(200, 6);
-        let mut session = Session::new(
-            "s",
-            "p",
-            pool,
-            SamplerMethod::Oasis,
-            OasisConfig::default().with_strata_count(4),
-            23,
-            LabelSource::external(200),
-        )
-        .unwrap();
+        let mut session = oasis_session(&pool, 4, 23, LabelSource::external(200));
         assert!(matches!(
             session.step(1),
             Err(EngineError::WrongLabelSource(_))
@@ -873,16 +835,12 @@ mod tests {
     #[test]
     fn stepping_with_pending_tickets_is_an_error() {
         let (pool, truth) = pool_and_truth(200, 7);
-        let mut session = Session::new(
-            "s",
-            "p",
-            Arc::clone(&pool),
-            SamplerMethod::Oasis,
-            OasisConfig::default().with_strata_count(4),
+        let mut session = oasis_session(
+            &pool,
+            4,
             29,
             LabelSource::GroundTruth(GroundTruthOracle::new(truth)),
-        )
-        .unwrap();
+        );
         session.propose(1).unwrap();
         assert!(matches!(
             session.step(1),
@@ -902,13 +860,17 @@ mod tests {
             let expected = sampler.run(&pool, &mut oracle, &mut rng, 250).unwrap();
 
             let mut session = Session::new(
-                "s",
-                "p",
+                SessionSpec {
+                    method,
+                    config: config.clone(),
+                    ..SessionSpec::new(
+                        "s",
+                        "p",
+                        19,
+                        LabelSource::GroundTruth(GroundTruthOracle::new(truth.clone())),
+                    )
+                },
                 Arc::clone(&pool),
-                method,
-                config.clone(),
-                19,
-                LabelSource::GroundTruth(GroundTruthOracle::new(truth.clone())),
             )
             .unwrap();
             assert_eq!(session.method(), method);
@@ -924,13 +886,17 @@ mod tests {
         for method in oasis::SamplerMethod::ALL {
             let make = |id: &str| {
                 Session::new(
-                    id,
-                    "p",
+                    SessionSpec {
+                        method,
+                        config: config.clone(),
+                        ..SessionSpec::new(
+                            id,
+                            "p",
+                            23,
+                            LabelSource::GroundTruth(GroundTruthOracle::new(truth.clone())),
+                        )
+                    },
                     Arc::clone(&pool),
-                    method,
-                    config.clone(),
-                    23,
-                    LabelSource::GroundTruth(GroundTruthOracle::new(truth.clone())),
                 )
                 .unwrap()
             };
@@ -956,13 +922,12 @@ mod tests {
         let config = OasisConfig::default().with_strata_count(6);
         for method in oasis::SamplerMethod::ALL {
             let mut session = Session::new(
-                "s",
-                "p",
+                SessionSpec {
+                    method,
+                    config: config.clone(),
+                    ..SessionSpec::new("s", "p", 29, LabelSource::external(pool.len()))
+                },
                 Arc::clone(&pool),
-                method,
-                config.clone(),
-                29,
-                LabelSource::external(pool.len()),
             )
             .unwrap();
             for _ in 0..30 {
@@ -980,18 +945,8 @@ mod tests {
     }
 
     fn limited_session(pool: &Arc<ScoredPool>, seed: u64, limits: SessionLimits) -> Session {
-        Session::new_with_limits(
-            "s",
-            "p",
-            Arc::clone(pool),
-            SamplerMethod::Oasis,
-            OasisConfig::default().with_strata_count(4),
-            None,
-            seed,
-            LabelSource::external(pool.len()),
-            limits,
-        )
-        .unwrap()
+        let spec = oasis_spec("s", 4, seed, LabelSource::external(pool.len()));
+        Session::new(SessionSpec { limits, ..spec }, Arc::clone(pool)).unwrap()
     }
 
     #[test]
@@ -1111,16 +1066,12 @@ mod tests {
             .run_until_budget(&pool, &mut oracle, &mut rng, 150, 100_000)
             .unwrap();
 
-        let mut session = Session::new(
-            "s",
-            "p",
-            Arc::clone(&pool),
-            SamplerMethod::Oasis,
-            OasisConfig::default().with_strata_count(12),
+        let mut session = oasis_session(
+            &pool,
+            12,
             31,
             LabelSource::GroundTruth(GroundTruthOracle::new(truth)),
-        )
-        .unwrap();
+        );
         let estimate = session.run_until_budget(150, 100_000).unwrap();
         assert_bit_identical(&estimate, &expected);
         assert_eq!(session.labels_consumed(), oracle.labels_consumed());

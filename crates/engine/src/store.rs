@@ -342,9 +342,8 @@ impl CheckpointStore for FsCheckpointStore {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::session::{LabelSource, Session};
-    use oasis::{OasisConfig, SamplerMethod};
-    use std::sync::Arc;
+    use crate::session::LabelSource;
+    use crate::test_support::oasis_session;
 
     fn scratch_dir(tag: &str) -> PathBuf {
         let dir =
@@ -460,16 +459,7 @@ mod tests {
     #[test]
     fn envelope_round_trips_and_accepts_bare_checkpoints() {
         let (pool, _) = crate::test_support::pool_and_truth(300, 5, 0.1);
-        let mut session = Session::new(
-            "s",
-            "p",
-            Arc::clone(&pool),
-            SamplerMethod::Oasis,
-            OasisConfig::default().with_strata_count(5),
-            11,
-            LabelSource::external(pool.len()),
-        )
-        .unwrap();
+        let mut session = oasis_session(&pool, 5, 11, LabelSource::external(pool.len()));
         session.propose(2).unwrap();
         let checkpoint = session.checkpoint();
 

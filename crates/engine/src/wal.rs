@@ -312,8 +312,7 @@ pub fn replay(session: &mut Session, records: &[WalRecord], from_seq: u64) -> En
 mod tests {
     use super::*;
     use crate::session::LabelSource;
-    use oasis::{OasisConfig, SamplerMethod};
-    use std::sync::Arc;
+    use crate::test_support::oasis_session;
 
     #[test]
     fn records_round_trip_through_json_lines() {
@@ -390,18 +389,7 @@ mod tests {
     #[test]
     fn replay_reproduces_the_logged_run_and_rejects_gaps() {
         let (pool, truth) = crate::test_support::pool_and_truth(500, 77, 0.1);
-        let make = || {
-            Session::new(
-                "s",
-                "p",
-                Arc::clone(&pool),
-                SamplerMethod::Oasis,
-                OasisConfig::default().with_strata_count(6),
-                7,
-                LabelSource::external(pool.len()),
-            )
-            .unwrap()
-        };
+        let make = || oasis_session(&pool, 6, 7, LabelSource::external(pool.len()));
 
         // Drive a live session, logging what a durable engine would log.
         let mut live = make();

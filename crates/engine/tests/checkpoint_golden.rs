@@ -8,7 +8,7 @@
 
 use oasis::{GroundTruthOracle, OasisConfig, SamplerMethod, ScoredPool};
 use oasis_engine::store::{parse_envelope, render_envelope};
-use oasis_engine::{LabelSource, Session, SessionCheckpoint, SessionLimits};
+use oasis_engine::{LabelSource, Session, SessionCheckpoint, SessionLimits, SessionSpec};
 use std::sync::Arc;
 
 const GOLDEN: &str = include_str!("golden/checkpoints.jsonl");
@@ -21,18 +21,14 @@ fn captures() -> Vec<(SessionCheckpoint, u64)> {
     let config = OasisConfig::default().with_strata_count(4);
     let oracle = || LabelSource::GroundTruth(GroundTruthOracle::new(truth.clone()));
     let session = |method, shards, seed, source, limits| {
-        Session::new_with_limits(
-            format!("{method:?}-{seed}"),
-            "p",
-            Arc::clone(&pool),
+        let spec = SessionSpec {
             method,
-            config.clone(),
+            config: config.clone(),
             shards,
-            seed,
-            source,
             limits,
-        )
-        .unwrap()
+            ..SessionSpec::new(format!("{method:?}-{seed}"), "p", seed, source)
+        };
+        Session::new(spec, Arc::clone(&pool)).unwrap()
     };
     let mut captures = Vec::new();
 

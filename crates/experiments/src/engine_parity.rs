@@ -19,7 +19,7 @@ use crate::report::{fmt_float, TextTable};
 use er_core::datasets::DatasetProfile;
 use oasis::oracle::GroundTruthOracle;
 use oasis::samplers::Sampler;
-use oasis_engine::{Engine, LabelSource, SessionCheckpoint, SessionJob};
+use oasis_engine::{Engine, LabelSource, SessionCheckpoint, SessionJob, SessionSpec};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use std::time::Instant;
@@ -152,6 +152,16 @@ fn library_reference(
         .expect("library run cannot fail")
 }
 
+/// The engine session of one configuration, labelled by the pool's truth.
+fn session_spec(pool: &ExperimentPool, method: &Method, id: &str, seed: u64) -> SessionSpec {
+    let oracle = GroundTruthOracle::new(pool.truth.clone());
+    SessionSpec {
+        method: method.sampler_method(),
+        config: method.engine_config(0.5, 0.0),
+        ..SessionSpec::new(id, "cora", seed, LabelSource::GroundTruth(oracle))
+    }
+}
+
 /// Interrupt the same configuration at `steps / 3`, round-trip the checkpoint
 /// through its JSON text, and finish on the restored session.
 fn checkpointed_run(
@@ -163,14 +173,7 @@ fn checkpointed_run(
 ) -> oasis::Estimate {
     let session_id = format!("ckpt-{}-{seed}", method.sampler_method());
     engine
-        .create_session(
-            &session_id,
-            "cora",
-            method.sampler_method(),
-            method.engine_config(0.5, 0.0),
-            seed,
-            LabelSource::GroundTruth(GroundTruthOracle::new(pool.truth.clone())),
-        )
+        .create_session(session_spec(pool, method, &session_id, seed))
         .expect("session");
     let handle = engine.session(&session_id).expect("exists");
     let cut = steps / 3;
@@ -198,16 +201,12 @@ fn sharded_run(
     steps: usize,
 ) -> oasis::Estimate {
     let session_id = format!("shard-{}-{seed}", method.sampler_method());
+    let spec = session_spec(pool, method, &session_id, seed);
     engine
-        .create_session_sharded(
-            &session_id,
-            "cora",
-            method.sampler_method(),
-            method.engine_config(0.5, 0.0),
-            Some(1),
-            seed,
-            LabelSource::GroundTruth(GroundTruthOracle::new(pool.truth.clone())),
-        )
+        .create_session(SessionSpec {
+            shards: Some(1),
+            ..spec
+        })
         .expect("sharded session");
     let handle = engine.session(&session_id).expect("exists");
     let estimate = handle.lock().step(steps).expect("sharded run");
@@ -242,15 +241,9 @@ pub fn run(config: &EngineParityConfig) -> EngineParity {
         .load_pool("cora", pool.pool.clone())
         .expect("load pool");
     for &(method, seed, _) in &references {
+        let id = format!("{}-{seed}", method.sampler_method());
         engine
-            .create_session(
-                format!("{}-{seed}", method.sampler_method()),
-                "cora",
-                method.sampler_method(),
-                method.engine_config(0.5, 0.0),
-                seed,
-                LabelSource::GroundTruth(GroundTruthOracle::new(pool.truth.clone())),
-            )
+            .create_session(session_spec(&pool, &method, &id, seed))
             .expect("session");
     }
     let jobs: Vec<SessionJob> = references

@@ -7,7 +7,7 @@
 use er_core::datasets::{DatasetProfile, DirectPoolModel};
 use oasis::oracle::GroundTruthOracle;
 use oasis::samplers::{OasisConfig, SamplerMethod};
-use oasis_engine::{Engine, LabelSource, SessionCheckpoint, SessionJob};
+use oasis_engine::{Engine, LabelSource, SessionCheckpoint, SessionJob, SessionSpec};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
@@ -27,17 +27,13 @@ fn main() {
     //    suspends; "annotators" (here: us, peeking at the hidden truth)
     //    label the tickets in batches and the session resumes.
     engine
-        .create_session(
-            "human",
-            "abt-buy",
-            SamplerMethod::Oasis,
-            config.clone(),
-            7,
-            {
+        .create_session(SessionSpec {
+            config: config.clone(),
+            ..SessionSpec::new("human", "abt-buy", 7, {
                 let pool = engine.pool("abt-buy").expect("loaded");
                 LabelSource::external(pool.len())
-            },
-        )
+            })
+        })
         .expect("create session");
     let session = engine.session("human").expect("exists");
     for round in 0..40 {
@@ -90,14 +86,16 @@ fn main() {
     let methods = SamplerMethod::ALL;
     for (i, &seed) in seeds.iter().enumerate() {
         engine
-            .create_session(
-                format!("sim-{seed}"),
-                "abt-buy",
-                methods[i % methods.len()],
-                config.clone(),
-                seed,
-                LabelSource::GroundTruth(GroundTruthOracle::new(truth.clone())),
-            )
+            .create_session(SessionSpec {
+                method: methods[i % methods.len()],
+                config: config.clone(),
+                ..SessionSpec::new(
+                    format!("sim-{seed}"),
+                    "abt-buy",
+                    seed,
+                    LabelSource::GroundTruth(GroundTruthOracle::new(truth.clone())),
+                )
+            })
             .expect("create");
     }
     let jobs: Vec<SessionJob> = seeds

@@ -12,9 +12,9 @@
 //! Run with: `cargo run --release --example sharded_session`
 
 use oasis::oracle::GroundTruthOracle;
-use oasis::samplers::{OasisConfig, SamplerMethod};
+use oasis::samplers::OasisConfig;
 use oasis::ScoredPool;
-use oasis_engine::{Engine, LabelSource};
+use oasis_engine::{Engine, LabelSource, SessionSpec};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
@@ -54,16 +54,13 @@ fn main() {
     let engine = Engine::new();
     engine.load_pool("large", pool).expect("load pool");
     let start = std::time::Instant::now();
+    let source = LabelSource::GroundTruth(GroundTruthOracle::new(truth));
     engine
-        .create_session_sharded(
-            "sharded",
-            "large",
-            SamplerMethod::Oasis,
-            OasisConfig::default().with_strata_count(10),
-            Some(shards),
-            42,
-            LabelSource::GroundTruth(GroundTruthOracle::new(truth)),
-        )
+        .create_session(SessionSpec {
+            config: OasisConfig::default().with_strata_count(10),
+            shards: Some(shards),
+            ..SessionSpec::new("sharded", "large", 42, source)
+        })
         .expect("create sharded session");
     println!("Session: {shards} shards, 10 strata each");
     eprintln!("session built in {:.2?}", start.elapsed());

@@ -7,7 +7,7 @@ use er_core::datasets::score_model::{DirectPoolConfig, DirectPoolModel};
 use oasis::oracle::GroundTruthOracle;
 use oasis::samplers::{OasisConfig, OasisSampler, Sampler};
 use oasis::Estimate;
-use oasis_engine::{LabelSource, Session, SessionCheckpoint};
+use oasis_engine::{LabelSource, Session, SessionCheckpoint, SessionSpec};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use std::sync::Arc;
@@ -71,13 +71,16 @@ fn different_seeds_explore_different_streams() {
 fn engine_session(seed: u64) -> Session {
     let (pool, truth) = fixed_pool();
     Session::new(
-        "determinism",
-        "fixed",
+        SessionSpec {
+            config: OasisConfig::default().with_strata_count(25),
+            ..SessionSpec::new(
+                "determinism",
+                "fixed",
+                seed,
+                LabelSource::GroundTruth(GroundTruthOracle::new(truth)),
+            )
+        },
         Arc::new(pool),
-        oasis::SamplerMethod::Oasis,
-        OasisConfig::default().with_strata_count(25),
-        seed,
-        LabelSource::GroundTruth(GroundTruthOracle::new(truth)),
     )
     .unwrap()
 }

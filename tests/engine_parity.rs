@@ -8,7 +8,7 @@ use oasis::oracle::GroundTruthOracle;
 use oasis::samplers::{AnySampler, OasisConfig, OasisSampler, Sampler, SamplerMethod};
 use oasis::{ConfidenceInterval, Estimate, TrackedSampler};
 use oasis_engine::server::serve_lines;
-use oasis_engine::{Engine, FsCheckpointStore, LabelSource, SessionJob};
+use oasis_engine::{Engine, FsCheckpointStore, LabelSource, SessionJob, SessionSpec};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use std::io::Cursor;
@@ -67,14 +67,15 @@ fn eight_concurrent_sessions_match_eight_sequential_library_runs() {
     engine.load_pool("pool", pool).unwrap();
     for &seed in &seeds {
         engine
-            .create_session(
-                format!("s{seed}"),
-                "pool",
-                SamplerMethod::Oasis,
-                OasisConfig::default().with_strata_count(20),
-                seed,
-                LabelSource::GroundTruth(GroundTruthOracle::new(truth.clone())),
-            )
+            .create_session(SessionSpec {
+                config: OasisConfig::default().with_strata_count(20),
+                ..SessionSpec::new(
+                    format!("s{seed}"),
+                    "pool",
+                    seed,
+                    LabelSource::GroundTruth(GroundTruthOracle::new(truth.clone())),
+                )
+            })
             .unwrap();
     }
     let jobs: Vec<SessionJob> = seeds
@@ -123,14 +124,16 @@ fn a_mixed_method_fleet_matches_sequential_library_runs() {
     engine.load_pool("pool", pool).unwrap();
     for &(method, _) in &references {
         engine
-            .create_session(
-                method.as_str(),
-                "pool",
+            .create_session(SessionSpec {
                 method,
-                OasisConfig::default().with_strata_count(20),
-                seed,
-                LabelSource::GroundTruth(GroundTruthOracle::new(truth.clone())),
-            )
+                config: OasisConfig::default().with_strata_count(20),
+                ..SessionSpec::new(
+                    method.as_str(),
+                    "pool",
+                    seed,
+                    LabelSource::GroundTruth(GroundTruthOracle::new(truth.clone())),
+                )
+            })
             .unwrap();
     }
     let jobs: Vec<SessionJob> = references
