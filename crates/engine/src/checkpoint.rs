@@ -18,7 +18,9 @@ use crate::error::EngineResult;
 use crate::session::{SessionLimits, Ticket};
 use oasis::samplers::SamplerState;
 use oasis::Proposal;
-use serde::json::{FromJson, Json, JsonError, JsonResult, ToJson};
+use serde::json::{
+    write_bool, write_number, write_u64, FromJson, Json, JsonError, JsonResult, ToJson,
+};
 
 /// Version tag embedded in every checkpoint document.
 pub const CHECKPOINT_FORMAT: &str = "oasis-engine/checkpoint-v1";
@@ -90,19 +92,37 @@ impl SessionCheckpoint {
     }
 }
 
-impl ToJson for Ticket {
-    fn to_json(&self) -> Json {
-        let mut obj = Json::object();
-        obj.set("ticket", self.id.to_json());
-        obj.set("item", self.proposal.item.to_json());
-        obj.set("stratum", self.proposal.stratum.to_json());
-        obj.set("prediction", self.proposal.prediction.to_json());
-        obj.set("weight", self.proposal.weight.to_json());
-        if self.issued_at_us != 0 {
-            obj.set("issued_at_us", self.issued_at_us.to_json());
+/// Render tickets as the JSON array a `propose` response's `proposals` and
+/// a checkpoint's `pending` carry: one object per ticket, keys in sorted
+/// order, `issued_at_us` only when set.  Written straight to text (no tree
+/// per ticket) and handed back pre-rendered as a [`Json::Raw`].
+pub(crate) fn tickets_json(tickets: &[Ticket]) -> Json {
+    let mut out = String::with_capacity(2 + tickets.len() * 96);
+    out.push('[');
+    for (i, ticket) in tickets.iter().enumerate() {
+        if i > 0 {
+            out.push(',');
         }
-        obj
+        out.push('{');
+        if ticket.issued_at_us != 0 {
+            out.push_str("\"issued_at_us\":");
+            write_u64(ticket.issued_at_us, &mut out);
+            out.push(',');
+        }
+        out.push_str("\"item\":");
+        write_number(ticket.proposal.item as f64, &mut out);
+        out.push_str(",\"prediction\":");
+        write_bool(ticket.proposal.prediction, &mut out);
+        out.push_str(",\"stratum\":");
+        write_number(ticket.proposal.stratum as f64, &mut out);
+        out.push_str(",\"ticket\":");
+        write_u64(ticket.id, &mut out);
+        out.push_str(",\"weight\":");
+        ticket.proposal.weight.to_json().write(&mut out);
+        out.push('}');
     }
+    out.push(']');
+    Json::Raw(out)
 }
 
 impl FromJson for Ticket {
@@ -175,7 +195,7 @@ impl ToJson for SessionCheckpoint {
         obj.set("seed", self.seed.to_json());
         obj.set("rng", self.rng_words.to_vec().to_json());
         obj.set("sampler", self.sampler.to_json());
-        obj.set("pending", self.pending.to_json());
+        obj.set("pending", tickets_json(&self.pending));
         obj.set("next_ticket", self.next_ticket.to_json());
         // Lease state is only written when it diverges from the defaults, so
         // lease-free sessions keep the pre-lease document shape.
@@ -286,6 +306,9 @@ mod tests {
             let text = checkpoint.to_json_string();
             let parsed = SessionCheckpoint::from_json_string(&text).unwrap();
             assert_eq!(parsed, checkpoint);
+            // The tree round-trips too: `pending` is pre-rendered text there.
+            let tree = SessionCheckpoint::from_json(&checkpoint.to_json()).unwrap();
+            assert_eq!(tree, checkpoint);
         }
     }
 

@@ -85,6 +85,15 @@ struct SessionMeta {
     last_access: u64,
 }
 
+/// The metadata of session `id`, created on first use.  Looked up before
+/// inserting, so only a new id costs an allocation.
+fn meta_slot<'m>(meta: &'m mut HashMap<String, SessionMeta>, id: &str) -> &'m mut SessionMeta {
+    if !meta.contains_key(id) {
+        meta.insert(id.to_string(), SessionMeta::default());
+    }
+    meta.get_mut(id).expect("inserted above")
+}
+
 /// A snapshot of one session's identity and progress, cheap enough to build
 /// for a `sessions` listing without disturbing the run.
 #[derive(Debug, Clone, PartialEq)]
@@ -522,7 +531,7 @@ impl Engine {
             }
             sessions.insert(id.to_string(), Arc::clone(&handle));
             let mut meta = self.meta.lock();
-            let slot = meta.entry(id.to_string()).or_default();
+            let slot = meta_slot(&mut meta, id);
             slot.wal_seq = wal_seq + applied as u64;
             slot.dirty = applied > 0;
             slot.last_access = self.clock.fetch_add(1, Ordering::Relaxed);
@@ -572,14 +581,14 @@ impl Engine {
         // clear `dirty`: other sessions' appends must not wait on this
         // session's render and fsync.
         let session = handle.lock();
-        let wal_seq = self.meta.lock().entry(id.to_string()).or_default().wal_seq;
+        let wal_seq = meta_slot(&mut self.meta.lock(), id).wal_seq;
         let timer = self.metrics.timer();
         let document = render_envelope(&session.checkpoint(), wal_seq);
         self.with_store_retry("checkpoint write", || store.put_checkpoint(id, &document))?;
         self.with_store_retry("WAL truncate", || store.truncate_wal(id))?;
         self.metrics.incr(Counter::CheckpointWrite);
         self.metrics.record("checkpoint.write", timer);
-        self.meta.lock().entry(id.to_string()).or_default().dirty = false;
+        meta_slot(&mut self.meta.lock(), id).dirty = false;
         Ok(wal_seq)
     }
 
@@ -631,8 +640,8 @@ impl Engine {
         if sharded {
             self.metrics.add(Counter::ShardRoute, routed as u64);
         }
-        let key = format!("{}.{}", record.entry.op(), session.method().as_str());
-        self.metrics.record(&key, timer);
+        let key = record.entry.latency_key(session.method());
+        self.metrics.record(key, timer);
         Ok(respond(&session, expired, outcome))
     }
 
@@ -646,12 +655,7 @@ impl Engine {
     /// No-op (except dirtiness tracking) without a store.
     fn log_wal(&self, session_id: &str, record: &mut WalRecord) -> EngineResult<()> {
         if let Some(store) = &self.store {
-            record.seq = self
-                .meta
-                .lock()
-                .entry(session_id.to_string())
-                .or_default()
-                .wal_seq;
+            record.seq = meta_slot(&mut self.meta.lock(), session_id).wal_seq;
             let line = record.render();
             let timer = self.metrics.timer();
             if let Err(err) =
@@ -668,7 +672,7 @@ impl Engine {
             self.metrics.record("wal.append", timer);
         }
         let mut meta = self.meta.lock();
-        let slot = meta.entry(session_id.to_string()).or_default();
+        let slot = meta_slot(&mut meta, session_id);
         if self.store.is_some() {
             slot.wal_seq = record.seq + 1;
         }

@@ -424,10 +424,14 @@ impl MetricsRegistry {
         };
         let elapsed = self.clock.now_micros().saturating_sub(start);
         let mut latencies = self.latencies.lock();
-        latencies
-            .entry(key.to_string())
-            .or_default()
-            .record(elapsed);
+        // Looked up before inserting: only a new key costs an allocation.
+        match latencies.get_mut(key) {
+            Some(histogram) => histogram.record(elapsed),
+            None => latencies
+                .entry(key.to_string())
+                .or_default()
+                .record(elapsed),
+        }
     }
 
     /// A copy of the histogram named `key`, if any value was ever recorded

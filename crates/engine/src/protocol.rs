@@ -49,11 +49,11 @@
 //! an unsharded session on the same seed.  `shards: 0` is a protocol error;
 //! omitting the field builds the classic flat sampler.
 
-use crate::checkpoint::SessionCheckpoint;
+use crate::checkpoint::{tickets_json, SessionCheckpoint};
 use crate::engine::Engine;
 use crate::error::{EngineError, EngineResult};
 use crate::session::{LabelSource, Session, SessionLimits, SessionSpec};
-use crate::wal::{Outcome, WalEntry};
+use crate::wal::{parse_labelled_line, required_labels, Outcome, WalEntry};
 use oasis::{GroundTruthOracle, OasisConfig, SamplerMethod, ScoredPool};
 use serde::json::{FromJson, Json, ToJson};
 
@@ -196,14 +196,15 @@ fn bounded(value: usize, limit: usize, what: &str) -> EngineResult<usize> {
 }
 
 impl Request {
-    /// Parse one protocol line.
+    /// Parse one protocol line.  A `label` request's batch is read straight
+    /// off the line, with no tree per label (see [`crate::wal`]'s shared
+    /// label-batch reader).
     ///
     /// # Errors
     /// [`EngineError::Protocol`] / [`EngineError::Json`] on malformed input.
     pub fn parse(line: &str) -> EngineResult<Request> {
-        let value = Json::parse(line)?;
-        let cmd = value.require("cmd")?.as_str()?.to_string();
-        match cmd.as_str() {
+        let (value, labels) = parse_labelled_line(line)?;
+        match value.require("cmd")?.as_str()? {
             "load_pool" => Ok(Request::LoadPool {
                 pool: string_field(&value, "pool")?,
                 scores: Vec::<f64>::from_json(value.require("scores")?)?,
@@ -275,12 +276,7 @@ impl Request {
                 },
             }),
             "label" => {
-                let labels = value.require("labels")?.map_array(|entry| {
-                    Ok::<_, EngineError>((
-                        entry.require("ticket")?.as_u64()?,
-                        entry.require("label")?.as_bool()?,
-                    ))
-                })?;
+                let labels = required_labels(labels)?;
                 Ok(Request::Label {
                     session: string_field(&value, "session")?,
                     labels,
@@ -516,7 +512,7 @@ fn apply(engine: &Engine, request: Request) -> EngineResult<Dispatch> {
                 };
                 let mut obj = ok_response();
                 obj.set("session", Json::String(guard.id().to_string()));
-                obj.set("proposals", tickets.to_json());
+                obj.set("proposals", tickets_json(&tickets));
                 obj.set("pending", guard.pending_count().to_json());
                 if !expired.is_empty() {
                     obj.set("expired", expired.to_json());

@@ -21,7 +21,7 @@ use crate::log::EventLog;
 use crate::metrics::Counter;
 use crate::protocol::{error_response, Dispatch, Request};
 use parking_lot::Mutex;
-use serde::json::Json;
+use serde::json::{Json, JsonError};
 use std::collections::HashMap;
 use std::io::{BufRead, BufReader, Read, Write};
 use std::net::{Shutdown, TcpListener, TcpStream};
@@ -145,16 +145,27 @@ fn handle_line(
     policy: Option<&ClientPolicy>,
     conn: &mut ConnState,
 ) -> Option<Dispatch> {
-    let text = String::from_utf8_lossy(raw);
-    let trimmed = text.trim();
-    if trimmed.is_empty() {
-        return None;
-    }
     let started = Instant::now();
-    Some(match Request::parse(trimmed) {
+    // JSON text is UTF-8.  A lossy decode would turn different invalid bytes
+    // into the same U+FFFD, so two session ids could address one session: a
+    // line that is not UTF-8 is rejected whole instead.
+    let parsed = match std::str::from_utf8(raw) {
+        Ok(text) => {
+            let trimmed = text.trim();
+            if trimmed.is_empty() {
+                return None;
+            }
+            Request::parse(trimmed)
+        }
+        Err(error) => Err(EngineError::Json(JsonError::new(format!(
+            "request line is not UTF-8: {error}"
+        )))),
+    };
+    Some(match parsed {
         Ok(request) => {
             let verb = request.verb();
-            let session = request.session_id().map(str::to_string);
+            // Copied only for the event log: the request moves into dispatch.
+            let session = log.and_then(|_| request.session_id().map(str::to_string));
             let outcome = guarded_dispatch(engine, policy, conn, request);
             if let Some(log) = log {
                 let ok = matches!(outcome.response.get("ok"), Some(Json::Bool(true)));
@@ -609,6 +620,7 @@ pub(crate) fn serve_accept_loop<A: AcceptSource + Sync>(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::log::LogFormat;
     use std::io::Cursor;
 
     fn run_script(engine: &Engine, script: &str) -> Vec<String> {
@@ -944,24 +956,22 @@ mod tests {
         });
     }
 
+    /// A shared in-memory event-log sink.
+    #[derive(Clone, Default)]
+    struct Buffer(Arc<Mutex<Vec<u8>>>);
+
+    impl Write for Buffer {
+        fn write(&mut self, buf: &[u8]) -> std::io::Result<usize> {
+            self.0.lock().extend_from_slice(buf);
+            Ok(buf.len())
+        }
+        fn flush(&mut self) -> std::io::Result<()> {
+            Ok(())
+        }
+    }
+
     #[test]
     fn json_log_emits_one_request_event_per_line() {
-        use crate::log::LogFormat;
-        use parking_lot::Mutex;
-        use std::sync::Arc;
-
-        #[derive(Clone, Default)]
-        struct Buffer(Arc<Mutex<Vec<u8>>>);
-        impl Write for Buffer {
-            fn write(&mut self, buf: &[u8]) -> std::io::Result<usize> {
-                self.0.lock().extend_from_slice(buf);
-                Ok(buf.len())
-            }
-            fn flush(&mut self) -> std::io::Result<()> {
-                Ok(())
-            }
-        }
-
         let engine = Engine::new();
         let buffer = Buffer::default();
         let log = EventLog::to_writer(LogFormat::Json, Box::new(buffer.clone()));
@@ -1086,6 +1096,53 @@ mod tests {
             server.join().unwrap().unwrap();
             drop(second);
         });
+    }
+
+    #[test]
+    fn non_utf8_lines_are_rejected_instead_of_aliasing_session_ids() {
+        let engine = Engine::new();
+        let buffer = Buffer::default();
+        let log = EventLog::to_writer(LogFormat::Json, Box::new(buffer.clone()));
+        let mut script =
+            br#"{"cmd":"load_pool","pool":"p","scores":[0.9,0.1],"predictions":[true,false]}"#
+                .to_vec();
+        script.extend_from_slice(
+            b"\n{\"cmd\":\"create_session\",\"session\":\"a\xff\",\"pool\":\"p\",\"seed\":1}\n",
+        );
+        script.extend_from_slice(b"{\"cmd\":\"estimate\",\"session\":\"a\xfe\"}\n");
+        script.extend_from_slice(b"{\"cmd\":\"sessions\"}\n");
+        let mut output = Vec::new();
+        serve_lines_guarded(&engine, Cursor::new(script), &mut output, Some(&log), None).unwrap();
+
+        let output = String::from_utf8(output).unwrap();
+        let responses: Vec<&str> = output.lines().collect();
+        assert_eq!(responses.len(), 4, "{output}");
+        // Neither the create nor the estimate reaches a session: a lossy
+        // decode would have created "a\u{fffd}" and answered the estimate
+        // for it.
+        for response in &responses[1..3] {
+            assert!(response.contains(r#""ok":false"#), "{response}");
+            assert!(response.contains(r#""kind":"json""#), "{response}");
+            assert!(response.contains("not UTF-8"), "{response}");
+        }
+        assert!(
+            responses[3].contains(r#""sessions":[]"#),
+            "{}",
+            responses[3]
+        );
+
+        let events = String::from_utf8(buffer.0.lock().clone()).unwrap();
+        let verbs: Vec<String> = events
+            .lines()
+            .map(|line| {
+                let event = Json::parse(line).unwrap();
+                event.require("verb").unwrap().as_str().unwrap().to_string()
+            })
+            .collect();
+        assert_eq!(
+            verbs,
+            ["load_pool", "parse_error", "parse_error", "sessions"]
+        );
     }
 
     #[test]

@@ -24,8 +24,12 @@
 
 use crate::error::{EngineError, EngineResult};
 use crate::session::{Session, Ticket};
-use oasis::Estimate;
-use serde::json::{FromJson, Json, JsonError, JsonResult, ToJson};
+use oasis::{Estimate, SamplerMethod};
+use serde::json::{
+    parse_u64, write_bool, write_number, write_string, write_u64, Json, JsonError, JsonResult,
+    Reader,
+};
+use std::collections::BTreeMap;
 
 /// One loggable session mutation.
 #[derive(Debug, Clone, PartialEq)]
@@ -101,6 +105,34 @@ impl WalEntry {
         }
     }
 
+    /// The latency histogram a timed mutation is recorded under,
+    /// `"{op}.{method}"`, named without building the string.
+    pub(crate) fn latency_key(&self, method: SamplerMethod) -> &'static str {
+        macro_rules! keys {
+            ($op:literal) => {
+                [
+                    concat!($op, ".oasis"),
+                    concat!($op, ".passive"),
+                    concat!($op, ".importance"),
+                    concat!($op, ".stratified"),
+                ]
+            };
+        }
+        let keys = match self {
+            WalEntry::Propose { .. } => keys!("propose"),
+            WalEntry::Expire { .. } => keys!("expire"),
+            WalEntry::Label { .. } => keys!("label"),
+            WalEntry::Step { .. } => keys!("step"),
+            WalEntry::RunBudget { .. } => keys!("run_budget"),
+        };
+        keys[match method {
+            SamplerMethod::Oasis => 0,
+            SamplerMethod::Passive => 1,
+            SamplerMethod::Importance => 2,
+            SamplerMethod::Stratified => 3,
+        }]
+    }
+
     /// Apply this mutation to a session: first the lease sweep at the
     /// logged timestamp, if any, then the mutation itself.  Live requests,
     /// `run_parallel` jobs and replay all mutate sessions through here.
@@ -140,9 +172,64 @@ pub struct WalRecord {
 }
 
 impl WalRecord {
-    /// Render as a single JSON line (no trailing newline).
+    /// Render as a single JSON line (no trailing newline), written field by
+    /// field: a `label` record of any size builds no tree.  Keys go out in
+    /// sorted order, the order a rendered [`Json`] object would give them.
     pub fn render(&self) -> String {
-        self.to_json().render()
+        let mut out = String::with_capacity(64);
+        out.push('{');
+        match &self.entry {
+            WalEntry::Propose { count, now_us } => {
+                out.push_str("\"count\":");
+                write_number(*count as f64, &mut out);
+                if let Some(now) = now_us {
+                    out.push_str(",\"now_us\":");
+                    write_u64(*now, &mut out);
+                }
+                out.push(',');
+            }
+            WalEntry::Expire { now_us } => {
+                out.push_str("\"now_us\":");
+                write_u64(*now_us, &mut out);
+                out.push(',');
+            }
+            WalEntry::Label { labels } => {
+                out.reserve(labels.len() * 36);
+                out.push_str("\"labels\":[");
+                for (i, &(ticket, label)) in labels.iter().enumerate() {
+                    if i > 0 {
+                        out.push(',');
+                    }
+                    out.push_str("{\"label\":");
+                    write_bool(label, &mut out);
+                    out.push_str(",\"ticket\":");
+                    write_u64(ticket, &mut out);
+                    out.push('}');
+                }
+                out.push_str("],");
+            }
+            WalEntry::RunBudget {
+                label_budget,
+                max_steps,
+            } => {
+                out.push_str("\"label_budget\":");
+                write_number(*label_budget as f64, &mut out);
+                out.push_str(",\"max_steps\":");
+                write_number(*max_steps as f64, &mut out);
+                out.push(',');
+            }
+            WalEntry::Step { .. } => {}
+        }
+        out.push_str("\"op\":");
+        write_string(self.entry.op(), &mut out);
+        out.push_str(",\"seq\":");
+        write_u64(self.seq, &mut out);
+        if let WalEntry::Step { steps } = self.entry {
+            out.push_str(",\"steps\":");
+            write_number(steps as f64, &mut out);
+        }
+        out.push('}');
+        out
     }
 
     /// Parse one log line.
@@ -151,52 +238,13 @@ impl WalRecord {
     /// [`EngineError::Store`] on malformed JSON or an unknown `op`, naming
     /// the offending line.
     pub fn parse(line: &str) -> EngineResult<Self> {
-        let value =
-            Json::parse(line).map_err(|e| EngineError::Store(format!("bad WAL line: {e}")))?;
-        WalRecord::from_json(&value).map_err(|e| EngineError::Store(format!("bad WAL line: {e}")))
+        let bad = |e: JsonError| EngineError::Store(format!("bad WAL line: {e}"));
+        let (value, labels) = parse_labelled_line(line).map_err(bad)?;
+        WalRecord::decode(&value, labels).map_err(bad)
     }
-}
 
-impl ToJson for WalRecord {
-    fn to_json(&self) -> Json {
-        let mut obj = Json::object();
-        obj.set("seq", self.seq.to_json());
-        obj.set("op", Json::String(self.entry.op().to_string()));
-        match &self.entry {
-            WalEntry::Propose { count, now_us } => {
-                obj.set("count", count.to_json());
-                if let Some(now) = now_us {
-                    obj.set("now_us", now.to_json());
-                }
-            }
-            WalEntry::Expire { now_us } => obj.set("now_us", now_us.to_json()),
-            WalEntry::Label { labels } => {
-                let items = labels
-                    .iter()
-                    .map(|&(ticket, label)| {
-                        let mut pair = Json::object();
-                        pair.set("ticket", ticket.to_json());
-                        pair.set("label", label.to_json());
-                        pair
-                    })
-                    .collect();
-                obj.set("labels", Json::Array(items));
-            }
-            WalEntry::Step { steps } => obj.set("steps", steps.to_json()),
-            WalEntry::RunBudget {
-                label_budget,
-                max_steps,
-            } => {
-                obj.set("label_budget", label_budget.to_json());
-                obj.set("max_steps", max_steps.to_json());
-            }
-        }
-        obj
-    }
-}
-
-impl FromJson for WalRecord {
-    fn from_json(value: &Json) -> JsonResult<Self> {
+    /// The record a parsed line holds.
+    fn decode(value: &Json, labels: Option<LabelBatch>) -> JsonResult<Self> {
         let seq = value.require("seq")?.as_u64()?;
         let entry = match value.require("op")?.as_str()? {
             "propose" => WalEntry::Propose {
@@ -209,22 +257,9 @@ impl FromJson for WalRecord {
             "expire" => WalEntry::Expire {
                 now_us: value.require("now_us")?.as_u64()?,
             },
-            "label" => {
-                let raw = value.require("labels")?;
-                let Ok(items) = raw.as_array() else {
-                    return Err(JsonError::new(format!(
-                        "labels must be an array, got {raw:?}"
-                    )));
-                };
-                let mut labels = Vec::with_capacity(items.len());
-                for item in items.iter() {
-                    labels.push((
-                        item.require("ticket")?.as_u64()?,
-                        item.require("label")?.as_bool()?,
-                    ));
-                }
-                WalEntry::Label { labels }
-            }
+            "label" => WalEntry::Label {
+                labels: required_labels(labels)?,
+            },
             "step" => WalEntry::Step {
                 steps: value.require("steps")?.as_usize()?,
             },
@@ -236,6 +271,105 @@ impl FromJson for WalRecord {
         };
         Ok(WalRecord { seq, entry })
     }
+}
+
+/// A decoded `labels` value: the `(ticket, label)` pairs, or why the value
+/// is not a label batch.
+pub(crate) type LabelBatch = JsonResult<Vec<(u64, bool)>>;
+
+/// The batch a `label` request or record must carry.
+pub(crate) fn required_labels(labels: Option<LabelBatch>) -> JsonResult<Vec<(u64, bool)>> {
+    labels.unwrap_or_else(|| Err(JsonError::missing_field("labels")))
+}
+
+/// Parse one request or WAL line, reading its top-level `labels` value as
+/// a label batch in place, without a tree per label.  Returns the line's
+/// other keys as an object (the whole value when the line is not an object)
+/// and the batch, when the line has the key; a repeated key, `labels`
+/// included, keeps its last value.
+///
+/// The whole line's syntax is checked first, as [`Json::parse`] checks it.
+/// A `labels` value that is valid JSON but not a batch is an error only
+/// where a batch is required ([`required_labels`]), so a line of any other
+/// command may carry one.
+pub(crate) fn parse_labelled_line(line: &str) -> JsonResult<(Json, Option<LabelBatch>)> {
+    let mut reader = Reader::new(line);
+    if reader.peek() != Some(b'{') {
+        let value = reader.value()?;
+        reader.finish()?;
+        return Ok((value, None));
+    }
+    let mut fields = BTreeMap::new();
+    let mut labels = None;
+    reader.object(|reader, key| {
+        if key == "labels" {
+            labels = Some(read_label_batch(reader)?);
+        } else {
+            let value = reader.value()?;
+            fields.insert(key.into_owned(), value);
+        }
+        Ok(())
+    })?;
+    reader.finish()?;
+    Ok((Json::Object(fields), labels))
+}
+
+/// Read a `labels` value: an array of objects with a `ticket` (a number or
+/// a quoted decimal, as [`Json::as_u64`] reads it) and a `label` bool, in
+/// any key order, other keys skipped.  The outer error is a syntax error in
+/// the value; the inner one says why well-formed JSON is not a batch, and
+/// is the error the first offending entry would raise decoded from a tree.
+fn read_label_batch(reader: &mut Reader<'_>) -> JsonResult<LabelBatch> {
+    let start = reader.clone();
+    match decode_label_batch(reader) {
+        Ok(labels) => Ok(Ok(labels)),
+        Err(reason) => {
+            // Not a batch: re-read the value as a tree, so a syntax error
+            // anywhere in it wins over `reason`, as it does in `Json::parse`.
+            *reader = start;
+            reader.value()?;
+            Ok(Err(reason))
+        }
+    }
+}
+
+fn decode_label_batch(reader: &mut Reader<'_>) -> JsonResult<Vec<(u64, bool)>> {
+    if reader.peek() != Some(b'[') {
+        let other = reader.value()?;
+        return Err(JsonError::new(format!("expected array, got {other:?}")));
+    }
+    let mut labels = Vec::new();
+    reader.array(|reader| {
+        // The last value of a repeated key wins, so each key's verdict is
+        // kept until the entry ends.
+        let mut ticket = None;
+        let mut label = None;
+        if reader.peek() == Some(b'{') {
+            reader.object(|reader, key| {
+                match &*key {
+                    "ticket" => {
+                        ticket = Some(match reader.peek() {
+                            Some(b'"') => parse_u64(&reader.string()?),
+                            _ => reader.value()?.as_u64(),
+                        });
+                    }
+                    "label" => label = Some(reader.value()?.as_bool()),
+                    _ => {
+                        reader.value()?;
+                    }
+                }
+                Ok(())
+            })?;
+        } else {
+            // Not an object, so it has no `ticket`.
+            reader.value()?;
+        }
+        let ticket = ticket.unwrap_or_else(|| Err(JsonError::missing_field("ticket")))?;
+        let label = label.unwrap_or_else(|| Err(JsonError::missing_field("label")))?;
+        labels.push((ticket, label));
+        Ok(())
+    })?;
+    Ok(labels)
 }
 
 /// The result of parsing a whole log with [`parse_lines`]: the records that
@@ -357,6 +491,29 @@ mod tests {
             let line = record.render();
             assert!(!line.contains('\n'), "one record per line: {line}");
             assert_eq!(WalRecord::parse(&line).unwrap(), record);
+        }
+    }
+
+    #[test]
+    fn latency_keys_are_op_dot_method() {
+        let entries = [
+            WalEntry::Propose {
+                count: 1,
+                now_us: None,
+            },
+            WalEntry::Expire { now_us: 0 },
+            WalEntry::Label { labels: Vec::new() },
+            WalEntry::Step { steps: 1 },
+            WalEntry::RunBudget {
+                label_budget: 1,
+                max_steps: 1,
+            },
+        ];
+        for entry in &entries {
+            for method in SamplerMethod::ALL {
+                let expected = format!("{}.{}", entry.op(), method.as_str());
+                assert_eq!(entry.latency_key(method), expected);
+            }
         }
     }
 
