@@ -12,7 +12,6 @@
 
 #![warn(missing_docs)]
 #![warn(rust_2018_idioms)]
-#![deny(unsafe_code)]
 
 pub mod adaboost;
 pub mod calibration;

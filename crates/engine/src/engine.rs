@@ -487,57 +487,65 @@ impl Engine {
         let Some(store) = self.store.clone() else {
             return Err(unknown());
         };
-        let timer = self.metrics.timer();
-        let Some(document) =
-            self.with_store_retry("checkpoint load", || store.load_checkpoint(id))?
-        else {
-            return Err(unknown());
-        };
-        let (mut checkpoint, wal_seq) = parse_envelope(&document)?;
-        checkpoint.session_id = id.to_string();
-        let pool = self.pool(&checkpoint.pool_id)?;
-        let mut session = Session::restore(checkpoint, pool)?;
-        let lines = self.with_store_retry("WAL read", || store.read_wal(id))?;
-        let outcome = wal::parse_lines(&lines)?;
-        if outcome.truncated_tail.is_some() {
-            self.scrub_wal_tail(&store, id);
-        }
-        let applied = wal::replay(&mut session, &outcome.records, wal_seq)?;
-        self.metrics.incr(Counter::Rehydration);
-        self.metrics.incr(Counter::CheckpointRestore);
-        if session.shard_count() > 1 {
-            self.metrics.incr(Counter::ShardedSession);
-        }
-        self.metrics.add(Counter::WalReplay, applied as u64);
-        self.metrics.record("rehydrate", timer);
-        let report = ReplayReport {
-            replayed: applied,
-            truncated_tail: outcome.truncated_tail.is_some(),
-        };
-
-        let handle = Arc::new(Mutex::new(session));
-        {
-            let mut sessions = self.sessions.write();
-            if let Some(existing) = sessions.get(id) {
-                // Lost a rehydration race; the winner's copy (and its meta,
-                // possibly already advanced by new WAL appends) is the truth.
-                return Ok((
-                    Arc::clone(existing),
-                    ReplayReport {
-                        replayed: 0,
-                        truncated_tail: false,
-                    },
-                ));
+        loop {
+            let timer = self.metrics.timer();
+            let Some(document) =
+                self.with_store_retry("checkpoint load", || store.load_checkpoint(id))?
+            else {
+                return Err(unknown());
+            };
+            let (mut checkpoint, wal_seq) = parse_envelope(&document)?;
+            checkpoint.session_id = id.to_string();
+            let pool = self.pool(&checkpoint.pool_id)?;
+            let mut session = Session::restore(checkpoint, pool)?;
+            let lines = self.with_store_retry("WAL read", || store.read_wal(id))?;
+            let outcome = wal::parse_lines(&lines)?;
+            if outcome.truncated_tail.is_some() {
+                self.scrub_wal_tail(&store, id);
             }
-            sessions.insert(id.to_string(), Arc::clone(&handle));
-            let mut meta = self.meta.lock();
-            let slot = meta_slot(&mut meta, id);
-            slot.wal_seq = wal_seq + applied as u64;
-            slot.dirty = applied > 0;
-            slot.last_access = self.clock.fetch_add(1, Ordering::Relaxed);
+            let applied = wal::replay(&mut session, &outcome.records, wal_seq)?;
+            self.metrics.incr(Counter::Rehydration);
+            self.metrics.incr(Counter::CheckpointRestore);
+            if session.shard_count() > 1 {
+                self.metrics.incr(Counter::ShardedSession);
+            }
+            self.metrics.add(Counter::WalReplay, applied as u64);
+            self.metrics.record("rehydrate", timer);
+            let report = ReplayReport {
+                replayed: applied,
+                truncated_tail: outcome.truncated_tail.is_some(),
+            };
+
+            let handle = Arc::new(Mutex::new(session));
+            {
+                let mut sessions = self.sessions.write();
+                if let Some(existing) = sessions.get(id) {
+                    // Lost a rehydration race; the winner's copy (and its meta,
+                    // possibly already advanced by new WAL appends) is the truth.
+                    return Ok((
+                        Arc::clone(existing),
+                        ReplayReport {
+                            replayed: 0,
+                            truncated_tail: false,
+                        },
+                    ));
+                }
+                let mut meta = self.meta.lock();
+                let slot = meta_slot(&mut meta, id);
+                if slot.wal_seq > wal_seq + applied as u64 {
+                    // Between this copy's checkpoint and WAL reads another copy
+                    // was rehydrated, logged records and was evicted again: this
+                    // copy misses those records.  Read the store again.
+                    continue;
+                }
+                sessions.insert(id.to_string(), Arc::clone(&handle));
+                slot.wal_seq = wal_seq + applied as u64;
+                slot.dirty = applied > 0;
+                slot.last_access = self.clock.fetch_add(1, Ordering::Relaxed);
+            }
+            self.enforce_resident_cap()?;
+            return Ok((handle, report));
         }
-        self.enforce_resident_cap()?;
-        Ok((handle, report))
     }
 
     /// Explicitly rehydrate a session from the store (the `restore_from`
@@ -574,13 +582,21 @@ impl Engine {
                 "no checkpoint store attached".to_string(),
             ));
         };
-        let handle = self.session(id)?;
-        // Hold the session lock across capture + write + truncate so no
-        // mutation (and no WAL append) can slip between them.  The
-        // engine-wide `meta` lock is taken only to read the watermark and to
-        // clear `dirty`: other sessions' appends must not wait on this
-        // session's render and fsync.
-        let session = handle.lock();
+        self.with_live_session(id, |session| self.write_checkpoint(&store, id, session))
+    }
+
+    /// Write `session`'s store envelope and truncate its log.  The caller
+    /// holds the session lock across capture + write + truncate, so no
+    /// mutation (and no WAL append) can slip between them.  The engine-wide
+    /// `meta` lock is taken only to read the watermark and to clear `dirty`:
+    /// other sessions' appends must not wait on this session's render and
+    /// fsync.
+    fn write_checkpoint(
+        &self,
+        store: &Arc<dyn CheckpointStore>,
+        id: &str,
+        session: &Session,
+    ) -> EngineResult<u64> {
         let wal_seq = meta_slot(&mut self.meta.lock(), id).wal_seq;
         let timer = self.metrics.timer();
         let document = render_envelope(&session.checkpoint(), wal_seq);
@@ -590,6 +606,35 @@ impl Engine {
         self.metrics.record("checkpoint.write", timer);
         meta_slot(&mut self.meta.lock(), id).dirty = false;
         Ok(wal_seq)
+    }
+
+    /// Run `f` under session `id`'s lock, on the copy `sessions` holds.  An
+    /// eviction removes a session from `sessions` under its lock, so a
+    /// handle fetched before an eviction can be locked after it: that copy
+    /// is dead, and a change to it would be lost or would fork the WAL.
+    /// Such a handle is dropped and the session fetched again (which
+    /// rehydrates it).  Locks are taken in the order session, `sessions`,
+    /// `meta`.
+    fn with_live_session<T>(
+        &self,
+        id: &str,
+        f: impl FnOnce(&mut Session) -> EngineResult<T>,
+    ) -> EngineResult<T> {
+        loop {
+            let handle = self.session(id)?;
+            let mut session = handle.lock();
+            if self.is_registered(id, &handle) {
+                return f(&mut session);
+            }
+        }
+    }
+
+    /// Whether `handle` is the copy of session `id` that `sessions` holds.
+    fn is_registered(&self, id: &str, handle: &Arc<Mutex<Session>>) -> bool {
+        self.sessions
+            .read()
+            .get(id)
+            .is_some_and(|live| Arc::ptr_eq(live, handle))
     }
 
     /// Change a session — the one path for live mutations, from the
@@ -605,44 +650,50 @@ impl Engine {
         respond: impl FnOnce(&Session, Vec<u64>, Outcome) -> T,
     ) -> EngineResult<T> {
         let timer = self.metrics.timer();
-        let handle = self.session(session_id)?;
-        let mut session = handle.lock();
-        let mut record = WalRecord { seq: 0, entry };
-        // The lease clock is read only where it is logged, so lease-free
-        // sessions keep byte-identical WAL lines, checkpoints and responses.
-        match &mut record.entry {
-            WalEntry::Propose { now_us, .. } if session.limits().lease_timeout_us.is_some() => {
-                *now_us = Some(self.lease_clock.now_micros());
+        self.with_live_session(session_id, |session| {
+            let mut record = WalRecord { seq: 0, entry };
+            // The lease clock is read only where it is logged, so lease-free
+            // sessions keep byte-identical WAL lines, checkpoints and
+            // responses.
+            match &mut record.entry {
+                WalEntry::Propose { now_us, .. } if session.limits().lease_timeout_us.is_some() => {
+                    *now_us = Some(self.lease_clock.now_micros());
+                }
+                WalEntry::Expire { now_us } => *now_us = self.lease_clock.now_micros(),
+                _ => {}
             }
-            WalEntry::Expire { now_us } => *now_us = self.lease_clock.now_micros(),
-            _ => {}
-        }
-        self.log_wal(session_id, &mut record)?;
-        let sharded = session.shard_count() > 1;
-        let before = match record.entry {
-            WalEntry::RunBudget { .. } if sharded => session.estimate().iterations,
-            _ => 0,
-        };
-        let Applied { expired, outcome } = record.entry.apply(&mut session);
-        self.metrics.add(Counter::LeaseExpiry, expired.len() as u64);
-        let outcome = outcome?;
-        let (counter, count, routed) = match (&record.entry, &outcome) {
-            (WalEntry::Propose { .. }, Outcome::Tickets(t)) => (Counter::Propose, t.len(), t.len()),
-            (WalEntry::Label { .. }, Outcome::Labelled(applied)) => (Counter::Label, *applied, 0),
-            (WalEntry::Step { steps }, _) => (Counter::Step, *steps, *steps),
-            (WalEntry::RunBudget { .. }, Outcome::Estimate(estimate)) => {
-                (Counter::RunBudget, 1, estimate.iterations - before)
+            self.log_wal(session_id, &mut record)?;
+            let sharded = session.shard_count() > 1;
+            let before = match record.entry {
+                WalEntry::RunBudget { .. } if sharded => session.estimate().iterations,
+                _ => 0,
+            };
+            let Applied { expired, outcome } = record.entry.apply(session);
+            self.metrics.add(Counter::LeaseExpiry, expired.len() as u64);
+            let outcome = outcome?;
+            let (counter, count, routed) = match (&record.entry, &outcome) {
+                (WalEntry::Propose { .. }, Outcome::Tickets(t)) => {
+                    (Counter::Propose, t.len(), t.len())
+                }
+                (WalEntry::Label { .. }, Outcome::Labelled(applied)) => {
+                    (Counter::Label, *applied, 0)
+                }
+                (WalEntry::Step { steps }, _) => (Counter::Step, *steps, *steps),
+                (WalEntry::RunBudget { .. }, Outcome::Estimate(estimate)) => {
+                    (Counter::RunBudget, 1, estimate.iterations - before)
+                }
+                // An expiry sweep counts only its expired leases, and is
+                // untimed.
+                _ => return Ok(respond(session, expired, outcome)),
+            };
+            self.metrics.add(counter, count as u64);
+            if sharded {
+                self.metrics.add(Counter::ShardRoute, routed as u64);
             }
-            // An expiry sweep counts only its expired leases, and is untimed.
-            _ => return Ok(respond(&session, expired, outcome)),
-        };
-        self.metrics.add(counter, count as u64);
-        if sharded {
-            self.metrics.add(Counter::ShardRoute, routed as u64);
-        }
-        let key = record.entry.latency_key(session.method());
-        self.metrics.record(key, timer);
-        Ok(respond(&session, expired, outcome))
+            let key = record.entry.latency_key(session.method());
+            self.metrics.record(key, timer);
+            Ok(respond(session, expired, outcome))
+        })
     }
 
     /// Append a record to a session's write-ahead log, assigning it the next
@@ -683,12 +734,9 @@ impl Engine {
     /// Evict least-recently-used sessions (checkpointing them first) until
     /// the resident count is within the configured cap.
     fn enforce_resident_cap(&self) -> EngineResult<()> {
-        let Some(cap) = self.max_resident else {
+        let (Some(cap), Some(store)) = (self.max_resident, &self.store) else {
             return Ok(());
         };
-        if self.store.is_none() {
-            return Ok(());
-        }
         loop {
             let victim = {
                 let sessions = self.sessions.read();
@@ -697,15 +745,24 @@ impl Engine {
                 }
                 let meta = self.meta.lock();
                 sessions
-                    .keys()
-                    .min_by_key(|id| meta.get(*id).map(|m| m.last_access).unwrap_or(0))
-                    .cloned()
+                    .iter()
+                    .min_by_key(|(id, _)| meta.get(*id).map(|m| m.last_access).unwrap_or(0))
+                    .map(|(id, handle)| (id.clone(), Arc::clone(handle)))
             };
-            let Some(victim) = victim else {
+            let Some((victim, handle)) = victim else {
                 return Ok(());
             };
-            self.checkpoint_to(&victim)?;
+            // Checkpoint and removal under one hold of the victim's lock: a
+            // request holding an older handle finds it unregistered (see
+            // `with_live_session`) instead of changing a copy no longer
+            // served.
+            let session = handle.lock();
+            if !self.is_registered(&victim, &handle) {
+                continue;
+            }
+            self.write_checkpoint(store, &victim, &session)?;
             self.sessions.write().remove(&victim);
+            drop(session);
             self.metrics.incr(Counter::Eviction);
             // Meta stays: its wal_seq matches the envelope watermark, so
             // appends after rehydration continue the same sequence.
@@ -847,10 +904,12 @@ impl Engine {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::fault::StoreOp;
     use crate::test_support::oasis_spec;
     use oasis::{GroundTruthOracle, OasisSampler, Sampler};
     use rand::rngs::StdRng;
     use rand::SeedableRng;
+    use serde::json::Json;
 
     fn pool_and_truth(n: usize, seed: u64) -> (ScoredPool, Vec<bool>) {
         let (pool, truth) = crate::test_support::pool_and_truth(n, seed, 0.05);
@@ -1114,31 +1173,56 @@ mod tests {
         let _ = std::fs::remove_dir_all(&dir);
     }
 
-    /// A filesystem store whose first armed `put_checkpoint` parks on a
-    /// two-party barrier twice: on entry (the test then knows the writer is
-    /// inside the store call) and again until the test releases it.
+    /// A filesystem store whose armed calls park on a two-party barrier
+    /// twice: on entry (the test then knows the caller is inside the store
+    /// call) and again until the test releases it.  Each armed
+    /// `(operation, session)` pair parks one call.
     #[derive(Debug)]
     struct GatedStore {
         inner: crate::store::FsCheckpointStore,
-        armed: std::sync::atomic::AtomicBool,
+        armed: Mutex<Vec<(StoreOp, &'static str)>>,
         gate: std::sync::Barrier,
+    }
+
+    impl GatedStore {
+        fn new(dir: &std::path::Path) -> Arc<Self> {
+            Arc::new(GatedStore {
+                inner: crate::store::FsCheckpointStore::open(dir).unwrap(),
+                armed: Mutex::default(),
+                gate: std::sync::Barrier::new(2),
+            })
+        }
+
+        fn arm(&self, op: StoreOp, session_id: &'static str) {
+            self.armed.lock().push((op, session_id));
+        }
+
+        fn park_if_armed(&self, op: StoreOp, session_id: &str) {
+            let mut armed = self.armed.lock();
+            let Some(at) = armed.iter().position(|&armed| armed == (op, session_id)) else {
+                return;
+            };
+            armed.remove(at);
+            drop(armed);
+            self.gate.wait();
+            self.gate.wait();
+        }
     }
 
     impl CheckpointStore for GatedStore {
         fn put_checkpoint(&self, session_id: &str, document: &str) -> EngineResult<()> {
-            if self.armed.swap(false, Ordering::SeqCst) {
-                self.gate.wait();
-                self.gate.wait();
-            }
+            self.park_if_armed(StoreOp::PutCheckpoint, session_id);
             self.inner.put_checkpoint(session_id, document)
         }
         fn load_checkpoint(&self, session_id: &str) -> EngineResult<Option<String>> {
             self.inner.load_checkpoint(session_id)
         }
         fn append_wal(&self, session_id: &str, line: &str) -> EngineResult<()> {
+            self.park_if_armed(StoreOp::AppendWal, session_id);
             self.inner.append_wal(session_id, line)
         }
         fn read_wal(&self, session_id: &str) -> EngineResult<Vec<String>> {
+            self.park_if_armed(StoreOp::ReadWal, session_id);
             self.inner.read_wal(session_id)
         }
         fn truncate_wal(&self, session_id: &str) -> EngineResult<()> {
@@ -1155,11 +1239,7 @@ mod tests {
     #[test]
     fn a_checkpoint_write_does_not_block_other_sessions_wal_appends() {
         let (dir, _) = scratch_store("gated");
-        let store = Arc::new(GatedStore {
-            inner: crate::store::FsCheckpointStore::open(&dir).unwrap(),
-            armed: std::sync::atomic::AtomicBool::new(false),
-            gate: std::sync::Barrier::new(2),
-        });
+        let store = GatedStore::new(&dir);
         let engine =
             Arc::new(Engine::new().with_store(Arc::clone(&store) as Arc<dyn CheckpointStore>));
         let (pool, _) = pool_and_truth(400, 33);
@@ -1170,7 +1250,7 @@ mod tests {
                 .unwrap();
         }
 
-        store.armed.store(true, Ordering::SeqCst);
+        store.arm(StoreOp::PutCheckpoint, "a");
         let writer = {
             let engine = Arc::clone(&engine);
             std::thread::spawn(move || engine.checkpoint_to("a"))
@@ -1218,11 +1298,8 @@ mod tests {
             let name = |restore| if restore { "restore" } else { "create" };
             let tag = format!("{} vs {}", name(first), name(second));
             let (dir, _) = scratch_store(&format!("race-{first}-{second}"));
-            let store = Arc::new(GatedStore {
-                inner: crate::store::FsCheckpointStore::open(&dir).unwrap(),
-                armed: std::sync::atomic::AtomicBool::new(true),
-                gate: std::sync::Barrier::new(2),
-            });
+            let store = GatedStore::new(&dir);
+            store.arm(StoreOp::PutCheckpoint, "s");
             let engine = Engine::new().with_store(Arc::clone(&store) as Arc<dyn CheckpointStore>);
             engine.load_pool("p", pool.clone()).unwrap();
             let propose = || {
@@ -1265,6 +1342,147 @@ mod tests {
 
             let _ = std::fs::remove_dir_all(&dir);
         }
+    }
+
+    #[test]
+    fn a_request_racing_an_eviction_never_changes_the_evicted_copy() {
+        let (dir, _) = scratch_store("evict-race");
+        let store = GatedStore::new(&dir);
+        let engine = Engine::new()
+            .with_store(Arc::clone(&store) as Arc<dyn CheckpointStore>)
+            .with_max_resident(1);
+        let (pool, _) = pool_and_truth(300, 41);
+        engine.load_pool("p", pool.clone()).unwrap();
+        let external = |id| oasis_spec(id, 4, 5, LabelSource::external(300));
+        engine.create_session(external("a")).unwrap();
+        let propose = |engine: &Engine| {
+            let request = crate::protocol::Request::Propose {
+                session: "a".to_string(),
+                count: 1,
+            };
+            crate::protocol::dispatch(engine, request).response.render()
+        };
+
+        store.arm(StoreOp::PutCheckpoint, "a");
+        store.arm(StoreOp::AppendWal, "a");
+        let engine = &engine;
+        let responses = std::thread::scope(|scope| {
+            // Creating b evicts a, whose eviction checkpoint parks.
+            let creator = scope.spawn(|| engine.create_session(external("b")));
+            store.gate.wait();
+            // A propose fetches a's handle (the fetch ticks the LRU clock)
+            // and waits for a's lock.
+            let fetched = engine.clock.load(Ordering::SeqCst);
+            let late = scope.spawn(move || propose(engine));
+            while engine.clock.load(Ordering::SeqCst) == fetched {
+                std::thread::yield_now();
+            }
+            store.gate.wait(); // the eviction completes
+            creator.join().unwrap().unwrap();
+            store.gate.wait(); // the late propose's WAL append is parked
+                               // A second propose either completes now, on a copy of a the
+                               // eviction left unlocked, or waits for the late one's lock.
+            let (sent, received) = std::sync::mpsc::channel();
+            scope.spawn(move || sent.send(propose(engine)));
+            let early = received.recv_timeout(Duration::from_secs(1));
+            store.gate.wait(); // release the late append
+            let late = late.join().unwrap();
+            let early = early.or_else(|_| received.recv()).unwrap();
+            [early, late]
+        });
+        let mut tickets: Vec<String> = responses
+            .iter()
+            .map(|response| {
+                let response = Json::parse(response).unwrap();
+                assert!(response.require("ok").unwrap().as_bool().unwrap());
+                let proposals = response.require("proposals").unwrap().as_array().unwrap();
+                proposals[0]
+                    .require("ticket")
+                    .unwrap()
+                    .as_str()
+                    .unwrap()
+                    .to_string()
+            })
+            .collect();
+        tickets.sort();
+        assert_eq!(tickets, ["0", "1"], "{responses:?}");
+        let seqs: Vec<u64> = store
+            .read_wal("a")
+            .unwrap()
+            .iter()
+            .map(|line| WalRecord::parse(line).unwrap().seq)
+            .collect();
+        assert_eq!(seqs, [0, 1]);
+
+        // After a restart, a replays both acknowledged proposes.
+        let revived = Engine::new().with_store(Arc::new(
+            crate::store::FsCheckpointStore::open(&dir).unwrap(),
+        ) as Arc<dyn CheckpointStore>);
+        revived.load_pool("p", pool).unwrap();
+        assert_eq!(revived.restore_from("a").unwrap().replayed, 2);
+
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn a_rehydration_that_read_the_store_before_an_eviction_reads_it_again() {
+        let (dir, _) = scratch_store("rehydrate-race");
+        let store = GatedStore::new(&dir);
+        let engine = Engine::new()
+            .with_store(Arc::clone(&store) as Arc<dyn CheckpointStore>)
+            .with_max_resident(1);
+        let (pool, _) = pool_and_truth(300, 43);
+        engine.load_pool("p", pool.clone()).unwrap();
+        let external = |id| oasis_spec(id, 4, 5, LabelSource::external(300));
+        engine.create_session(external("a")).unwrap();
+        engine.create_session(external("b")).unwrap(); // evicts a
+        let propose = |engine: &Engine| {
+            let request = crate::protocol::Request::Propose {
+                session: "a".to_string(),
+                count: 1,
+            };
+            crate::protocol::dispatch(engine, request).response.render()
+        };
+
+        store.arm(StoreOp::ReadWal, "a");
+        let engine = &engine;
+        let responses = std::thread::scope(|scope| {
+            // A propose starts rehydrating a: it reads a's base checkpoint,
+            // then parks reading a's WAL.
+            let slow = scope.spawn(move || propose(engine));
+            store.gate.wait();
+            // Meanwhile a is rehydrated, proposes, and is evicted again.
+            let fast = propose(engine);
+            engine.create_session(external("c")).unwrap();
+            store.gate.wait(); // the slow rehydration reads the WAL
+            [fast, slow.join().unwrap()]
+        });
+        let mut tickets: Vec<String> = responses
+            .iter()
+            .map(|response| {
+                let response = Json::parse(response).unwrap();
+                assert!(response.require("ok").unwrap().as_bool().unwrap());
+                let proposals = response.require("proposals").unwrap().as_array().unwrap();
+                proposals[0]
+                    .require("ticket")
+                    .unwrap()
+                    .as_str()
+                    .unwrap()
+                    .to_string()
+            })
+            .collect();
+        tickets.sort();
+        assert_eq!(tickets, ["0", "1"], "{responses:?}");
+
+        // After a restart, both acknowledged proposes are pending.
+        let revived = Engine::new().with_store(Arc::new(
+            crate::store::FsCheckpointStore::open(&dir).unwrap(),
+        ) as Arc<dyn CheckpointStore>);
+        revived.load_pool("p", pool).unwrap();
+        revived.restore_from("a").unwrap();
+        assert_eq!(revived.session("a").unwrap().lock().pending_count(), 2);
+
+        let _ = std::fs::remove_dir_all(&dir);
     }
 
     #[test]

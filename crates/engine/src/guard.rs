@@ -120,9 +120,10 @@ impl ClientPolicy {
     pub fn accepts(&self, token: &str) -> bool {
         match &self.auth_token {
             // Constant-time-ish comparison: fold over every byte instead of
-            // short-circuiting on the first mismatch.
+            // short-circuiting on the first mismatch.  The length mismatch
+            // is folded in whole; only the shared prefix is compared.
             Some(secret) => {
-                let mut diff = (secret.len() ^ token.len()) as u8;
+                let mut diff = u8::from(secret.len() != token.len());
                 for (a, b) in secret.bytes().zip(token.bytes()) {
                     diff |= a ^ b;
                 }
@@ -242,6 +243,19 @@ mod tests {
         let open = ClientPolicy::new();
         assert!(!open.requires_auth());
         assert!(open.accepts("anything"));
+    }
+
+    #[test]
+    fn a_token_whose_length_differs_by_a_multiple_of_256_is_rejected() {
+        let policy = ClientPolicy::new().with_auth_token("hunter2");
+        for junk in [256, 512] {
+            let token = format!("hunter2{}", "x".repeat(junk));
+            assert!(!policy.accepts(&token), "secret + {junk} junk bytes");
+        }
+        let long_secret = "s".repeat(256 + 3);
+        let policy = ClientPolicy::new().with_auth_token(&long_secret);
+        assert!(!policy.accepts("sss"), "a 256-byte-shorter prefix");
+        assert!(policy.accepts(&long_secret));
     }
 
     #[test]

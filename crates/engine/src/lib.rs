@@ -39,12 +39,9 @@
 //!   `run_budget`, `estimate`, `checkpoint`, `restore`, `checkpoint_to`,
 //!   `restore_from`, `sessions`, `delete_session`, `metrics`,
 //!   `diagnostics`, `shutdown`.  TCP mode serves each connection on its
-//!   own thread.  The library also offers a single-threaded epoll reactor
-//!   ([`reactor`], Linux only) that holds thousands of mostly-idle
-//!   connections under bounded memory — bounded line buffers, write-side
-//!   backpressure, a connection cap, and accept-error backoff.  Every
-//!   transport splits request lines with one framer, so the wire bytes
-//!   are identical.
+//!   own thread, up to a fixed cap of live connections, with bounded line
+//!   buffers and accept-error backoff.  Stdio and TCP split request lines
+//!   with one framer, so their wire bytes are identical.
 //! * **Robustness** ([`guard`], [`fault`]) — propose-lease timeouts and
 //!   pending-ticket caps ([`SessionLimits`]) reclaim tickets from vanished
 //!   clients deterministically (the lease clock is WAL-logged, so replay
@@ -93,7 +90,6 @@
 
 #![warn(missing_docs)]
 #![warn(rust_2018_idioms)]
-#![deny(unsafe_code)]
 
 pub mod checkpoint;
 mod engine;
@@ -103,8 +99,6 @@ pub mod guard;
 pub mod log;
 pub mod metrics;
 pub mod protocol;
-#[cfg(target_os = "linux")]
-pub mod reactor;
 pub mod server;
 mod session;
 pub mod store;
@@ -117,8 +111,8 @@ pub use fault::{FaultKind, FaultyStore, StoreOp};
 pub use guard::{ClientPolicy, ConnState};
 pub use log::{EventLog, LogFormat};
 pub use metrics::{Clock, Counter, LatencyHistogram, ManualClock, MetricsRegistry, MonotonicClock};
-#[cfg(target_os = "linux")]
-pub use reactor::{serve_listener_evented, serve_listener_evented_with_config, ReactorConfig};
+#[allow(deprecated)]
+pub use server::serve_listener_evented;
 pub use session::{LabelSource, Session, SessionLimits, SessionSpec, Ticket};
 pub use store::{CheckpointStore, FsCheckpointStore, STORE_FORMAT};
 pub use wal::{WalEntry, WalParseOutcome, WalRecord};

@@ -128,18 +128,21 @@ pub enum Counter {
     RetriedWrite,
     /// Faults injected by a scripted [`crate::fault::FaultyStore`].
     FaultInjected,
-    /// TCP connections accepted (both serving paths).
+    /// TCP connections accepted.
     Connection,
     /// Request lines rejected for exceeding the per-line byte cap.
     LineTooLong,
     /// `accept()` failures answered with a bounded backoff instead of a
     /// hot retry loop (EMFILE/ENFILE under fd pressure).
     AcceptRetry,
+    /// Accepted TCP connections closed unserved with a `backpressure` line:
+    /// the connection cap was reached or the OS refused a thread.
+    ConnectionRefused,
 }
 
 impl Counter {
     /// Every counter, in wire order.
-    pub const ALL: [Counter; 19] = [
+    pub const ALL: [Counter; 20] = [
         Counter::Propose,
         Counter::Label,
         Counter::Step,
@@ -159,6 +162,7 @@ impl Counter {
         Counter::Connection,
         Counter::LineTooLong,
         Counter::AcceptRetry,
+        Counter::ConnectionRefused,
     ];
 
     /// The stable wire name.
@@ -183,6 +187,7 @@ impl Counter {
             Counter::Connection => "connection",
             Counter::LineTooLong => "line_too_long",
             Counter::AcceptRetry => "accept_retry",
+            Counter::ConnectionRefused => "connection_refused",
         }
     }
 

@@ -1,14 +1,17 @@
-//! Transport layer for the line protocol: the stdio loop, the
-//! thread-per-connection TCP server, and the one `LineFramer` that splits
-//! request lines for every transport (the epoll reactor in
-//! [`crate::reactor`] included).
+//! Transport layer for the line protocol: the stdio loop and the
+//! thread-per-connection TCP server.
 //!
 //! [`serve_lines`] is the transport-agnostic core — one request line in, one
 //! response line out — used directly for stdin/stdout mode and per-connection
 //! by [`serve_listener`], `oasis-serve`'s TCP server, which handles each
 //! connection on a scoped thread sharing one [`Engine`],
 //! so concurrent clients can drive disjoint sessions in parallel
-//! (per-session locks serialise conflicting access).
+//! (per-session locks serialise conflicting access).  At most
+//! [`MAX_CONNECTIONS`] connections are served at once.  Responses are
+//! written with blocking writes, so the socket is the write side's
+//! backpressure: a client that stops reading blocks only its own thread
+//! once the kernel's buffers fill, and that thread stops reading its
+//! requests.
 //!
 //! The `_guarded` forms take an optional [`EventLog`] (with
 //! [`LogFormat::Json`](crate::log::LogFormat::Json) each request emits one
@@ -26,7 +29,7 @@ use std::collections::HashMap;
 use std::io::{BufRead, BufReader, Read, Write};
 use std::net::{Shutdown, TcpListener, TcpStream};
 use std::ops::ControlFlow;
-use std::sync::atomic::{AtomicBool, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
@@ -36,8 +39,13 @@ use std::time::{Duration, Instant};
 /// line buffer until the process OOMs, bypassing every parse-time limit.
 pub const MAX_LINE_BYTES: usize = 64 * 1024 * 1024;
 
+/// Most TCP connections served at once, each on its own thread.  A client
+/// accepted past the cap gets one `kind:"backpressure"` error line and is
+/// closed, as when the OS refuses a thread.
+pub const MAX_CONNECTIONS: usize = 16_384;
+
 /// One unit of request framing.
-pub(crate) enum Frame<'a> {
+enum Frame<'a> {
     /// A request line, without its terminating newline.
     Line(&'a [u8]),
     /// The current line grew past the framer's cap (carried here); the rest
@@ -45,13 +53,13 @@ pub(crate) enum Frame<'a> {
     TooLong(usize),
 }
 
-/// The request-line splitter every transport feeds: bytes go in through
+/// The request-line splitter both transports feed: bytes go in through
 /// [`push`](Self::push), and complete lines, one [`Frame::TooLong`] per
 /// overlong line, and (at [`finish`](Self::finish)) a final unterminated
 /// line come out.  Only a line split across pushes is copied; a line that
 /// arrives whole is handed out as a slice of the pushed bytes.  The partial
 /// line never exceeds `max` bytes, so no client can grow it unboundedly.
-pub(crate) struct LineFramer {
+struct LineFramer {
     /// Bytes of the current line received in earlier pushes.
     partial: Vec<u8>,
     /// Inside an overlong line: drop bytes until the next newline.
@@ -62,7 +70,7 @@ pub(crate) struct LineFramer {
 impl LineFramer {
     /// A framer answering lines longer than `max` bytes with
     /// [`Frame::TooLong`].
-    pub(crate) fn new(max: usize) -> Self {
+    fn new(max: usize) -> Self {
         LineFramer {
             partial: Vec::new(),
             discarding: false,
@@ -72,7 +80,7 @@ impl LineFramer {
 
     /// Frame `bytes`, handing each frame to `sink` in order.  Stops at the
     /// first `Break`, dropping the rest of `bytes`, and returns it.
-    pub(crate) fn push<B>(
+    fn push<B>(
         &mut self,
         mut bytes: &[u8],
         mut sink: impl FnMut(Frame<'_>) -> ControlFlow<B>,
@@ -109,12 +117,9 @@ impl LineFramer {
         ControlFlow::Continue(())
     }
 
-    /// End of input: hand a buffered unterminated line to `sink`, as every
-    /// transport answers a final line that lacks its newline.
-    pub(crate) fn finish<B>(
-        &mut self,
-        mut sink: impl FnMut(Frame<'_>) -> ControlFlow<B>,
-    ) -> ControlFlow<B> {
+    /// End of input: hand a buffered unterminated line to `sink`, as both
+    /// transports answer a final line that lacks its newline.
+    fn finish<B>(&mut self, mut sink: impl FnMut(Frame<'_>) -> ControlFlow<B>) -> ControlFlow<B> {
         let flow = if std::mem::take(&mut self.discarding) || self.partial.is_empty() {
             ControlFlow::Continue(())
         } else {
@@ -127,7 +132,7 @@ impl LineFramer {
 
 /// Route an operational message through the event log when one is attached,
 /// or straight to stderr in the legacy format otherwise.
-pub(crate) fn log_message(log: Option<&EventLog>, text: &str) {
+fn log_message(log: Option<&EventLog>, text: &str) {
     match log {
         Some(log) => log.message(text),
         None => eprintln!("oasis-serve: {text}"),
@@ -196,7 +201,7 @@ fn handle_line(
 }
 
 /// Frame one response for the wire: the rendered JSON and its terminating
-/// `\n` in a single buffer.  Every transport frames responses here and hands
+/// `\n` in a single buffer.  Both transports frame responses here and hand
 /// the buffer to the socket whole.  Writing the newline separately would let
 /// Nagle's algorithm hold it until the client ACKs the body, and clients
 /// delay that ACK (~40 ms) while they wait for the newline.
@@ -204,33 +209,6 @@ fn response_line(response: &Json) -> Vec<u8> {
     let mut line = response.render();
     line.push('\n');
     line.into_bytes()
-}
-
-/// The structured rejection for an overlong request line: `ok:false` with
-/// `kind:"line_too_long"`, so clients can tell a framing overflow apart
-/// from a malformed request.  Bumps the [`Counter::LineTooLong`] metric.
-fn line_too_long_response(engine: &Engine, max: usize) -> Json {
-    engine.metrics().incr(Counter::LineTooLong);
-    error_response(&EngineError::LineTooLong(max))
-}
-
-/// Answer one frame on one connection: its [`response_line`] and whether
-/// the request asked for shutdown, or `None` for a blank line.
-pub(crate) fn answer_frame(
-    engine: &Engine,
-    frame: Frame<'_>,
-    log: Option<&EventLog>,
-    policy: Option<&ClientPolicy>,
-    conn: &mut ConnState,
-) -> Option<(Vec<u8>, bool)> {
-    let outcome = match frame {
-        Frame::Line(line) => handle_line(engine, line, log, policy, conn)?,
-        Frame::TooLong(max) => Dispatch {
-            response: line_too_long_response(engine, max),
-            shutdown: false,
-        },
-    };
-    Some((response_line(&outcome.response), outcome.shutdown))
 }
 
 /// Serve the line protocol over any reader/writer pair until EOF or a
@@ -270,12 +248,27 @@ pub fn serve_lines_guarded<R: BufRead, W: Write>(
     let mut conn = ConnState::default();
     let mut framer = LineFramer::new(MAX_LINE_BYTES);
     let mut respond = |frame: Frame<'_>| {
-        let Some((response, shutdown)) = answer_frame(engine, frame, log, policy, &mut conn) else {
-            return ControlFlow::Continue(());
+        let outcome = match frame {
+            Frame::Line(line) => {
+                let Some(outcome) = handle_line(engine, line, log, policy, &mut conn) else {
+                    return ControlFlow::Continue(());
+                };
+                outcome
+            }
+            // `kind:"line_too_long"` tells a framing overflow apart from a
+            // malformed request.
+            Frame::TooLong(max) => {
+                engine.metrics().incr(Counter::LineTooLong);
+                Dispatch {
+                    response: error_response(&EngineError::LineTooLong(max)),
+                    shutdown: false,
+                }
+            }
         };
+        let response = response_line(&outcome.response);
         match writer.write_all(&response).and_then(|()| writer.flush()) {
             Err(error) => ControlFlow::Break(Err(error)),
-            Ok(()) if shutdown => ControlFlow::Break(Ok(true)),
+            Ok(()) if outcome.shutdown => ControlFlow::Break(Ok(true)),
             Ok(()) => ControlFlow::Continue(()),
         }
     };
@@ -358,21 +351,19 @@ impl ConnRegistry {
 /// immediately — the listener's backlog still holds the connection — so a
 /// log-and-continue loop spins at 100% duty, starving the handler threads
 /// of the very fds it is waiting for.  Sleeping a doubling, capped delay
-/// between retries lets handlers finish and release fds.  Shared by the
-/// blocking accept loop and the evented reactor (which turns the delay into
-/// an epoll timeout instead of sleeping).
+/// between retries lets handlers finish and release fds.
 #[derive(Debug)]
-pub(crate) struct AcceptBackoff {
+struct AcceptBackoff {
     delay: Duration,
 }
 
 /// First retry delay after an `accept()` failure.
-pub(crate) const ACCEPT_BACKOFF_MIN: Duration = Duration::from_millis(5);
+const ACCEPT_BACKOFF_MIN: Duration = Duration::from_millis(5);
 /// Largest delay between `accept()` retries.
-pub(crate) const ACCEPT_BACKOFF_MAX: Duration = Duration::from_secs(1);
+const ACCEPT_BACKOFF_MAX: Duration = Duration::from_secs(1);
 
 impl AcceptBackoff {
-    pub(crate) fn new() -> Self {
+    fn new() -> Self {
         AcceptBackoff {
             delay: ACCEPT_BACKOFF_MIN,
         }
@@ -380,14 +371,14 @@ impl AcceptBackoff {
 
     /// The delay to wait before the next accept attempt; doubles up to
     /// [`ACCEPT_BACKOFF_MAX`] on consecutive failures.
-    pub(crate) fn next_delay(&mut self) -> Duration {
+    fn next_delay(&mut self) -> Duration {
         let delay = self.delay;
         self.delay = (delay * 2).min(ACCEPT_BACKOFF_MAX);
         delay
     }
 
     /// A successful accept resets the ladder.
-    pub(crate) fn reset(&mut self) {
+    fn reset(&mut self) {
         self.delay = ACCEPT_BACKOFF_MIN;
     }
 }
@@ -504,20 +495,48 @@ pub fn serve_listener_guarded(
     policy: Option<&ClientPolicy>,
 ) -> std::io::Result<()> {
     let local = listener.local_addr()?;
-    serve_accept_loop(engine, &listener, local, log, policy)
+    serve_accept_loop(engine, &listener, local, log, policy, MAX_CONNECTIONS)
+}
+
+/// [`serve_listener_guarded`] under the name of the epoll reactor it
+/// replaced.
+///
+/// # Errors
+/// As [`serve_listener_guarded`].
+#[deprecated(note = "use serve_listener_guarded; perfbench moves off it in ROADMAP item 1")]
+pub fn serve_listener_evented(
+    engine: &Engine,
+    listener: TcpListener,
+    log: Option<&EventLog>,
+    policy: Option<&ClientPolicy>,
+) -> std::io::Result<()> {
+    serve_listener_guarded(engine, listener, log, policy)
+}
+
+/// A live connection's place under the connection cap, given back when
+/// dropped: when its handler returns, or with a handler that never started.
+struct ConnSlot<'a>(&'a AtomicUsize);
+
+impl Drop for ConnSlot<'_> {
+    fn drop(&mut self) {
+        self.0.fetch_sub(1, Ordering::SeqCst);
+    }
 }
 
 /// The blocking accept loop over any [`AcceptSource`] (production:
-/// [`TcpListener`]; tests: sources that inject accept and spawn failures).
+/// [`TcpListener`]; tests: sources that inject accept and spawn failures),
+/// serving at most `max_connections` connections at once.
 pub(crate) fn serve_accept_loop<A: AcceptSource + Sync>(
     engine: &Engine,
     source: &A,
     local: std::net::SocketAddr,
     log: Option<&EventLog>,
     policy: Option<&ClientPolicy>,
+    max_connections: usize,
 ) -> std::io::Result<()> {
     let stop = AtomicBool::new(false);
     let registry = ConnRegistry::default();
+    let live = AtomicUsize::new(0);
     let mut backoff = AcceptBackoff::new();
     std::thread::scope(|scope| {
         loop {
@@ -553,51 +572,61 @@ pub(crate) fn serve_accept_loop<A: AcceptSource + Sync>(
             let conn = Arc::clone(&stream);
             let stop = &stop;
             let registry = &registry;
-            let spawned = source.spawn_handler(scope, move || {
-                if serve_tcp_connection(engine, &conn, registry, stop, log, policy) {
-                    // Set before the sweep below, so every handler it wakes
-                    // sees the flag.
-                    stop.store(true, Ordering::SeqCst);
-                    // Wake every blocked handler by closing its socket —
-                    // idle connections notice the shutdown immediately
-                    // instead of on a poll interval.
-                    registry.close_all();
-                    // Unblock the accept loop so the listener notices the
-                    // shutdown flag.  When bound to an unspecified address
-                    // (0.0.0.0 / ::), self-connect via the loopback of the
-                    // same family — connecting to 0.0.0.0 fails on some
-                    // platforms.
-                    let mut wake = local;
-                    if wake.ip().is_unspecified() {
-                        wake.set_ip(match wake.ip() {
-                            std::net::IpAddr::V4(_) => {
-                                std::net::IpAddr::V4(std::net::Ipv4Addr::LOCALHOST)
-                            }
-                            std::net::IpAddr::V6(_) => {
-                                std::net::IpAddr::V6(std::net::Ipv6Addr::LOCALHOST)
-                            }
-                        });
+            let open = live.fetch_add(1, Ordering::SeqCst);
+            let slot = ConnSlot(&live);
+            let spawned = if open >= max_connections {
+                Err(std::io::Error::other(format!(
+                    "{max_connections} connections already open"
+                )))
+            } else {
+                source.spawn_handler(scope, move || {
+                    let _slot = slot;
+                    if serve_tcp_connection(engine, &conn, registry, stop, log, policy) {
+                        // Set before the sweep below, so every handler it wakes
+                        // sees the flag.
+                        stop.store(true, Ordering::SeqCst);
+                        // Wake every blocked handler by closing its socket —
+                        // idle connections notice the shutdown immediately
+                        // instead of on a poll interval.
+                        registry.close_all();
+                        // Unblock the accept loop so the listener notices the
+                        // shutdown flag.  When bound to an unspecified address
+                        // (0.0.0.0 / ::), self-connect via the loopback of the
+                        // same family — connecting to 0.0.0.0 fails on some
+                        // platforms.
+                        let mut wake = local;
+                        if wake.ip().is_unspecified() {
+                            wake.set_ip(match wake.ip() {
+                                std::net::IpAddr::V4(_) => {
+                                    std::net::IpAddr::V4(std::net::Ipv4Addr::LOCALHOST)
+                                }
+                                std::net::IpAddr::V6(_) => {
+                                    std::net::IpAddr::V6(std::net::Ipv6Addr::LOCALHOST)
+                                }
+                            });
+                        }
+                        if let Err(error) = TcpStream::connect(wake) {
+                            log_message(
+                                log,
+                                &format!(
+                                    "shutdown wake-up connect to {wake} failed ({error}); \
+                                     the listener will close on the next incoming connection"
+                                ),
+                            );
+                        }
                     }
-                    if let Err(error) = TcpStream::connect(wake) {
-                        log_message(
-                            log,
-                            &format!(
-                                "shutdown wake-up connect to {wake} failed ({error}); \
-                                 the listener will close on the next incoming connection"
-                            ),
-                        );
-                    }
-                }
-            });
+                })
+            };
             match spawned {
                 Ok(()) => backoff.reset(),
                 Err(error) => {
-                    // The OS refused a thread (EAGAIN at the process or user
-                    // thread limit).  Refuse this client with a retryable
-                    // error and close it; the other connections keep
-                    // running.  The line is best effort: request bytes the
-                    // client already sent are never read, so the close may
-                    // reset the connection.
+                    // At the connection cap, or the OS refused a thread
+                    // (EAGAIN at the process or user thread limit).  Refuse
+                    // this client with a retryable error and close it; the
+                    // other connections keep running.  The line is best
+                    // effort: request bytes the client already sent are
+                    // never read, so the close may reset the connection.
+                    engine.metrics().incr(Counter::ConnectionRefused);
                     let refusal =
                         EngineError::Backpressure("no thread to serve this connection".into());
                     let _ = (&*stream).write_all(&response_line(&error_response(&refusal)));
@@ -605,7 +634,7 @@ pub(crate) fn serve_accept_loop<A: AcceptSource + Sync>(
                     log_message(
                         log,
                         &format!(
-                            "connection handler spawn failed (accepting again in {}ms): {error}",
+                            "connection refused (accepting again in {}ms): {error}",
                             delay.as_millis()
                         ),
                     );
@@ -880,7 +909,8 @@ mod tests {
             let engine = &engine;
             let flaky = &flaky;
             let started = Instant::now();
-            let server = scope.spawn(move || serve_accept_loop(engine, flaky, addr, None, None));
+            let server = scope
+                .spawn(move || serve_accept_loop(engine, flaky, addr, None, None, MAX_CONNECTIONS));
 
             // The client connects while the accepts are failing; the
             // listener backlog holds it until the backoff ladder admits it.
@@ -922,7 +952,8 @@ mod tests {
         let addr = listener.local_addr().unwrap();
         let flaky = FlakyListener::new(listener, 0, 1);
         std::thread::scope(|scope| {
-            let server = scope.spawn(|| serve_accept_loop(&engine, &flaky, addr, None, None));
+            let server = scope
+                .spawn(|| serve_accept_loop(&engine, &flaky, addr, None, None, MAX_CONNECTIONS));
 
             // The first client gets no thread: one structured, retryable
             // error line, then the server closes the connection.
@@ -953,6 +984,70 @@ mod tests {
             assert!(line.contains(r#""shutdown":true"#), "{line}");
             // ...and its shutdown ends the loop cleanly.
             server.join().unwrap().unwrap();
+        });
+        assert_eq!(engine.metrics().counter(Counter::ConnectionRefused), 1);
+    }
+
+    /// Send `{"cmd":"sessions"}` on `stream` and read one response line.
+    fn sessions_round_trip(stream: &TcpStream) -> String {
+        use std::io::{BufRead as _, Write as _};
+
+        (&*stream).write_all(b"{\"cmd\":\"sessions\"}\n").unwrap();
+        let mut line = String::new();
+        BufReader::new(stream).read_line(&mut line).unwrap();
+        line
+    }
+
+    #[test]
+    fn connections_past_the_cap_are_refused_until_a_slot_frees() {
+        use std::io::{BufRead as _, Write as _};
+
+        let engine = Engine::new();
+        let listener = TcpListener::bind("127.0.0.1:0").unwrap();
+        let addr = listener.local_addr().unwrap();
+        std::thread::scope(|scope| {
+            let server = scope.spawn(|| serve_accept_loop(&engine, &listener, addr, None, None, 2));
+
+            // Both slots are live...
+            let first = TcpStream::connect(addr).unwrap();
+            let second = TcpStream::connect(addr).unwrap();
+            for stream in [&first, &second] {
+                let line = sessions_round_trip(stream);
+                assert!(line.contains(r#""ok":true"#), "{line}");
+            }
+            // ...so a third client gets one retryable error line, then EOF.
+            let refused = TcpStream::connect(addr).unwrap();
+            let lines: Vec<String> = BufReader::new(refused)
+                .lines()
+                .collect::<Result<_, _>>()
+                .unwrap();
+            assert_eq!(lines.len(), 1, "{lines:?}");
+            assert!(
+                lines[0].contains(r#""kind":"backpressure""#),
+                "{}",
+                lines[0]
+            );
+            assert_eq!(engine.metrics().counter(Counter::ConnectionRefused), 1);
+
+            // A closed connection frees its slot once its handler returns;
+            // until then a new client may still be refused.
+            drop(first);
+            let mut admitted = loop {
+                let stream = TcpStream::connect(addr).unwrap();
+                let mut line = String::new();
+                // A refused client's request is never read, so the close
+                // may reset the connection before the line arrives.
+                let served = (&stream)
+                    .write_all(b"{\"cmd\":\"sessions\"}\n")
+                    .and_then(|()| BufReader::new(&stream).read_line(&mut line))
+                    .is_ok();
+                if served && line.contains(r#""ok":true"#) {
+                    break stream;
+                }
+            };
+            admitted.write_all(b"{\"cmd\":\"shutdown\"}\n").unwrap();
+            server.join().unwrap().unwrap();
+            drop(second);
         });
     }
 

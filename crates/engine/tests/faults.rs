@@ -170,17 +170,7 @@ fn crash_point_sweep_replays_bit_identically_at_every_boundary() {
     crash_point_sweep("sweep", run_lines);
 }
 
-#[cfg(target_os = "linux")]
-#[test]
-fn crash_point_sweep_over_the_evented_server_matches_the_blocking_run() {
-    crash_point_sweep("esweep", |engine, lines| {
-        run_lines_over_tcp(engine, lines, |engine, listener| {
-            oasis_engine::serve_listener_evented(engine, listener, None, None)
-        })
-    });
-}
-
-/// The default `oasis-serve --tcp` server, and the only one off Linux.
+/// The `oasis-serve --tcp` server.
 #[test]
 fn crash_point_sweep_over_thread_per_connection_tcp_matches_the_blocking_run() {
     crash_point_sweep("tsweep", |engine, lines| {

@@ -1,16 +1,13 @@
-//! Integration tests for the epoll reactor (`oasis_engine::reactor`).
+//! Integration tests for the thread-per-connection TCP server
+//! (`oasis_engine::server::serve_listener_guarded`).
 //!
-//! The contract under test: the evented server speaks *exactly* the same
-//! wire protocol as the blocking path (byte-identical responses to the CI
-//! smoke script, regardless of how the bytes are sliced across reads — the
-//! thread-per-connection server is held to the same packetisation,
-//! final-line and shutdown parity), and
-//! its resource bounds — line cap, write-buffer watermark, connection cap —
-//! degrade service gracefully instead of wedging the loop.
-#![cfg(target_os = "linux")]
+//! The contract under test: TCP speaks *exactly* the same wire protocol as
+//! the stdio loop (byte-identical responses to the CI smoke script, however
+//! the bytes are sliced across reads, a final unterminated line answered, an
+//! unfinished line dropped at shutdown), and slow, overlong and non-draining
+//! clients degrade only their own connection.
 
-use oasis_engine::reactor::{serve_listener_evented_with_config, ReactorConfig};
-use oasis_engine::server::{serve_lines, serve_listener};
+use oasis_engine::server::{serve_lines, serve_listener_guarded, MAX_LINE_BYTES};
 use oasis_engine::{ClientPolicy, Engine};
 use proptest::prelude::*;
 use std::io::{BufRead as _, BufReader, Cursor, Read as _, Write as _};
@@ -34,7 +31,7 @@ fn connect(addr: SocketAddr) -> TcpStream {
     stream
 }
 
-/// Stop an evented server by issuing `shutdown` on a fresh connection.
+/// Stop the server by issuing `shutdown` on a fresh connection.
 /// The auth preamble covers guarded servers (every test policy uses the
 /// token `sesame`); unguarded servers answer it and carry on.
 fn send_shutdown(addr: SocketAddr) {
@@ -60,9 +57,10 @@ fn serving<F: FnOnce(SocketAddr)>(addr: SocketAddr, body: F) {
     }
 }
 
-/// Run `body` against an evented server over a fresh engine, shutting the
-/// server down afterwards.  Returns the engine for metric assertions.
-fn with_evented_server<F>(config: ReactorConfig, policy: Option<ClientPolicy>, body: F) -> Engine
+/// Run `body` against the TCP server over a fresh engine, screened by
+/// `policy`, shutting the server down afterwards.  Returns the engine for
+/// metric assertions.
+fn with_server<F>(policy: Option<ClientPolicy>, body: F) -> Engine
 where
     F: FnOnce(SocketAddr),
 {
@@ -72,36 +70,15 @@ where
     std::thread::scope(|scope| {
         let engine = &engine;
         let policy = policy.as_ref();
-        let config = &config;
-        let server = scope.spawn(move || {
-            serve_listener_evented_with_config(engine, listener, None, policy, config)
-        });
+        let server = scope.spawn(move || serve_listener_guarded(engine, listener, None, policy));
         serving(addr, body);
         server.join().unwrap().unwrap();
     });
     engine
 }
 
-/// Run `body` against the thread-per-connection server over a fresh
-/// engine, shutting the server down afterwards.  Returns the engine.
-fn with_blocking_server<F>(body: F) -> Engine
-where
-    F: FnOnce(SocketAddr),
-{
-    let engine = Engine::new();
-    let listener = TcpListener::bind("127.0.0.1:0").unwrap();
-    let addr = listener.local_addr().unwrap();
-    std::thread::scope(|scope| {
-        let engine = &engine;
-        let server = scope.spawn(move || serve_listener(engine, listener));
-        serving(addr, body);
-        server.join().unwrap().unwrap();
-    });
-    engine
-}
-
-/// The blocking path's responses to a script — the parity reference.
-fn blocking_reference(script: &[u8]) -> Vec<u8> {
+/// The stdio loop's responses to a script — the parity reference.
+fn stdio_reference(script: &[u8]) -> Vec<u8> {
     let engine = Engine::new();
     let mut output = Vec::new();
     serve_lines(&engine, Cursor::new(script.to_vec()), &mut output).unwrap();
@@ -109,35 +86,27 @@ fn blocking_reference(script: &[u8]) -> Vec<u8> {
 }
 
 #[test]
-fn smoke_script_responses_are_byte_identical_to_the_blocking_path() {
-    let reference = blocking_reference(SMOKE_SCRIPT.as_bytes());
+fn smoke_script_responses_are_byte_identical_to_the_stdio_loop() {
+    let reference = stdio_reference(SMOKE_SCRIPT.as_bytes());
 
     let engine = Engine::new();
     let listener = TcpListener::bind("127.0.0.1:0").unwrap();
     let addr = listener.local_addr().unwrap();
     std::thread::scope(|scope| {
         let engine = &engine;
-        let server = scope.spawn(move || {
-            serve_listener_evented_with_config(
-                engine,
-                listener,
-                None,
-                None,
-                &ReactorConfig::default(),
-            )
-        });
+        let server = scope.spawn(move || serve_listener_guarded(engine, listener, None, None));
         // The smoke script ends with `shutdown`, so the server exits and
         // the client reads responses until EOF.
         let mut stream = connect(addr);
         stream.write_all(SMOKE_SCRIPT.as_bytes()).unwrap();
-        let mut evented = Vec::new();
-        stream.read_to_end(&mut evented).unwrap();
+        let mut served = Vec::new();
+        stream.read_to_end(&mut served).unwrap();
         server.join().unwrap().unwrap();
 
         assert_eq!(
-            String::from_utf8_lossy(&evented),
+            String::from_utf8_lossy(&served),
             String::from_utf8_lossy(&reference),
-            "evented and blocking transports must be wire-identical"
+            "TCP and stdio transports must be wire-identical"
         );
     });
 }
@@ -164,28 +133,23 @@ fn round_trip_p50(addr: SocketAddr) -> Duration {
 }
 
 #[test]
-fn round_trips_do_not_stall_on_nagle_in_either_transport() {
+fn round_trips_do_not_stall_on_nagle() {
     // A response whose newline trails in a second write is held by Nagle's
     // algorithm until the client's delayed ACK, ~40 ms per round trip.
     const LIMIT: Duration = Duration::from_millis(10);
-    let mut blocking = Duration::ZERO;
-    with_blocking_server(|addr| {
-        blocking = round_trip_p50(addr);
+    let mut p50 = Duration::ZERO;
+    with_server(None, |addr| {
+        p50 = round_trip_p50(addr);
     });
-    let mut evented = Duration::ZERO;
-    with_evented_server(ReactorConfig::default(), None, |addr| {
-        evented = round_trip_p50(addr);
-    });
-    assert!(blocking < LIMIT, "blocking TCP round-trip p50 {blocking:?}");
-    assert!(evented < LIMIT, "evented TCP round-trip p50 {evented:?}");
+    assert!(p50 < LIMIT, "TCP round-trip p50 {p50:?}");
 }
 
 #[test]
-fn final_unterminated_line_is_answered_like_the_blocking_path() {
-    // The stdio loop answers a final line with no trailing newline; both
-    // TCP servers must do the same when the peer half-closes mid-line.
+fn final_unterminated_line_is_answered_like_the_stdio_loop() {
+    // The stdio loop answers a final line with no trailing newline; TCP
+    // must do the same when the peer half-closes mid-line.
     let script = b"{\"cmd\":\"sessions\"}\n{\"cmd\":\"sessions\"}";
-    let reference = blocking_reference(script);
+    let reference = stdio_reference(script);
     assert_eq!(reference.iter().filter(|&&b| b == b'\n').count(), 2);
 
     let check = |addr| {
@@ -199,8 +163,7 @@ fn final_unterminated_line_is_answered_like_the_blocking_path() {
             String::from_utf8_lossy(&reference)
         );
     };
-    with_evented_server(ReactorConfig::default(), None, check);
-    with_blocking_server(check);
+    with_server(None, check);
 }
 
 /// Send one complete request and one without its newline, and wait for the
@@ -227,25 +190,19 @@ fn a_line_unfinished_at_shutdown_is_never_dispatched() {
     // Another client's `shutdown` wakes this connection's handler with a
     // read of 0 bytes, like a half-close; the unfinished `load_pool` must
     // still not run once `shutdown` was acknowledged.
-    let mut open = Vec::new();
-    for engine in [
-        with_evented_server(ReactorConfig::default(), None, |addr| {
-            open.push(leave_a_line_unfinished(addr));
-        }),
-        with_blocking_server(|addr| open.push(leave_a_line_unfinished(addr))),
-    ] {
-        assert!(
-            engine.pool("p").is_err(),
-            "the unfinished load_pool ran after shutdown"
-        );
-    }
+    let mut open = None;
+    let engine = with_server(None, |addr| open = Some(leave_a_line_unfinished(addr)));
+    assert!(
+        engine.pool("p").is_err(),
+        "the unfinished load_pool ran after shutdown"
+    );
     drop(open);
 }
 
 #[test]
 fn slowloris_client_does_not_starve_concurrent_clients() {
     const FAN_OUT: usize = 100;
-    let engine = with_evented_server(ReactorConfig::default(), None, |addr| {
+    let engine = with_server(None, |addr| {
         std::thread::scope(|scope| {
             // A slowloris client dribbles one request byte at a time, the
             // connection held open throughout.
@@ -261,7 +218,7 @@ fn slowloris_client_does_not_starve_concurrent_clients() {
                 assert!(line.contains(r#""ok":true"#), "{line}");
             });
             // Meanwhile a fan-out of normal clients all complete round
-            // trips — the reactor never blocks on the slow one.
+            // trips — each on its own thread, none waits on the slow one.
             let mut clients = Vec::new();
             for _ in 0..FAN_OUT {
                 clients.push(scope.spawn(move || {
@@ -283,15 +240,14 @@ fn slowloris_client_does_not_starve_concurrent_clients() {
 
 #[test]
 fn overlong_lines_get_the_structured_error_and_the_connection_survives() {
-    let config = ReactorConfig {
-        max_line_bytes: 64,
-        ..ReactorConfig::default()
-    };
-    let engine = with_evented_server(config, None, |addr| {
+    let engine = with_server(None, |addr| {
         let mut stream = connect(addr);
-        // 200 bytes of junk without a newline — crosses the 64-byte cap
-        // mid-line, so the error must arrive *before* the newline does.
-        stream.write_all(&[b'x'; 200]).unwrap();
+        // Junk without a newline that crosses the line cap, so the error
+        // must arrive *before* the newline does.
+        let chunk = vec![b'x'; 1 << 20];
+        for _ in 0..=MAX_LINE_BYTES / chunk.len() {
+            stream.write_all(&chunk).unwrap();
+        }
         let mut reader = BufReader::new(stream.try_clone().unwrap());
         let mut line = String::new();
         reader.read_line(&mut line).unwrap();
@@ -311,16 +267,13 @@ fn overlong_lines_get_the_structured_error_and_the_connection_survives() {
     );
 }
 
+/// The blocking writer's backpressure is the socket: a client that stops
+/// reading stalls its own handler thread, and that thread alone, once the
+/// kernel's buffers fill.
 #[test]
-fn write_backpressure_pauses_reading_without_blocking_other_clients() {
+fn a_non_draining_client_does_not_block_other_clients() {
     const PIPELINED: usize = 200;
-    let config = ReactorConfig {
-        // A tiny watermark so a non-draining client trips backpressure
-        // after a handful of responses.
-        max_write_buffer: 1024,
-        ..ReactorConfig::default()
-    };
-    with_evented_server(config, None, |addr| {
+    with_server(None, |addr| {
         // Client A pipelines requests without reading any responses.
         let mut hog = connect(addr);
         let mut batch = Vec::new();
@@ -328,7 +281,7 @@ fn write_backpressure_pauses_reading_without_blocking_other_clients() {
             batch.extend_from_slice(b"{\"cmd\":\"sessions\"}\n");
         }
         hog.write_all(&batch).unwrap();
-        // Client B still gets prompt service while A is backpressured.
+        // Client B still gets prompt service while A does not read.
         let started = Instant::now();
         let mut other = connect(addr);
         other.write_all(b"{\"cmd\":\"sessions\"}\n").unwrap();
@@ -337,7 +290,7 @@ fn write_backpressure_pauses_reading_without_blocking_other_clients() {
         assert!(line.contains(r#""ok":true"#), "{line}");
         assert!(
             started.elapsed() < Duration::from_secs(5),
-            "a backpressured connection must not stall the reactor"
+            "a non-draining connection must not stall other clients"
         );
         // Once A drains, every pipelined response arrives in order.
         let mut responses = 0usize;
@@ -356,7 +309,7 @@ fn write_backpressure_pauses_reading_without_blocking_other_clients() {
 #[test]
 fn auth_state_is_per_connection() {
     let policy = ClientPolicy::new().with_auth_token("sesame");
-    with_evented_server(ReactorConfig::default(), Some(policy), |addr| {
+    with_server(Some(policy), |addr| {
         let mut authed = connect(addr);
         authed
             .write_all(b"{\"cmd\":\"auth\",\"token\":\"sesame\"}\n{\"cmd\":\"sessions\"}\n")
@@ -378,41 +331,13 @@ fn auth_state_is_per_connection() {
     });
 }
 
-#[test]
-fn connection_cap_parks_new_clients_in_the_backlog_until_a_slot_frees() {
-    let config = ReactorConfig {
-        max_connections: 2,
-        ..ReactorConfig::default()
-    };
-    with_evented_server(config, None, |addr| {
-        let first = connect(addr);
-        let mut second = connect(addr);
-        // Prove both slots are live.
-        second.write_all(b"{\"cmd\":\"sessions\"}\n").unwrap();
-        let mut line = String::new();
-        let mut second_reader = BufReader::new(second.try_clone().unwrap());
-        second_reader.read_line(&mut line).unwrap();
-        assert!(line.contains(r#""ok":true"#), "{line}");
-
-        // The third client connects (kernel backlog) but is not accepted
-        // while the cap is held; dropping a connection frees its slot and
-        // the parked client gets served.
-        let mut third = connect(addr);
-        third.write_all(b"{\"cmd\":\"sessions\"}\n").unwrap();
-        drop(first);
-        line.clear();
-        BufReader::new(third).read_line(&mut line).unwrap();
-        assert!(line.contains(r#""ok":true"#), "{line}");
-    });
-}
-
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(8))]
 
     /// Framing is independent of packetisation: however the script's bytes
     /// are sliced across writes (including splits inside a request line and
-    /// inside multi-byte UTF-8), both TCP servers answer byte-identically to
-    /// the stdio loop over the same script.
+    /// inside multi-byte UTF-8), TCP answers byte-identically to the stdio
+    /// loop over the same script.
     #[test]
     fn responses_are_invariant_under_arbitrary_packetisation(
         cuts in prop::collection::vec(0usize..200, 1..6),
@@ -421,7 +346,7 @@ proptest! {
                        {\"cmd\":\"create_session\",\"session\":\"s\",\"pool\":\"p\",\"seed\":7,\"truth\":[true,false]}\n\
                        {\"cmd\":\"step\",\"session\":\"s\",\"steps\":5}\n\
                        {\"cmd\":\"estimate\",\"session\":\"s\"}\n";
-        let reference = blocking_reference(script);
+        let reference = stdio_reference(script);
 
         // Sorted, deduped cut points inside the script.
         let mut cuts: Vec<usize> = cuts.into_iter().map(|c| c % script.len()).collect();
@@ -436,7 +361,7 @@ proptest! {
                 if *cut > start {
                     stream.write_all(&script[start..*cut]).unwrap();
                     stream.flush().unwrap();
-                    // Give the reactor a chance to observe the partial
+                    // Give the server a chance to observe the partial
                     // chunk as its own read.
                     std::thread::sleep(Duration::from_millis(1));
                     start = *cut;
@@ -450,7 +375,6 @@ proptest! {
                 String::from_utf8_lossy(&reference)
             );
         };
-        with_evented_server(ReactorConfig::default(), None, check);
-        with_blocking_server(check);
+        with_server(None, check);
     }
 }

@@ -24,7 +24,6 @@
 
 #![warn(missing_docs)]
 #![warn(rust_2018_idioms)]
-#![deny(unsafe_code)]
 
 pub mod ablations;
 pub mod curves;

@@ -63,7 +63,6 @@
 
 #![warn(missing_docs)]
 #![warn(rust_2018_idioms)]
-#![deny(unsafe_code)]
 
 pub mod bayes;
 pub mod confidence;
