@@ -15,10 +15,10 @@
 use crate::error::{EngineError, EngineResult};
 use crate::metrics::{Counter, MetricsRegistry};
 use crate::store::CheckpointStore;
-use parking_lot::Mutex;
+use crate::sync::lock;
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::Arc;
+use std::sync::{Arc, Mutex};
 
 /// How an injected fault behaves.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -106,7 +106,7 @@ impl FaultyStore {
     /// Script `kind` to fire on the `index`-th (zero-based) call of `op`.
     /// Later scripts for the same `(op, index)` replace earlier ones.
     pub fn fail_nth(&self, op: StoreOp, index: u64, kind: FaultKind) {
-        self.state.lock().plan.insert((op, index), kind);
+        lock(&self.state).plan.insert((op, index), kind);
     }
 
     /// Builder form of [`FaultyStore::fail_nth`].
@@ -117,7 +117,7 @@ impl FaultyStore {
 
     /// Report injections to `registry` as [`Counter::FaultInjected`].
     pub fn attach_metrics(&self, registry: Arc<MetricsRegistry>) {
-        *self.metrics.lock() = Some(registry);
+        *lock(&self.metrics) = Some(registry);
     }
 
     /// Total faults injected so far.
@@ -128,13 +128,13 @@ impl FaultyStore {
     /// How many calls of `op` the wrapper has seen (useful when scripting a
     /// fault relative to traffic that already happened).
     pub fn calls(&self, op: StoreOp) -> u64 {
-        self.state.lock().seen.get(&op).copied().unwrap_or(0)
+        lock(&self.state).seen.get(&op).copied().unwrap_or(0)
     }
 
     /// Advance the per-op call counter and pop a scripted fault, if any.
     fn gate(&self, op: StoreOp) -> Option<FaultKind> {
         let fault = {
-            let mut state = self.state.lock();
+            let mut state = lock(&self.state);
             let index = state.seen.entry(op).or_insert(0);
             let at = *index;
             *index += 1;
@@ -142,7 +142,7 @@ impl FaultyStore {
         };
         if fault.is_some() {
             self.injected.fetch_add(1, Ordering::Relaxed);
-            if let Some(metrics) = self.metrics.lock().as_ref() {
+            if let Some(metrics) = lock(&self.metrics).as_ref() {
                 metrics.incr(Counter::FaultInjected);
             }
         }

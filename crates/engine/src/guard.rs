@@ -18,10 +18,10 @@ use crate::engine::Engine;
 use crate::error::EngineError;
 use crate::metrics::{Clock, Counter, MonotonicClock};
 use crate::protocol::{dispatch, error_response, Dispatch, Request};
-use parking_lot::Mutex;
+use crate::sync::lock;
 use serde::json::Json;
 use std::collections::HashMap;
-use std::sync::Arc;
+use std::sync::{Arc, Mutex};
 
 /// Micro-tokens charged per admitted request.
 const REQUEST_COST: u64 = 1_000_000;
@@ -144,7 +144,7 @@ impl ClientPolicy {
         };
         let capacity = self.burst.unwrap_or(rate).saturating_mul(REQUEST_COST);
         let now = self.clock.now_micros();
-        let mut buckets = self.buckets.lock();
+        let mut buckets = lock(&self.buckets);
         let Buckets { by_key, swept_us } = &mut *buckets;
         // A full bucket admits exactly like a missing one, so dropping it
         // changes no decision.  Sweeping at most once per refill period, when
@@ -299,7 +299,7 @@ mod tests {
         // Past one refill period (1 s) for the first 100k keys.
         clock.advance(500_000);
         policy.admit("new").unwrap();
-        let mut keys: Vec<String> = policy.buckets.lock().by_key.keys().cloned().collect();
+        let mut keys: Vec<String> = lock(&policy.buckets).by_key.keys().cloned().collect();
         keys.sort();
         assert_eq!(keys, ["new", "recent"]);
     }

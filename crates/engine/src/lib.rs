@@ -40,8 +40,8 @@
 //!   `restore_from`, `sessions`, `delete_session`, `metrics`,
 //!   `diagnostics`, `shutdown`.  TCP mode serves each connection on its
 //!   own thread, up to a fixed cap of live connections, with bounded line
-//!   buffers and accept-error backoff.  Stdio and TCP split request lines
-//!   with one framer, so their wire bytes are identical.
+//!   buffers and accept-error backoff.  Stdio and TCP read request lines
+//!   in one line loop, so their wire bytes are identical.
 //! * **Robustness** ([`guard`], [`fault`]) — propose-lease timeouts and
 //!   pending-ticket caps ([`SessionLimits`]) reclaim tickets from vanished
 //!   clients deterministically (the lease clock is WAL-logged, so replay
@@ -102,10 +102,11 @@ pub mod protocol;
 pub mod server;
 mod session;
 pub mod store;
+mod sync;
 pub mod wal;
 
 pub use checkpoint::{OracleCheckpoint, SessionCheckpoint, CHECKPOINT_FORMAT};
-pub use engine::{Engine, ReplayReport, RetryPolicy, SessionJob, SessionOverview};
+pub use engine::{Engine, ReplayReport, RetryPolicy, SessionHandle, SessionJob, SessionOverview};
 pub use error::{EngineError, EngineResult};
 pub use fault::{FaultKind, FaultyStore, StoreOp};
 pub use guard::{ClientPolicy, ConnState};

@@ -23,9 +23,10 @@
 //!
 //! `latency_us` uses the crate-wide u64-as-string wire encoding.
 
-use parking_lot::Mutex;
+use crate::sync::lock;
 use serde::json::{Json, ToJson};
 use std::io::Write;
+use std::sync::Mutex;
 
 /// Output format of an [`EventLog`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -70,7 +71,7 @@ impl EventLog {
     }
 
     fn emit(&self, line: &str) {
-        let mut sink = self.sink.lock();
+        let mut sink = lock(&self.sink);
         // A logging failure must never take down the serving loop; the
         // protocol channel (stdout) is the contract, stderr is best-effort.
         let _ = writeln!(sink, "{line}");
@@ -125,7 +126,7 @@ mod tests {
 
     impl Write for Buffer {
         fn write(&mut self, buf: &[u8]) -> std::io::Result<usize> {
-            self.0.lock().extend_from_slice(buf);
+            lock(&self.0).extend_from_slice(buf);
             Ok(buf.len())
         }
         fn flush(&mut self) -> std::io::Result<()> {
@@ -144,7 +145,7 @@ mod tests {
         let (log, buffer) = capture(LogFormat::Text);
         log.message("listening on 127.0.0.1:4000");
         log.request("propose", Some("s1"), 42, true);
-        let out = String::from_utf8(buffer.0.lock().clone()).unwrap();
+        let out = String::from_utf8(lock(&buffer.0).clone()).unwrap();
         assert_eq!(out, "oasis-serve: listening on 127.0.0.1:4000\n");
     }
 
@@ -154,7 +155,7 @@ mod tests {
         log.message("shutdown requested");
         log.request("propose", Some("s1"), 42, true);
         log.request("metrics", None, 7, false);
-        let out = String::from_utf8(buffer.0.lock().clone()).unwrap();
+        let out = String::from_utf8(lock(&buffer.0).clone()).unwrap();
         let lines: Vec<&str> = out.lines().collect();
         assert_eq!(lines.len(), 3);
         let parsed = Json::parse(lines[1]).unwrap();

@@ -5,7 +5,7 @@
 //! verbs (`propose`/`label`/`step`/`run_budget`), checkpoint write/restore,
 //! WAL append/replay, and store eviction/rehydration.  The registry is
 //! deliberately boring: counters are lock-free [`AtomicU64`]s, histograms
-//! live in one `parking_lot` mutex keyed by operation name, and the whole
+//! live in one `std::sync` mutex keyed by operation name, and the whole
 //! thing snapshots to a single JSON object for the `metrics` protocol verb.
 //!
 //! Time comes from a [`Clock`] so tests can drive a [`ManualClock`]
@@ -18,11 +18,12 @@
 //! instrumented engine against a disabled one (`metrics.overhead_pct`) to
 //! bound the overhead.
 
-use parking_lot::Mutex;
+use crate::sync::lock;
 use serde::json::{Json, ToJson};
 use std::collections::BTreeMap;
 use std::fmt;
 use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::Mutex;
 use std::time::Instant;
 
 /// A source of monotonic microseconds.
@@ -428,7 +429,7 @@ impl MetricsRegistry {
             return;
         };
         let elapsed = self.clock.now_micros().saturating_sub(start);
-        let mut latencies = self.latencies.lock();
+        let mut latencies = lock(&self.latencies);
         // Looked up before inserting: only a new key costs an allocation.
         match latencies.get_mut(key) {
             Some(histogram) => histogram.record(elapsed),
@@ -442,7 +443,7 @@ impl MetricsRegistry {
     /// A copy of the histogram named `key`, if any value was ever recorded
     /// under it.
     pub fn histogram(&self, key: &str) -> Option<LatencyHistogram> {
-        self.latencies.lock().get(key).cloned()
+        lock(&self.latencies).get(key).cloned()
     }
 
     /// The full registry as one JSON object:
@@ -463,7 +464,7 @@ impl MetricsRegistry {
             counters.set(counter.as_str(), self.counter(counter).to_json());
         }
         let mut latency = Json::object();
-        for (key, histogram) in self.latencies.lock().iter() {
+        for (key, histogram) in lock(&self.latencies).iter() {
             latency.set(key, histogram.to_json());
         }
         let mut obj = Json::object();

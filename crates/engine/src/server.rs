@@ -2,7 +2,8 @@
 //! thread-per-connection TCP server.
 //!
 //! [`serve_lines`] is the transport-agnostic core — one request line in, one
-//! response line out — used directly for stdin/stdout mode and per-connection
+//! response line out, each line read with `BufRead::read_until` under
+//! [`MAX_LINE_BYTES`] — used directly for stdin/stdout mode and per-connection
 //! by [`serve_listener`], `oasis-serve`'s TCP server, which handles each
 //! connection on a scoped thread sharing one [`Engine`],
 //! so concurrent clients can drive disjoint sessions in parallel
@@ -23,14 +24,13 @@ use crate::guard::{guarded_dispatch, ClientPolicy, ConnState};
 use crate::log::EventLog;
 use crate::metrics::Counter;
 use crate::protocol::{error_response, Dispatch, Request};
-use parking_lot::Mutex;
+use crate::sync::lock;
 use serde::json::{Json, JsonError};
 use std::collections::HashMap;
 use std::io::{BufRead, BufReader, Read, Write};
 use std::net::{Shutdown, TcpListener, TcpStream};
-use std::ops::ControlFlow;
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
-use std::sync::Arc;
+use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
 
 /// Largest request line either serving loop will buffer.  Checkpoint
@@ -43,92 +43,6 @@ pub const MAX_LINE_BYTES: usize = 64 * 1024 * 1024;
 /// accepted past the cap gets one `kind:"backpressure"` error line and is
 /// closed, as when the OS refuses a thread.
 pub const MAX_CONNECTIONS: usize = 16_384;
-
-/// One unit of request framing.
-enum Frame<'a> {
-    /// A request line, without its terminating newline.
-    Line(&'a [u8]),
-    /// The current line grew past the framer's cap (carried here); the rest
-    /// of it is discarded up to its newline.
-    TooLong(usize),
-}
-
-/// The request-line splitter both transports feed: bytes go in through
-/// [`push`](Self::push), and complete lines, one [`Frame::TooLong`] per
-/// overlong line, and (at [`finish`](Self::finish)) a final unterminated
-/// line come out.  Only a line split across pushes is copied; a line that
-/// arrives whole is handed out as a slice of the pushed bytes.  The partial
-/// line never exceeds `max` bytes, so no client can grow it unboundedly.
-struct LineFramer {
-    /// Bytes of the current line received in earlier pushes.
-    partial: Vec<u8>,
-    /// Inside an overlong line: drop bytes until the next newline.
-    discarding: bool,
-    max: usize,
-}
-
-impl LineFramer {
-    /// A framer answering lines longer than `max` bytes with
-    /// [`Frame::TooLong`].
-    fn new(max: usize) -> Self {
-        LineFramer {
-            partial: Vec::new(),
-            discarding: false,
-            max,
-        }
-    }
-
-    /// Frame `bytes`, handing each frame to `sink` in order.  Stops at the
-    /// first `Break`, dropping the rest of `bytes`, and returns it.
-    fn push<B>(
-        &mut self,
-        mut bytes: &[u8],
-        mut sink: impl FnMut(Frame<'_>) -> ControlFlow<B>,
-    ) -> ControlFlow<B> {
-        while let Some(pos) = bytes.iter().position(|&b| b == b'\n') {
-            let line = &bytes[..pos];
-            bytes = &bytes[pos + 1..];
-            if std::mem::take(&mut self.discarding) {
-                // The newline ends the overlong line already answered.
-                continue;
-            }
-            let flow = if self.partial.len() + line.len() > self.max {
-                sink(Frame::TooLong(self.max))
-            } else if self.partial.is_empty() {
-                sink(Frame::Line(line))
-            } else {
-                self.partial.extend_from_slice(line);
-                sink(Frame::Line(&self.partial))
-            };
-            // Cleared, not dropped: the allocation serves the next split line.
-            self.partial.clear();
-            flow?;
-        }
-        if bytes.is_empty() || self.discarding {
-            return ControlFlow::Continue(());
-        }
-        if self.partial.len() + bytes.len() > self.max {
-            // Answer before the newline arrives; it may never come.
-            self.partial.clear();
-            self.discarding = true;
-            return sink(Frame::TooLong(self.max));
-        }
-        self.partial.extend_from_slice(bytes);
-        ControlFlow::Continue(())
-    }
-
-    /// End of input: hand a buffered unterminated line to `sink`, as both
-    /// transports answer a final line that lacks its newline.
-    fn finish<B>(&mut self, mut sink: impl FnMut(Frame<'_>) -> ControlFlow<B>) -> ControlFlow<B> {
-        let flow = if std::mem::take(&mut self.discarding) || self.partial.is_empty() {
-            ControlFlow::Continue(())
-        } else {
-            sink(Frame::Line(&self.partial))
-        };
-        self.partial.clear();
-        flow
-    }
-}
 
 /// Route an operational message through the event log when one is attached,
 /// or straight to stderr in the legacy format otherwise.
@@ -219,7 +133,7 @@ fn response_line(response: &Json) -> Vec<u8> {
 /// response and the loop continues — a broken client cannot wedge the
 /// server.  Lines longer than [`MAX_LINE_BYTES`] are answered with an error
 /// and discarded without being buffered whole.  A final line without its
-/// newline is answered at EOF.
+/// newline is answered at EOF; a line cut short by a read error is not.
 ///
 /// # Errors
 /// Only I/O failures on the transport itself.
@@ -246,49 +160,41 @@ pub fn serve_lines_guarded<R: BufRead, W: Write>(
     policy: Option<&ClientPolicy>,
 ) -> std::io::Result<bool> {
     let mut conn = ConnState::default();
-    let mut framer = LineFramer::new(MAX_LINE_BYTES);
-    let mut respond = |frame: Frame<'_>| {
-        let outcome = match frame {
-            Frame::Line(line) => {
-                let Some(outcome) = handle_line(engine, line, log, policy, &mut conn) else {
-                    return ControlFlow::Continue(());
-                };
-                outcome
-            }
+    // One buffer for every line: it holds at most the cap plus one byte.
+    let mut line = Vec::new();
+    let cap = MAX_LINE_BYTES as u64 + 1;
+    loop {
+        line.clear();
+        if (&mut reader).take(cap).read_until(b'\n', &mut line)? == 0 {
+            return Ok(false);
+        }
+        let request = line.strip_suffix(b"\n");
+        // The cap filled before a newline.  Answer now, as the newline may
+        // never come, then drop the rest of the line.
+        let too_long = request.is_none() && line.len() > MAX_LINE_BYTES;
+        let outcome = if too_long {
             // `kind:"line_too_long"` tells a framing overflow apart from a
             // malformed request.
-            Frame::TooLong(max) => {
-                engine.metrics().incr(Counter::LineTooLong);
-                Dispatch {
-                    response: error_response(&EngineError::LineTooLong(max)),
-                    shutdown: false,
-                }
+            engine.metrics().incr(Counter::LineTooLong);
+            Dispatch {
+                response: error_response(&EngineError::LineTooLong(MAX_LINE_BYTES)),
+                shutdown: false,
+            }
+        } else {
+            // Without its newline, the line is the last one before EOF.
+            let raw = request.unwrap_or(&line);
+            match handle_line(engine, raw, log, policy, &mut conn) {
+                Some(outcome) => outcome,
+                None => continue,
             }
         };
-        let response = response_line(&outcome.response);
-        match writer.write_all(&response).and_then(|()| writer.flush()) {
-            Err(error) => ControlFlow::Break(Err(error)),
-            Ok(()) if outcome.shutdown => ControlFlow::Break(Ok(true)),
-            Ok(()) => ControlFlow::Continue(()),
+        writer.write_all(&response_line(&outcome.response))?;
+        writer.flush()?;
+        if outcome.shutdown {
+            return Ok(true);
         }
-    };
-    loop {
-        let chunk = match reader.fill_buf() {
-            Ok(chunk) => chunk,
-            Err(error) if error.kind() == std::io::ErrorKind::Interrupted => continue,
-            Err(error) => return Err(error),
-        };
-        if chunk.is_empty() {
-            return match framer.finish(&mut respond) {
-                ControlFlow::Break(result) => result,
-                ControlFlow::Continue(()) => Ok(false),
-            };
-        }
-        let read = chunk.len();
-        let flow = framer.push(chunk, &mut respond);
-        reader.consume(read);
-        if let ControlFlow::Break(result) = flow {
-            return result;
+        if too_long {
+            reader.skip_until(b'\n')?;
         }
     }
 }
@@ -319,7 +225,7 @@ impl ConnRegistry {
     /// `None` — after shutting the stream down — when the registry already
     /// closed, so the caller's handler sees EOF immediately.
     fn register(&self, stream: TcpStream) -> Option<u64> {
-        let mut inner = self.inner.lock();
+        let mut inner = lock(&self.inner);
         if inner.closed {
             let _ = stream.shutdown(Shutdown::Both);
             return None;
@@ -331,12 +237,12 @@ impl ConnRegistry {
     }
 
     fn deregister(&self, id: u64) {
-        self.inner.lock().conns.remove(&id);
+        lock(&self.inner).conns.remove(&id);
     }
 
     /// Close every registered connection and refuse future registrations.
     fn close_all(&self) {
-        let mut inner = self.inner.lock();
+        let mut inner = lock(&self.inner);
         inner.closed = true;
         for stream in inner.conns.values() {
             let _ = stream.shutdown(Shutdown::Both);
@@ -826,6 +732,99 @@ mod tests {
     }
 
     #[test]
+    fn a_line_at_the_cap_is_served_and_one_byte_more_is_too_long() {
+        let engine = Engine::new();
+        for (len, newline, expected) in [
+            (MAX_LINE_BYTES, true, r#""ok":true"#),
+            // The final line before EOF, without its newline.
+            (MAX_LINE_BYTES, false, r#""ok":true"#),
+            (MAX_LINE_BYTES + 1, true, r#""kind":"line_too_long""#),
+        ] {
+            let mut script = br#"{"cmd":"sessions"}"#.to_vec();
+            script.resize(len, b' ');
+            if newline {
+                script.push(b'\n');
+            }
+            let mut output = Vec::new();
+            serve_lines(&engine, Cursor::new(script), &mut output).unwrap();
+            let output = String::from_utf8(output).unwrap();
+            assert_eq!(output.lines().count(), 1, "{output}");
+            assert!(output.contains(expected), "{output}");
+        }
+    }
+
+    /// A reader that fails every other call with `Interrupted` and otherwise
+    /// reads from its current chunk, so reads end at the chunk boundaries.
+    struct Interrupting {
+        chunks: std::collections::VecDeque<Cursor<Vec<u8>>>,
+        interrupt: bool,
+    }
+
+    impl Read for Interrupting {
+        fn read(&mut self, buf: &mut [u8]) -> std::io::Result<usize> {
+            self.interrupt = !self.interrupt;
+            if self.interrupt {
+                return Err(std::io::ErrorKind::Interrupted.into());
+            }
+            let Some(chunk) = self.chunks.front_mut() else {
+                return Ok(0);
+            };
+            let read = chunk.read(buf)?;
+            if chunk.position() == chunk.get_ref().len() as u64 {
+                self.chunks.pop_front();
+            }
+            Ok(read)
+        }
+    }
+
+    #[test]
+    fn interrupted_reads_change_no_response_byte() {
+        let mut overlong = b"{\"cmd\":\"garbage\",\"pad\":\"".to_vec();
+        overlong.resize(MAX_LINE_BYTES + 10, b'x');
+        overlong.extend_from_slice(b"\"}");
+        let lines: Vec<Vec<u8>> = [
+            br#"{"cmd":"load_pool","pool":"p","scores":[0.9,0.7,0.3,0.1],"predictions":[true,true,false,false]}"#.to_vec(),
+            br#"{"cmd":"create_session","session":"s","pool":"p","seed":1,"config":{"strata_count":2}}"#.to_vec(),
+            Vec::new(),
+            b"garbage".to_vec(),
+            overlong,
+            br#"{"cmd":"propose","session":"s","count":2}"#.to_vec(),
+            br#"{"cmd":"label","session":"s","labels":[{"ticket":"0","label":true}]}"#.to_vec(),
+            br#"{"cmd":"estimate","session":"s"}"#.to_vec(),
+        ]
+        .into_iter()
+        .map(|mut line| {
+            line.push(b'\n');
+            line
+        })
+        .collect();
+        let serve = |reader: &mut dyn BufRead| {
+            let mut output = Vec::new();
+            serve_lines(&Engine::new(), reader, &mut output).unwrap();
+            output
+        };
+        let expected = serve(&mut Cursor::new(lines.concat()));
+        // Every line split in two: reads end mid-line and between lines.
+        let chunks = lines
+            .iter()
+            .flat_map(|line| {
+                let (head, tail) = line.split_at(line.len() / 2);
+                [head, tail]
+            })
+            // An empty chunk would read as EOF.
+            .filter(|chunk| !chunk.is_empty())
+            .map(|chunk| Cursor::new(chunk.to_vec()))
+            .collect();
+        let interrupted = serve(&mut BufReader::new(Interrupting {
+            chunks,
+            interrupt: false,
+        }));
+        let expected = String::from_utf8(expected).unwrap();
+        assert_eq!(expected.lines().count(), 7, "{expected}");
+        assert_eq!(String::from_utf8(interrupted).unwrap(), expected);
+    }
+
+    #[test]
     fn accept_backoff_doubles_and_resets() {
         let mut backoff = AcceptBackoff::new();
         assert_eq!(backoff.next_delay(), ACCEPT_BACKOFF_MIN);
@@ -1057,7 +1056,7 @@ mod tests {
 
     impl Write for Buffer {
         fn write(&mut self, buf: &[u8]) -> std::io::Result<usize> {
-            self.0.lock().extend_from_slice(buf);
+            lock(&self.0).extend_from_slice(buf);
             Ok(buf.len())
         }
         fn flush(&mut self) -> std::io::Result<()> {
@@ -1087,7 +1086,7 @@ mod tests {
         )
         .unwrap();
 
-        let events = String::from_utf8(buffer.0.lock().clone()).unwrap();
+        let events = String::from_utf8(lock(&buffer.0).clone()).unwrap();
         let lines: Vec<&str> = events.lines().collect();
         assert_eq!(lines.len(), 3, "{events}");
         let ok = Json::parse(lines[0]).unwrap();
@@ -1226,7 +1225,7 @@ mod tests {
             responses[3]
         );
 
-        let events = String::from_utf8(buffer.0.lock().clone()).unwrap();
+        let events = String::from_utf8(lock(&buffer.0).clone()).unwrap();
         let verbs: Vec<String> = events
             .lines()
             .map(|line| {

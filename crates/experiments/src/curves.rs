@@ -6,9 +6,9 @@ use crate::methods::Method;
 use crate::pools::ExperimentPool;
 use oasis::oracle::{GroundTruthOracle, Oracle};
 use oasis::samplers::{InteractiveSampler, Sampler};
-use parking_lot::Mutex;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
+use std::panic::resume_unwind;
 use std::thread;
 
 /// Configuration of a curve experiment.
@@ -118,24 +118,25 @@ pub fn method_curve(pool: &ExperimentPool, method: Method, config: &CurveConfig)
             .map(|r| run_once(pool, method, config, config.seed + r as u64))
             .collect()
     } else {
-        let collected = Mutex::new(vec![Vec::new(); repeats]);
         let threads = config.threads.min(repeats);
-        thread::scope(|scope| {
-            for worker in 0..threads {
-                let collected = &collected;
-                scope.spawn(move || {
-                    let mut local = Vec::new();
-                    for r in (worker..repeats).step_by(threads) {
-                        local.push((r, run_once(pool, method, config, config.seed + r as u64)));
-                    }
-                    let mut guard = collected.lock();
-                    for (r, trajectory) in local {
-                        guard[r] = trajectory;
-                    }
-                });
-            }
+        let mut runs: Vec<(usize, Vec<f64>)> = thread::scope(|scope| {
+            let workers: Vec<_> = (0..threads)
+                .map(|worker| {
+                    scope.spawn(move || {
+                        (worker..repeats)
+                            .step_by(threads)
+                            .map(|r| (r, run_once(pool, method, config, config.seed + r as u64)))
+                            .collect::<Vec<_>>()
+                    })
+                })
+                .collect();
+            workers
+                .into_iter()
+                .flat_map(|worker| worker.join().unwrap_or_else(|panic| resume_unwind(panic)))
+                .collect()
         });
-        collected.into_inner()
+        runs.sort_unstable_by_key(|&(r, _)| r);
+        runs.into_iter().map(|(_, trajectory)| trajectory).collect()
     };
 
     let checkpoints = config.checkpoints.len();
