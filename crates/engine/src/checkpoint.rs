@@ -13,6 +13,22 @@
 //! content [fingerprint](oasis::ScoredPool::fingerprint), and
 //! [`Session::restore`](crate::Session::restore) refuses to resume against a
 //! pool that does not match.
+//!
+//! # Formats
+//!
+//! Documents are written as [`CHECKPOINT_FORMAT`] (`checkpoint-v2`), whose
+//! size grows with the labels spent and the strata, not with the pool:
+//!
+//! * strata a key built are stored by reference,
+//!   `{"stratifier","strata_count","hash"}`, and rebuilt from the pool on
+//!   restore (see [`oasis::StrataState`]);
+//! * the `labelled` and `queried` budget bitmaps are stored as sorted,
+//!   delta-encoded index lists: the first labelled index, then the gap to
+//!   each next one.
+//!
+//! The hidden `truth` of an oracle session stays a bitmap.
+//! [`CHECKPOINT_FORMAT_V1`] documents, with bitmaps and inline
+//! `allocations`, are read forever.
 
 use crate::error::EngineResult;
 use crate::session::{SessionLimits, Ticket};
@@ -22,8 +38,12 @@ use serde::json::{
     write_bool, write_number, write_u64, FromJson, Json, JsonError, JsonResult, ToJson,
 };
 
-/// Version tag embedded in every checkpoint document.
-pub const CHECKPOINT_FORMAT: &str = "oasis-engine/checkpoint-v1";
+/// Version tag of the checkpoint documents this build writes.
+pub const CHECKPOINT_FORMAT: &str = "oasis-engine/checkpoint-v2";
+
+/// Version tag of the first checkpoint format: budget bitmaps and inline
+/// strata.  Still read.
+pub const CHECKPOINT_FORMAT_V1: &str = "oasis-engine/checkpoint-v1";
 
 /// Oracle/budget state carried in a checkpoint.
 #[derive(Debug, Clone, PartialEq)]
@@ -143,13 +163,62 @@ impl FromJson for Ticket {
     }
 }
 
-impl ToJson for OracleCheckpoint {
+/// A budget bitmap as a `checkpoint-v2` index list: the first set index,
+/// then the gap to each next one.
+fn deltas_json(bitmap: &[bool]) -> Json {
+    let mut deltas = Vec::new();
+    let mut previous = 0;
+    for (index, _) in bitmap.iter().enumerate().filter(|(_, &set)| set) {
+        deltas.push(index - previous);
+        previous = index;
+    }
+    deltas.to_json()
+}
+
+/// The largest `pool_len` a `checkpoint-v2` document may declare: strata
+/// index pools with `u32`s.  The bound keeps a forged length from sizing a
+/// bitmap before the pool check can refuse it.
+const MAX_POOL_LEN: usize = u32::MAX as usize;
+
+/// Expand a `checkpoint-v2` index list into a bitmap over `len` items.
+///
+/// # Errors
+/// A `len` past [`MAX_POOL_LEN`], a gap of zero after the first entry (the
+/// list must ascend strictly) or an index outside the pool.
+fn bitmap_from_deltas(value: &Json, len: usize, name: &str) -> JsonResult<Vec<bool>> {
+    if len > MAX_POOL_LEN {
+        return Err(JsonError::new(format!(
+            "pool_len {len} exceeds the {MAX_POOL_LEN} items a checkpoint can index"
+        )));
+    }
+    let mut bitmap = vec![false; len];
+    let mut index = 0usize;
+    for (i, delta) in Vec::<usize>::from_json(value)?.into_iter().enumerate() {
+        if i > 0 && delta == 0 {
+            return Err(JsonError::new(format!(
+                "`{name}` repeats index {index}: gaps after the first must be positive"
+            )));
+        }
+        index = match index.checked_add(delta) {
+            Some(next) if next < len => next,
+            _ => {
+                return Err(JsonError::new(format!(
+                    "`{name}` reaches past the {len} pool items"
+                )))
+            }
+        };
+        bitmap[index] = true;
+    }
+    Ok(bitmap)
+}
+
+impl OracleCheckpoint {
     fn to_json(&self) -> Json {
         let mut obj = Json::object();
         match self {
             OracleCheckpoint::External { labelled, distinct } => {
                 obj.set("kind", Json::String("external".to_string()));
-                obj.set("labelled", labelled.to_json());
+                obj.set("labelled", deltas_json(labelled));
                 obj.set("distinct", distinct.to_json());
             }
             OracleCheckpoint::GroundTruth {
@@ -159,24 +228,33 @@ impl ToJson for OracleCheckpoint {
             } => {
                 obj.set("kind", Json::String("ground_truth".to_string()));
                 obj.set("truth", truth.to_json());
-                obj.set("queried", queried.to_json());
+                obj.set("queried", deltas_json(queried));
                 obj.set("queries_issued", queries_issued.to_json());
             }
         }
         obj
     }
-}
 
-impl FromJson for OracleCheckpoint {
-    fn from_json(value: &Json) -> JsonResult<Self> {
+    /// Read the oracle state of a document in `format`, over a pool of
+    /// `pool_len` items: v2 budget lists are expanded to bitmaps, v1
+    /// bitmaps read as they are.
+    fn from_json(value: &Json, format: &str, pool_len: usize) -> JsonResult<Self> {
+        let budget = |name: &str| {
+            let field = value.require(name)?;
+            if format == CHECKPOINT_FORMAT_V1 {
+                Vec::<bool>::from_json(field)
+            } else {
+                bitmap_from_deltas(field, pool_len, name)
+            }
+        };
         match value.require("kind")?.as_str()? {
             "external" => Ok(OracleCheckpoint::External {
-                labelled: Vec::<bool>::from_json(value.require("labelled")?)?,
+                labelled: budget("labelled")?,
                 distinct: value.require("distinct")?.as_usize()?,
             }),
             "ground_truth" => Ok(OracleCheckpoint::GroundTruth {
                 truth: Vec::<bool>::from_json(value.require("truth")?)?,
-                queried: Vec::<bool>::from_json(value.require("queried")?)?,
+                queried: budget("queried")?,
                 queries_issued: value.require("queries_issued")?.as_usize()?,
             }),
             other => Err(JsonError::new(format!("unknown oracle kind {other:?}"))),
@@ -185,6 +263,7 @@ impl FromJson for OracleCheckpoint {
 }
 
 impl ToJson for SessionCheckpoint {
+    /// Always a [`CHECKPOINT_FORMAT`] document.
     fn to_json(&self) -> Json {
         let mut obj = Json::object();
         obj.set("format", Json::String(CHECKPOINT_FORMAT.to_string()));
@@ -214,21 +293,24 @@ impl ToJson for SessionCheckpoint {
 }
 
 impl FromJson for SessionCheckpoint {
+    /// Reads [`CHECKPOINT_FORMAT`] and [`CHECKPOINT_FORMAT_V1`] documents.
     fn from_json(value: &Json) -> JsonResult<Self> {
         let format = value.require("format")?.as_str()?;
-        if format != CHECKPOINT_FORMAT {
+        if format != CHECKPOINT_FORMAT && format != CHECKPOINT_FORMAT_V1 {
             return Err(JsonError::new(format!(
-                "unsupported checkpoint format {format:?} (expected {CHECKPOINT_FORMAT:?})"
+                "unsupported checkpoint format {format:?} (expected {CHECKPOINT_FORMAT:?} or \
+                 {CHECKPOINT_FORMAT_V1:?})"
             )));
         }
         let rng_vec = Vec::<u64>::from_json(value.require("rng")?)?;
         let rng_words: [u64; 4] = rng_vec
             .try_into()
             .map_err(|_| JsonError::new("rng state must have exactly 4 words"))?;
+        let pool_len = value.require("pool_len")?.as_usize()?;
         Ok(SessionCheckpoint {
             session_id: String::from_json(value.require("session")?)?,
             pool_id: String::from_json(value.require("pool")?)?,
-            pool_len: value.require("pool_len")?.as_usize()?,
+            pool_len,
             pool_fingerprint: value.require("pool_fingerprint")?.as_u64()?,
             seed: value.require("seed")?.as_u64()?,
             rng_words,
@@ -249,7 +331,7 @@ impl FromJson for SessionCheckpoint {
                 Some(now) => now.as_u64()?,
                 None => 0,
             },
-            oracle: OracleCheckpoint::from_json(value.require("oracle")?)?,
+            oracle: OracleCheckpoint::from_json(value.require("oracle")?, format, pool_len)?,
         })
     }
 }
@@ -495,6 +577,75 @@ mod tests {
                 "total_weight {corrupt} must be rejected"
             );
         }
+    }
+
+    #[test]
+    fn budget_lists_must_ascend_inside_the_pool() {
+        let (pool, _) = pool_and_truth(50, 14);
+        let mut session = oasis_session(&pool, 4, 8, LabelSource::external(pool.len()));
+        let labels: Vec<(u64, bool)> = session
+            .propose(6)
+            .unwrap()
+            .iter()
+            .map(|ticket| (ticket.id, true))
+            .collect();
+        session.apply_labels(&labels).unwrap();
+        let good = session.checkpoint();
+        let document = Json::parse(&good.to_json_string()).unwrap();
+        let with_labelled = |labelled: &str, pool_len: usize| {
+            let mut oracle = document.require("oracle").unwrap().clone();
+            oracle.set("labelled", Json::parse(labelled).unwrap());
+            let mut edited = document.clone();
+            edited.set("oracle", oracle);
+            edited.set("pool_len", pool_len.to_json());
+            SessionCheckpoint::from_json(&edited)
+        };
+
+        let OracleCheckpoint::External { labelled, .. } = &good.oracle else {
+            panic!("expected an external oracle");
+        };
+        let first = labelled.iter().position(|&set| set).unwrap();
+        let listed = document
+            .require("oracle")
+            .unwrap()
+            .require("labelled")
+            .unwrap();
+        assert_eq!(Vec::<usize>::from_json(listed).unwrap()[0], first);
+        assert_eq!(with_labelled(&listed.render(), 50).unwrap(), good);
+
+        // Items 3, 8 and 9.
+        let parsed = with_labelled("[3,5,1]", 50).unwrap();
+        let OracleCheckpoint::External { labelled, .. } = parsed.oracle else {
+            panic!("expected an external oracle");
+        };
+        let set: Vec<usize> = (0..50).filter(|&i| labelled[i]).collect();
+        assert_eq!(set, [3, 8, 9]);
+
+        for bad in [
+            "[3,0]",
+            "[50]",
+            "[49,1]",
+            "[18446744073709551615,1]",
+            "[true]",
+        ] {
+            assert!(with_labelled(bad, 50).is_err(), "{bad}");
+        }
+        // A forged pool length is refused before a bitmap is sized by it.
+        assert!(with_labelled("[]", u32::MAX as usize + 1).is_err());
+    }
+
+    #[test]
+    fn a_session_restored_from_a_v1_document_checkpoints_its_strata_inline() {
+        let (pool, _) = crate::test_support::pool_and_truth(48, 2024, 0.2);
+        let v1 = include_str!("../tests/golden/checkpoints.jsonl");
+        let (checkpoint, _) = crate::store::parse_envelope(v1.lines().next().unwrap()).unwrap();
+        let restored = Session::restore(checkpoint, pool).unwrap();
+        let v2 = restored.checkpoint();
+        let text = v2.to_json_string();
+        assert!(text.starts_with(r#"{"format":"oasis-engine/checkpoint-v2""#));
+        assert!(text.contains(r#""allocations":[["#), "{text}");
+        assert!(!text.contains(r#""strata":{"#), "{text}");
+        assert_eq!(SessionCheckpoint::from_json_string(&text).unwrap(), v2);
     }
 
     #[test]

@@ -457,7 +457,9 @@ impl Engine {
     }
 
     /// Drop a torn trailing record from a session's on-disk WAL: keep the
-    /// parseable prefix, truncate, and re-append it.  Best-effort — a store
+    /// parseable prefix, truncate, and re-append it.  The caller holds the
+    /// lock of the session's registered copy, so no append can land between
+    /// the read and the truncate.  Best-effort — a store
     /// that cannot even be scrubbed will surface its own error on the next
     /// append, and replay tolerates the torn tail regardless.
     fn scrub_wal_tail(&self, store: &Arc<dyn CheckpointStore>, session_id: &str) {
@@ -511,9 +513,6 @@ impl Engine {
             let mut session = Session::restore(checkpoint, pool)?;
             let lines = self.with_store_retry("WAL read", || store.read_wal(id))?;
             let outcome = wal::parse_lines(&lines)?;
-            if outcome.truncated_tail.is_some() {
-                self.scrub_wal_tail(&store, id);
-            }
             let applied = match wal::replay(&mut session, &outcome.records, wal_seq) {
                 Ok(applied) => applied,
                 Err(error) => {
@@ -543,6 +542,12 @@ impl Engine {
             };
 
             let handle = Arc::new(Mutex::new(session));
+            // Held until the torn tail is scrubbed: only the registered copy
+            // may rewrite the WAL, and no request may append to it before the
+            // rewrite ends.  A copy that loses the race below must not scrub:
+            // by then the winner may have appended acknowledged records that
+            // a truncate would drop.
+            let registered = lock(&handle);
             {
                 let mut sessions = write(&self.sessions);
                 if let Some(existing) = sessions.get(id) {
@@ -569,6 +574,10 @@ impl Engine {
                 slot.dirty = applied > 0;
                 slot.last_access = self.clock.fetch_add(1, Ordering::Relaxed);
             }
+            if outcome.truncated_tail.is_some() {
+                self.scrub_wal_tail(&store, id);
+            }
+            drop(registered);
             self.enforce_resident_cap()?;
             return Ok((handle, report));
         }
@@ -1249,6 +1258,7 @@ mod tests {
             self.inner.read_wal(session_id)
         }
         fn truncate_wal(&self, session_id: &str) -> EngineResult<()> {
+            self.park_if_armed(StoreOp::TruncateWal, session_id);
             self.inner.truncate_wal(session_id)
         }
         fn list_sessions(&self) -> EngineResult<Vec<String>> {
@@ -1522,6 +1532,78 @@ mod tests {
 
             let _ = std::fs::remove_dir_all(&dir);
         }
+    }
+
+    #[test]
+    fn a_rehydration_that_loses_the_race_never_scrubs_the_winners_wal() {
+        let (dir, _) = scratch_store("scrub-race");
+        let (pool, _) = pool_and_truth(300, 47);
+        {
+            let engine = durable_engine(&Arc::new(
+                crate::store::FsCheckpointStore::open(&dir).unwrap(),
+            ));
+            engine.load_pool("p", pool.clone()).unwrap();
+            let spec = oasis_spec("a", 4, 9, LabelSource::external(300));
+            engine.create_session(spec).unwrap();
+        }
+        // Crash mid-append: half a record trails the log.
+        let store = GatedStore::new(&dir);
+        store
+            .append_wal("a", "{\"seq\":\"0\",\"op\":\"pro")
+            .unwrap();
+
+        let engine = Engine::new().with_store(Arc::clone(&store) as Arc<dyn CheckpointStore>);
+        engine.load_pool("p", pool.clone()).unwrap();
+        let send = |engine: &Engine, request: crate::protocol::Request| {
+            crate::protocol::dispatch(engine, request).response.render()
+        };
+        store.arm(StoreOp::TruncateWal, "a");
+        let propose = |engine: &Engine| {
+            let request = crate::protocol::Request::Propose {
+                session: "a".to_string(),
+                count: 1,
+            };
+            send(engine, request)
+        };
+        let engine = &engine;
+        let acknowledged = std::thread::scope(|scope| {
+            // One request rehydrates a, reads the torn tail and parks in the
+            // scrub's truncate.
+            let slow = scope.spawn(move || {
+                let request = crate::protocol::Request::Estimate {
+                    session: "a".to_string(),
+                };
+                send(engine, request)
+            });
+            store.gate.wait();
+            let acknowledged = if read(&engine.sessions).contains_key("a") {
+                // The scrubbing copy is the registered one and holds a's
+                // lock: a propose waits for the rewrite to end.
+                store.gate.wait();
+                propose(engine)
+            } else {
+                // The scrubbing copy is not registered: another request
+                // rehydrates a and gets a propose acknowledged before the
+                // truncate runs.
+                let acknowledged = propose(engine);
+                store.gate.wait();
+                acknowledged
+            };
+            let estimate = slow.join().unwrap();
+            assert!(estimate.contains(r#""ok":true"#), "{estimate}");
+            acknowledged
+        });
+        assert!(acknowledged.contains(r#""ok":true"#), "{acknowledged}");
+
+        // After a restart the acknowledged proposal is still pending.
+        let revived = Engine::new().with_store(Arc::new(
+            crate::store::FsCheckpointStore::open(&dir).unwrap(),
+        ) as Arc<dyn CheckpointStore>);
+        revived.load_pool("p", pool).unwrap();
+        revived.restore_from("a").unwrap();
+        assert_eq!(revived.session("a").unwrap().lock().pending_count(), 1);
+
+        let _ = std::fs::remove_dir_all(&dir);
     }
 
     #[test]

@@ -557,8 +557,9 @@ impl Session {
     ///
     /// # Errors
     /// [`EngineError::CheckpointMismatch`] if the pool's length or
-    /// fingerprint differs from the checkpointed one, plus any sampler
-    /// reconstruction failure.
+    /// fingerprint differs from the checkpointed one, [`EngineError::Store`]
+    /// if the strata the document refers to by key now hash differently,
+    /// plus any sampler reconstruction failure.
     pub fn restore(checkpoint: SessionCheckpoint, pool: Arc<ScoredPool>) -> EngineResult<Self> {
         if pool.len() != checkpoint.pool_len {
             return Err(EngineError::CheckpointMismatch(format!(
@@ -574,7 +575,16 @@ impl Session {
                 checkpoint.pool_fingerprint
             )));
         }
-        let sampler = TrackedSampler::<AnySampler>::from_state(&pool, checkpoint.sampler)?;
+        let sampler = TrackedSampler::<AnySampler>::from_state(&pool, checkpoint.sampler).map_err(
+            |error| match error {
+                // The document names strata this build no longer produces
+                // from the pool: it cannot continue, and no retry helps.
+                oasis::Error::StrataMismatch { .. } => {
+                    EngineError::Store(format!("cannot restore the checkpoint: {error}"))
+                }
+                other => other.into(),
+            },
+        )?;
         let source = match checkpoint.oracle {
             OracleCheckpoint::External { labelled, .. } => {
                 if labelled.len() != pool.len() {

@@ -4,19 +4,19 @@
 //! append-only *write-ahead log* (see [`crate::wal`]).  The engine's
 //! durability contract is `latest checkpoint + WAL suffix`:
 //!
-//! * `checkpoint_to` writes an envelope `{"format":"oasis-engine/store-v1",
+//! * `checkpoint_to` writes an envelope `{"format":"oasis-engine/store-v2",
 //!   "wal_seq":N,"checkpoint":{…}}` — the inner document is an unmodified
-//!   [`SessionCheckpoint`] (`oasis-engine/checkpoint-v1`), and `wal_seq` is
+//!   [`SessionCheckpoint`] (`oasis-engine/checkpoint-v2`), and `wal_seq` is
 //!   the sequence number the *next* WAL record will carry — then truncates
 //!   the log.  A crash between those two steps is harmless: replay filters
 //!   records below the envelope's watermark.
 //! * `restore_from` loads the envelope, rebuilds the session from the inner
 //!   checkpoint, and replays every log record with `seq >= wal_seq`.
 //!
-//! Bare `oasis-engine/checkpoint-v1` documents (written before the store
-//! existed, or exported over the wire by the `checkpoint` verb) are accepted
-//! too, with an implied watermark of 0 — so pre-store checkpoints remain
-//! restorable forever.
+//! `store-v1` envelopes and bare checkpoint documents of either version
+//! (written before the store existed, or exported over the wire by the
+//! `checkpoint` verb) are accepted too, a bare one with an implied watermark
+//! of 0 — so every checkpoint ever written remains restorable.
 //!
 //! The store trait is deliberately dumb — opaque strings in, opaque strings
 //! out — so alternative backends (an object store, a database) only deal in
@@ -25,16 +25,20 @@
 //! per session under a root directory, session ids percent-encoded so any id
 //! accepted by the protocol maps to a safe, collision-free file name.
 
-use crate::checkpoint::{SessionCheckpoint, CHECKPOINT_FORMAT};
+use crate::checkpoint::{SessionCheckpoint, CHECKPOINT_FORMAT, CHECKPOINT_FORMAT_V1};
 use crate::error::{EngineError, EngineResult};
 use serde::json::{FromJson, Json, ToJson};
 use std::fs;
 use std::io::Write as _;
 use std::path::{Path, PathBuf};
 
-/// Version tag of the store envelope that wraps a checkpoint with its WAL
-/// high-water mark.
-pub const STORE_FORMAT: &str = "oasis-engine/store-v1";
+/// Version tag of the store envelope this build writes around a checkpoint
+/// and its WAL high-water mark.
+pub const STORE_FORMAT: &str = "oasis-engine/store-v2";
+
+/// Version tag of the envelope around `checkpoint-v1` documents.  Same
+/// shape; still read.
+pub const STORE_FORMAT_V1: &str = "oasis-engine/store-v1";
 
 /// Wrap a checkpoint and its WAL watermark into a store envelope document.
 pub fn render_envelope(checkpoint: &SessionCheckpoint, wal_seq: u64) -> String {
@@ -45,8 +49,9 @@ pub fn render_envelope(checkpoint: &SessionCheckpoint, wal_seq: u64) -> String {
     obj.render()
 }
 
-/// Parse a store document into `(checkpoint, wal_seq)`.  Accepts both the
-/// store envelope and a bare `checkpoint-v1` document (watermark 0).
+/// Parse a store document into `(checkpoint, wal_seq)`.  Accepts store
+/// envelopes of either version and bare checkpoint documents of either
+/// version (watermark 0).
 ///
 /// # Errors
 /// [`EngineError::Store`] on malformed JSON or an unknown format tag.
@@ -57,15 +62,15 @@ pub fn parse_envelope(text: &str) -> EngineResult<(SessionCheckpoint, u64)> {
         .require("format")
         .and_then(|f| f.as_str().map(str::to_string))
         .map_err(|e| EngineError::Store(format!("bad store document: {e}")))?;
-    if format == CHECKPOINT_FORMAT {
+    if format == CHECKPOINT_FORMAT || format == CHECKPOINT_FORMAT_V1 {
         let checkpoint = SessionCheckpoint::from_json(&value)
             .map_err(|e| EngineError::Store(format!("bad checkpoint document: {e}")))?;
         return Ok((checkpoint, 0));
     }
-    if format != STORE_FORMAT {
+    if format != STORE_FORMAT && format != STORE_FORMAT_V1 {
         return Err(EngineError::Store(format!(
-            "unsupported store format {format:?} (expected {STORE_FORMAT:?} or \
-             {CHECKPOINT_FORMAT:?})"
+            "unsupported store format {format:?} (expected {STORE_FORMAT:?}, \
+             {STORE_FORMAT_V1:?} or a bare checkpoint)"
         )));
     }
     let wal_seq = value
@@ -468,7 +473,7 @@ mod tests {
         assert_eq!(parsed, checkpoint);
         assert_eq!(wal_seq, 42);
 
-        // A bare checkpoint-v1 document (pre-store, or exported over the
+        // A bare checkpoint document (pre-store, or exported over the
         // wire) is accepted with an implied watermark of 0.
         let bare = checkpoint.to_json_string();
         let (parsed, wal_seq) = parse_envelope(&bare).unwrap();

@@ -1,17 +1,20 @@
 //! Checkpoint byte identity.  Store envelopes of sessions covering every
 //! sampler method (OASIS, passive, importance, stratified and sharded
 //! OASIS), both oracle kinds, pending tickets and lease fields are pinned
-//! to `golden/checkpoints.jsonl`: each capture must render to its golden
+//! to `golden/checkpoints-v2.jsonl`: each capture must render to its golden
 //! line byte for byte, and each golden line must parse back to the
 //! checkpoint it was rendered from.  A change to the JSON layer or to any
 //! state encoding that moves one byte fails here.
+//!
+//! `golden/checkpoints.jsonl` holds the same captures as `store-v1`
+//! envelopes; `restore_golden.rs` keeps them restoring.
 
 use oasis::{GroundTruthOracle, OasisConfig, SamplerMethod, ScoredPool};
 use oasis_engine::store::{parse_envelope, render_envelope};
 use oasis_engine::{LabelSource, Session, SessionCheckpoint, SessionLimits, SessionSpec};
 use std::sync::Arc;
 
-const GOLDEN: &str = include_str!("golden/checkpoints.jsonl");
+const GOLDEN: &str = include_str!("golden/checkpoints-v2.jsonl");
 
 /// The captures, in golden-file order, with the WAL watermark each
 /// envelope carries.

@@ -1,8 +1,11 @@
 //! The `oasis-serve` binary end to end over TCP: it logs the address it
-//! bound, not the one requested, with or without the no-op `--evented`.
+//! bound, not the one requested, with or without the no-op `--evented`,
+//! and a store it was SIGKILLed over answers as it did before the kill.
 
+use serde::json::{Json, ToJson};
 use std::io::{BufRead as _, BufReader, Write as _};
 use std::net::{SocketAddr, TcpStream};
+use std::path::Path;
 use std::process::{Child, Command, Stdio};
 
 /// Kills the server if an assertion fails before it shut down.
@@ -15,27 +18,132 @@ impl Drop for Server {
     }
 }
 
+/// Spawn `oasis-serve --tcp 127.0.0.1:0` with `extra` flags and read the
+/// address it logs.
+fn spawn(extra: &[&str]) -> (Server, SocketAddr) {
+    let mut server = Server(
+        Command::new(env!("CARGO_BIN_EXE_oasis-serve"))
+            .args(["--tcp", "127.0.0.1:0"])
+            .args(extra)
+            .stdin(Stdio::null())
+            .stdout(Stdio::null())
+            .stderr(Stdio::piped())
+            .spawn()
+            .unwrap(),
+    );
+    // The bound address is on the first `listening on` line; a store logs
+    // its directory before it.
+    let stderr = BufReader::new(server.0.stderr.take().unwrap());
+    let line = stderr
+        .lines()
+        .map(Result::unwrap)
+        .find(|line| line.contains("listening on"))
+        .unwrap_or_default();
+    let addr = line
+        .trim()
+        .strip_prefix("oasis-serve: listening on ")
+        .and_then(|rest| rest.split_whitespace().next()?.parse().ok())
+        .unwrap_or_else(|| panic!("{extra:?}: no bound address in {line:?}"));
+    (server, addr)
+}
+
+/// One request line, one response line.
+struct Client(BufReader<TcpStream>);
+
+impl Client {
+    fn connect(addr: SocketAddr) -> Self {
+        Client(BufReader::new(TcpStream::connect(addr).unwrap()))
+    }
+
+    fn send(&mut self, request: &str) -> String {
+        let stream = self.0.get_mut();
+        stream.write_all(request.as_bytes()).unwrap();
+        stream.write_all(b"\n").unwrap();
+        let mut response = String::new();
+        self.0.read_line(&mut response).unwrap();
+        assert!(response.contains(r#""ok":true"#), "{request} -> {response}");
+        response
+    }
+}
+
+#[test]
+fn a_sigkill_loses_no_acknowledged_record() {
+    let dir = std::env::temp_dir().join(format!("oasis-cli-sigkill-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    let store = dir.to_str().unwrap();
+    let (pool, _) = oasis::test_fixtures::pool_and_truth(400, 71, 0.1);
+    let mut load = Json::object();
+    load.set("cmd", Json::String("load_pool".to_string()));
+    load.set("pool", Json::String("p".to_string()));
+    load.set("scores", pool.scores().to_vec().to_json());
+    load.set("predictions", pool.predictions().to_vec().to_json());
+    let load = load.render();
+    let estimate = r#"{"cmd":"estimate","session":"s"}"#;
+
+    let (mut server, addr) = spawn(&["--store", store]);
+    let mut client = Client::connect(addr);
+    client.send(&load);
+    client.send(
+        r#"{"cmd":"create_session","session":"s","pool":"p","seed":3,"config":{"strata_count":8}}"#,
+    );
+    // Five rounds answer every ticket; the sixth leaves its tickets pending.
+    for round in 0..6 {
+        let response = client.send(r#"{"cmd":"propose","session":"s","count":5}"#);
+        if round == 5 {
+            break;
+        }
+        let proposals = Json::parse(&response).unwrap();
+        let labels: Vec<String> = proposals
+            .require("proposals")
+            .unwrap()
+            .as_array()
+            .unwrap()
+            .iter()
+            .map(|ticket| {
+                let id = ticket
+                    .require("ticket")
+                    .unwrap()
+                    .as_str()
+                    .unwrap()
+                    .to_string();
+                let item = ticket.require("item").unwrap().as_usize().unwrap();
+                format!(r#"{{"ticket":"{id}","label":{}}}"#, item.is_multiple_of(3))
+            })
+            .collect();
+        client.send(&format!(
+            r#"{{"cmd":"label","session":"s","labels":[{}]}}"#,
+            labels.join(",")
+        ));
+    }
+    let before = client.send(estimate);
+    server.0.kill().unwrap();
+    server.0.wait().unwrap();
+    drop(server);
+
+    let document = std::fs::read_to_string(Path::new(&dir).join("s.checkpoint.json")).unwrap();
+    assert!(
+        document.starts_with(r#"{"checkpoint":{"format":"oasis-engine/checkpoint-v2""#),
+        "{document}"
+    );
+    let (_server, addr) = spawn(&["--store", store]);
+    let mut client = Client::connect(addr);
+    client.send(&load);
+    let after = client.send(estimate);
+    assert_eq!(after, before);
+    let pending = |response: &str| {
+        let value = Json::parse(response).unwrap();
+        value.require("pending").unwrap().as_usize().unwrap()
+    };
+    assert_eq!(pending(&after), 5);
+
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
 #[test]
 fn tcp_mode_logs_the_bound_address_and_serves_on_it() {
     for extra in [&[][..], &["--evented"][..]] {
-        let mut server = Server(
-            Command::new(env!("CARGO_BIN_EXE_oasis-serve"))
-                .args(["--tcp", "127.0.0.1:0"])
-                .args(extra)
-                .stdin(Stdio::null())
-                .stdout(Stdio::null())
-                .stderr(Stdio::piped())
-                .spawn()
-                .unwrap(),
-        );
-        let mut stderr = BufReader::new(server.0.stderr.take().unwrap());
+        let (mut server, addr) = spawn(extra);
         let mut line = String::new();
-        stderr.read_line(&mut line).unwrap();
-        let addr: SocketAddr = line
-            .trim()
-            .strip_prefix("oasis-serve: listening on ")
-            .and_then(|rest| rest.split_whitespace().next()?.parse().ok())
-            .unwrap_or_else(|| panic!("{extra:?}: no bound address in {line:?}"));
         assert_ne!(addr.port(), 0, "{extra:?}: logged the requested port 0");
 
         let mut stream = TcpStream::connect(addr).unwrap();

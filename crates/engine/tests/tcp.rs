@@ -4,8 +4,9 @@
 //! The contract under test: TCP speaks *exactly* the same wire protocol as
 //! the stdio loop (byte-identical responses to the CI smoke script, however
 //! the bytes are sliced across reads, a final unterminated line answered, an
-//! unfinished line dropped at shutdown), and slow, overlong and non-draining
-//! clients degrade only their own connection.
+//! unfinished line dropped at shutdown, pipelined lines answered in request
+//! order), and slow, overlong and non-draining clients degrade only their
+//! own connection.
 
 use oasis_engine::server::{serve_lines, serve_listener_guarded, MAX_LINE_BYTES};
 use oasis_engine::{ClientPolicy, Engine};
@@ -377,4 +378,84 @@ proptest! {
         };
         with_server(None, check);
     }
+
+    /// Pipelined requests are answered in request order: a client that
+    /// writes `label` for the previous ticket and the next `propose` in one
+    /// write, however those bytes are split into packets, reads the same
+    /// response bytes as a client that sends one request at a time.
+    #[test]
+    fn pipelined_label_and_propose_pairs_are_answered_in_request_order(
+        cuts in prop::collection::vec(0usize..200, 0..4),
+    ) {
+        let one_at_a_time = {
+            let mut responses = Vec::new();
+            with_server(None, |addr| responses = annotate(addr, None));
+            responses
+        };
+        let mut pipelined = Vec::new();
+        with_server(None, |addr| pipelined = annotate(addr, Some(&cuts)));
+        prop_assert_eq!(pipelined, one_at_a_time);
+    }
+}
+
+/// An annotation run of one external session, one label per round trip:
+/// each round sends `label` for the previous ticket (even items match) and
+/// `propose` for the next.  With `cuts`, each round's two lines go out as
+/// one byte string split at those offsets (modulo its length), written
+/// before either response is read; without, each line waits for its
+/// response.  Returns every response line in order.
+fn annotate(addr: SocketAddr, cuts: Option<&[usize]>) -> Vec<String> {
+    const ROUNDS: usize = 6;
+    let stream = connect(addr);
+    stream.set_nodelay(true).unwrap();
+    let mut writer = stream.try_clone().unwrap();
+    let mut reader = BufReader::new(stream);
+    let mut responses = Vec::new();
+    let mut read = |responses: &mut Vec<String>| {
+        let mut line = String::new();
+        reader.read_line(&mut line).unwrap();
+        responses.push(line);
+    };
+    let propose = "{\"cmd\":\"propose\",\"session\":\"s\",\"count\":1}\n";
+    for line in [
+        "{\"cmd\":\"load_pool\",\"pool\":\"p\",\"scores\":[0.9,0.8,0.7,0.4,0.3,0.2,0.1,0.05],\"predictions\":[true,true,false,false,false,false,false,false]}\n",
+        "{\"cmd\":\"create_session\",\"session\":\"s\",\"pool\":\"p\",\"seed\":11,\"config\":{\"strata_count\":3}}\n",
+        propose,
+    ] {
+        writer.write_all(line.as_bytes()).unwrap();
+        read(&mut responses);
+    }
+    for _ in 0..ROUNDS {
+        let previous = serde::json::Json::parse(responses.last().unwrap()).unwrap();
+        let ticket = &previous.require("proposals").unwrap().as_array().unwrap()[0];
+        let label = format!(
+            "{{\"cmd\":\"label\",\"session\":\"s\",\"labels\":[{{\"ticket\":\"{}\",\"label\":{}}}]}}\n",
+            ticket.require("ticket").unwrap().as_str().unwrap(),
+            ticket.require("item").unwrap().as_usize().unwrap().is_multiple_of(2)
+        );
+        match cuts {
+            Some(cuts) => {
+                let pair = format!("{label}{propose}").into_bytes();
+                let mut cuts: Vec<usize> = cuts.iter().map(|c| c % pair.len()).collect();
+                cuts.push(pair.len());
+                cuts.sort_unstable();
+                cuts.dedup();
+                let mut start = 0;
+                for cut in cuts {
+                    writer.write_all(&pair[start..cut]).unwrap();
+                    writer.flush().unwrap();
+                    start = cut;
+                }
+                read(&mut responses);
+                read(&mut responses);
+            }
+            None => {
+                for line in [&label[..], propose] {
+                    writer.write_all(line.as_bytes()).unwrap();
+                    read(&mut responses);
+                }
+            }
+        }
+    }
+    responses
 }

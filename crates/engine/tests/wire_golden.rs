@@ -4,8 +4,10 @@
 //! leases, ticket ids past 2^53), `label`, `estimate` and `checkpoint`
 //! (whose `pending` carries tickets too), and `WalRecord::render` pins one
 //! log line per `WalEntry` variant, with and without `now_us`.  Every line
-//! must match `golden/wire.jsonl` byte for byte, and every WAL line must
-//! parse back to the record it was rendered from.
+//! must match `golden/wire.jsonl` byte for byte, except the `checkpoint`
+//! responses, which match `golden/wire-checkpoints-v2.jsonl` (the v1 bytes
+//! in `wire.jsonl` stay as read fixtures of `restore_golden.rs`), and every
+//! WAL line must parse back to the record it was rendered from.
 
 use oasis::test_fixtures::pool_and_truth;
 use oasis_engine::protocol::{dispatch, error_response, Request};
@@ -14,6 +16,13 @@ use serde::json::{Json, ToJson};
 use std::sync::Arc;
 
 const GOLDEN: &str = include_str!("golden/wire.jsonl");
+const CHECKPOINTS_V2: &str = include_str!("golden/wire-checkpoints-v2.jsonl");
+
+/// Whether a golden line is a `checkpoint` response, pinned by
+/// `CHECKPOINTS_V2` instead.
+fn is_checkpoint_response(line: &str) -> bool {
+    line.starts_with(r#"{"checkpoint":"#)
+}
 
 /// 2^53 + 1: the first ticket id an `f64` cannot hold.
 const BIG_TICKET: u64 = (1 << 53) + 1;
@@ -144,12 +153,25 @@ fn responses_and_wal_lines_render_to_the_golden_bytes() {
     let golden: Vec<&str> = GOLDEN.lines().collect();
     let rendered = rendered();
     assert_eq!(golden.len(), rendered.len(), "one golden line per output");
-    for (i, (line, expected)) in rendered.iter().zip(&golden).enumerate() {
+    let mut checkpoints = CHECKPOINTS_V2.lines();
+    for (i, (line, &expected)) in rendered.iter().zip(&golden).enumerate() {
+        let expected = if is_checkpoint_response(expected) {
+            checkpoints
+                .next()
+                .expect("one v2 line per checkpoint response")
+        } else {
+            expected
+        };
         assert!(
             line == expected,
             "line {i} moved:\n  rendered {line}\n  golden   {expected}"
         );
     }
+    assert_eq!(
+        checkpoints.next(),
+        None,
+        "one checkpoint response per v2 line"
+    );
 }
 
 #[test]

@@ -41,6 +41,17 @@ pub enum Error {
         /// The pool size.
         len: usize,
     },
+    /// A state refers to strata by key, but the key now builds a different
+    /// partition of the pool than the one the state was captured on (the
+    /// stratifier changed, or the state was edited).
+    StrataMismatch {
+        /// The key, as `"<stratifier> K=<count>"`.
+        key: String,
+        /// The hash the state records.
+        expected: u64,
+        /// The hash of the strata the key builds now.
+        actual: u64,
+    },
     /// The oracle was asked about an item it has no ground truth for.
     OracleOutOfBounds {
         /// The offending index.
@@ -74,6 +85,15 @@ impl fmt::Display for Error {
             Error::IndexOutOfBounds { index, len } => {
                 write!(f, "item index {index} out of bounds for pool of size {len}")
             }
+            Error::StrataMismatch {
+                key,
+                expected,
+                actual,
+            } => write!(
+                f,
+                "strata {key} of this pool hash to {actual:#018x}, but the state was \
+                 captured on strata hashing to {expected:#018x}"
+            ),
             Error::OracleOutOfBounds { index, len } => {
                 write!(
                     f,

@@ -87,9 +87,12 @@ pub use samplers::{
     AnySampler, CategoricalCdf, EstimatorState, FenwickTree, ImportanceSampler, ImportanceState,
     InteractiveSampler, OasisConfig, OasisSampler, OasisState, PassiveSampler, PassiveState,
     Proposal, Sampler, SamplerDiagnostics, SamplerMethod, SamplerState, ShardedPool,
-    ShardedSampler, ShardedState, StratifiedSampler, StratifiedState, TrackedSampler, TrackerState,
+    ShardedSampler, ShardedState, StrataState, StratifiedSampler, StratifiedState, TrackedSampler,
+    TrackerState,
 };
-pub use strata::{CsfStratifier, EqualSizeStratifier, Strata, Stratifier};
+pub use strata::{
+    CsfStratifier, EqualSizeStratifier, Strata, StrataKey, Stratifier, StratifierChoice,
+};
 
 #[cfg(any(test, feature = "test-util"))]
 #[doc(hidden)]

@@ -7,8 +7,9 @@
 //! labels must be purchased one at a time.
 
 use crate::error::{Error, Result};
+use crate::strata::{Strata, StrataKey};
 use std::fmt;
-use std::sync::OnceLock;
+use std::sync::{Arc, Mutex, OnceLock, PoisonError, Weak};
 
 /// A pool of record pairs with similarity scores and predicted labels.
 ///
@@ -18,12 +19,28 @@ use std::sync::OnceLock;
 /// ever needs scores and predictions.
 ///
 /// A pool never changes after construction, so its content
-/// [fingerprint](ScoredPool::fingerprint) is computed once and cached.
-#[derive(Clone)]
+/// [fingerprint](ScoredPool::fingerprint) is computed once and cached, and
+/// its [strata](ScoredPool::shared_strata) are built once per key and
+/// shared while in use.
 pub struct ScoredPool {
     scores: Vec<f64>,
     predictions: Vec<bool>,
     fingerprint: OnceLock<u64>,
+    /// Strata built on this pool, by key.  Weak, so strata live only as
+    /// long as some sampler holds them.
+    shared_strata: Mutex<Vec<(StrataKey, Weak<Strata>)>>,
+}
+
+/// A clone shares the caches: they describe the same content.
+impl Clone for ScoredPool {
+    fn clone(&self) -> Self {
+        ScoredPool {
+            scores: self.scores.clone(),
+            predictions: self.predictions.clone(),
+            fingerprint: self.fingerprint.clone(),
+            shared_strata: Mutex::new(self.strata_memo().clone()),
+        }
+    }
 }
 
 /// Pools are equal when their contents are; the fingerprint cache is not
@@ -72,7 +89,38 @@ impl ScoredPool {
             scores,
             predictions,
             fingerprint: OnceLock::new(),
+            shared_strata: Mutex::new(Vec::new()),
         })
+    }
+
+    /// The strata `key` builds on this pool, shared: while any sampler
+    /// holds the strata of a key, every other caller gets the same
+    /// allocation instead of stratifying again.  Two callers racing on one
+    /// key build it once.
+    ///
+    /// # Errors
+    /// The stratifier's own (see [`StrataKey::stratify`]).
+    pub fn shared_strata(&self, key: StrataKey) -> Result<Arc<Strata>> {
+        let mut memo = self.strata_memo();
+        if let Some(strata) = memo
+            .iter()
+            .find(|(k, _)| *k == key)
+            .and_then(|(_, strata)| strata.upgrade())
+        {
+            return Ok(strata);
+        }
+        let strata = Arc::new(key.stratify(self)?);
+        memo.retain(|(k, strata)| *k != key && strata.strong_count() > 0);
+        memo.push((key, Arc::downgrade(&strata)));
+        Ok(strata)
+    }
+
+    fn strata_memo(&self) -> std::sync::MutexGuard<'_, Vec<(StrataKey, Weak<Strata>)>> {
+        // A panic cannot leave the memo half-updated: an entry is pushed
+        // whole or not at all.
+        self.shared_strata
+            .lock()
+            .unwrap_or_else(PoisonError::into_inner)
     }
 
     /// FNV-1a content fingerprint of the pool (each item's score bits, then

@@ -67,15 +67,16 @@ mod sharding;
 mod state;
 mod stratified;
 
+pub use crate::strata::StratifierChoice;
 pub use any::AnySampler;
 pub use fenwick::FenwickTree;
 pub use importance::ImportanceSampler;
-pub use oasis_sampler::{OasisConfig, OasisSampler, Proposal, StratifierChoice};
+pub use oasis_sampler::{OasisConfig, OasisSampler, Proposal};
 pub use passive::PassiveSampler;
 pub use sharding::{ShardedPool, ShardedSampler};
 pub use state::{
     EstimatorState, ImportanceState, OasisState, PassiveState, SamplerMethod, SamplerState,
-    ShardedState, StratifiedState, TrackerState,
+    ShardedState, StrataState, StratifiedState, TrackerState,
 };
 pub use stratified::StratifiedSampler;
 

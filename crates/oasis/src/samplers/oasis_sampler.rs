@@ -1,6 +1,6 @@
 //! The OASIS sampler — the paper's contribution (Algorithms 2 and 3).
 
-use super::state::{EstimatorState, OasisState, SamplerMethod, SamplerState};
+use super::state::{EstimatorState, OasisState, SamplerMethod, SamplerState, StrataState};
 use super::{InteractiveSampler, Sampler, SamplerDiagnostics};
 use crate::bayes::BetaBernoulliModel;
 use crate::error::{Error, Result};
@@ -8,17 +8,9 @@ use crate::estimator::{AisEstimator, Estimate};
 use crate::instrumental::{epsilon_greedy, stratified_optimal, stratified_optimal_mass};
 use crate::pool::ScoredPool;
 use crate::samplers::importance::logistic;
-use crate::strata::{CsfStratifier, EqualSizeStratifier, Strata, Stratifier};
+use crate::strata::{Strata, StrataKey, StratifierChoice};
 use rand::Rng;
-
-/// Which stratification rule OASIS should use.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum StratifierChoice {
-    /// Cumulative-√F stratification (paper Algorithm 1) — the default.
-    Csf,
-    /// Equal-count strata in score order.
-    EqualSize,
-}
+use std::sync::Arc;
 
 /// Configuration of the OASIS sampler.
 ///
@@ -221,7 +213,8 @@ pub struct Proposal {
 #[derive(Debug, Clone)]
 pub struct OasisSampler {
     config: OasisConfig,
-    strata: Strata,
+    /// Shared with every sampler over the same pool and [`StrataKey`].
+    strata: Arc<Strata>,
     model: BetaBernoulliModel,
     estimator: AisEstimator,
     initial_f_guess: f64,
@@ -247,22 +240,30 @@ pub struct OasisSampler {
 }
 
 impl OasisSampler {
-    /// Build an OASIS sampler for `pool`: stratify, initialise (Algorithm 2),
+    /// Build an OASIS sampler for `pool`: stratify (through the pool's
+    /// [shared strata](ScoredPool::shared_strata)), initialise (Algorithm 2),
     /// and set up the Bayesian model (Algorithm 3, line 1).
     pub fn new(pool: &ScoredPool, config: OasisConfig) -> Result<Self> {
         config.validate()?;
-        let strata = match config.stratifier {
-            StratifierChoice::Csf => CsfStratifier::new(config.strata_count).stratify(pool)?,
-            StratifierChoice::EqualSize => {
-                EqualSizeStratifier::new(config.strata_count).stratify(pool)?
-            }
-        };
-        Self::with_strata(pool, strata, config)
+        let strata = pool.shared_strata(StrataKey {
+            stratifier: config.stratifier,
+            strata_count: config.strata_count,
+        })?;
+        Self::with_shared_strata(pool, strata, config)
     }
 
     /// Build an OASIS sampler with a pre-computed stratification (useful to
     /// share one stratification across repeated experiment runs).
     pub fn with_strata(pool: &ScoredPool, strata: Strata, config: OasisConfig) -> Result<Self> {
+        Self::with_shared_strata(pool, Arc::new(strata), config)
+    }
+
+    /// [`OasisSampler::with_strata`] for strata other samplers may hold too.
+    fn with_shared_strata(
+        pool: &ScoredPool,
+        strata: Arc<Strata>,
+        config: OasisConfig,
+    ) -> Result<Self> {
         config.validate()?;
         let init = initialise(pool, &strata, config.alpha, config.score_threshold);
         let eta = config.prior_strength.unwrap_or(2.0 * strata.len() as f64);
@@ -363,7 +364,7 @@ impl OasisSampler {
         let stratum = super::sample_from_cumulative(rng, &self.cdf_scratch);
         // Line 5: draw an item uniformly within the stratum.
         let members = self.strata.members(stratum);
-        let item = members[rng.gen_range(0..members.len())];
+        let item = members[rng.gen_range(0..members.len())] as usize;
         // Line 6: importance weight w_t = ω_k / v_k.
         let weight = self.strata.weights()[stratum] / self.current_proposal[stratum];
         Proposal {
@@ -384,7 +385,7 @@ impl OasisSampler {
     #[allow(clippy::too_many_arguments)]
     pub(super) fn from_parts(
         config: OasisConfig,
-        strata: Strata,
+        strata: Arc<Strata>,
         model: BetaBernoulliModel,
         estimator: AisEstimator,
         initial_f_guess: f64,
@@ -543,7 +544,7 @@ impl InteractiveSampler for OasisSampler {
             self.model.snapshot();
         SamplerState::Oasis(OasisState {
             config: self.config.clone(),
-            allocations: self.strata.allocations().to_vec(),
+            strata: StrataState::capture(&self.strata),
             prior_gamma0: prior_gamma0.to_vec(),
             prior_gamma1: prior_gamma1.to_vec(),
             observed_matches: observed_matches.to_vec(),
@@ -574,6 +575,7 @@ mod tests {
     use crate::measures::exhaustive_measures;
     use crate::oracle::{GroundTruthOracle, Oracle};
     use crate::samplers::PassiveSampler;
+    use crate::strata::{CsfStratifier, Stratifier};
     use rand::rngs::StdRng;
     use rand::SeedableRng;
 

@@ -24,7 +24,8 @@ use crate::confidence::VarianceTracker;
 use crate::error::{Error, Result};
 use crate::estimator::AisEstimator;
 use crate::pool::ScoredPool;
-use crate::strata::Strata;
+use crate::strata::{Strata, StrataKey};
+use std::sync::Arc;
 
 /// The sampling method a state (or a live sampler) belongs to.
 ///
@@ -231,6 +232,64 @@ fn validate_allocations_disjoint(pool: &ScoredPool, allocations: &[Vec<usize>]) 
     Ok(())
 }
 
+/// How a stratified sampler's state records its strata.
+#[derive(Debug, Clone, PartialEq)]
+pub enum StrataState {
+    /// The exact stratification: pool indices per stratum.  Strata built
+    /// from explicit allocations are stored this way, and every document
+    /// written before strata were shared reads back as one.
+    Inline(Vec<Vec<usize>>),
+    /// Strata a [`StrataKey`] builds from the pool, with the
+    /// [hash](Strata::hash) of the partition the state was captured on.
+    Shared {
+        /// The rule and requested `K`.
+        key: StrataKey,
+        /// [`Strata::hash`] of the captured strata.
+        hash: u64,
+    },
+}
+
+impl StrataState {
+    /// Record `strata` by key when a key built them, else inline.
+    pub fn capture(strata: &Strata) -> Self {
+        match strata.key() {
+            Some(key) => StrataState::Shared {
+                key,
+                hash: strata.hash(),
+            },
+            None => StrataState::Inline(strata.allocations()),
+        }
+    }
+
+    /// The strata against `pool`: inline ones rebuilt from their
+    /// allocations, keyed ones through the pool's
+    /// [shared strata](ScoredPool::shared_strata).
+    ///
+    /// # Errors
+    /// Overlapping or out-of-range allocations, or
+    /// [`Error::StrataMismatch`] when the key builds strata with another
+    /// hash.
+    pub fn resolve(self, pool: &ScoredPool) -> Result<Arc<Strata>> {
+        match self {
+            StrataState::Inline(allocations) => {
+                validate_allocations_disjoint(pool, &allocations)?;
+                Ok(Arc::new(Strata::from_allocations(pool, allocations)?))
+            }
+            StrataState::Shared { key, hash } => {
+                let strata = pool.shared_strata(key)?;
+                if strata.hash() != hash {
+                    return Err(Error::StrataMismatch {
+                        key: key.to_string(),
+                        expected: hash,
+                        actual: strata.hash(),
+                    });
+                }
+                Ok(strata)
+            }
+        }
+    }
+}
+
 /// Full serializable state of an [`OasisSampler`].
 ///
 /// Produced by [`InteractiveSampler::state`](super::InteractiveSampler::state)
@@ -243,8 +302,8 @@ fn validate_allocations_disjoint(pool: &ScoredPool, allocations: &[Vec<usize>]) 
 pub struct OasisState {
     /// The sampler configuration.
     pub config: OasisConfig,
-    /// The exact stratification: pool indices per stratum.
-    pub allocations: Vec<Vec<usize>>,
+    /// The stratification, by key or inline.
+    pub strata: StrataState,
     /// Prior pseudo-counts for label 1, per stratum.
     pub prior_gamma0: Vec<f64>,
     /// Prior pseudo-counts for label 0, per stratum.
@@ -278,17 +337,15 @@ impl OasisState {
     /// Rebuild a sampler against `pool`.
     ///
     /// The pool must be the one the state was captured against (the engine
-    /// layer verifies this with a fingerprint); `Strata::from_allocations`
-    /// recomputes the per-stratum summary statistics from the pool, which
-    /// reproduces the original values exactly because the summation order is
-    /// identical.
+    /// layer verifies this with a fingerprint); the strata are rebuilt from
+    /// it (see [`StrataState::resolve`]), and the per-stratum summary
+    /// statistics come out identical because the summation order is.
     ///
     /// # Errors
     /// Propagates validation failures from the config, strata and model
     /// constructors (e.g. allocations referencing items outside the pool).
     pub fn rebuild(self, pool: &ScoredPool) -> Result<OasisSampler> {
-        validate_allocations_disjoint(pool, &self.allocations)?;
-        let strata = Strata::from_allocations(pool, self.allocations)?;
+        let strata = self.strata.resolve(pool)?;
         let model = BetaBernoulliModel::from_state(
             self.prior_gamma0,
             self.prior_gamma1,
@@ -368,8 +425,8 @@ impl ImportanceState {
 pub struct StratifiedState {
     /// F-measure weight α.
     pub alpha: f64,
-    /// The exact stratification: pool indices per stratum.
-    pub allocations: Vec<Vec<usize>>,
+    /// The stratification, by key or inline.
+    pub strata: StrataState,
     /// Labelled draw counts per stratum.
     pub samples: Vec<f64>,
     /// Σ ℓ·ℓ̂ per stratum.
@@ -397,8 +454,7 @@ impl StratifiedState {
                 message: format!("must be in [0, 1], got {}", self.alpha),
             });
         }
-        validate_allocations_disjoint(pool, &self.allocations)?;
-        let strata = Strata::from_allocations(pool, self.allocations)?;
+        let strata = self.strata.resolve(pool)?;
         let k = strata.len();
         if self.samples.len() != k
             || self.true_positives.len() != k
@@ -718,20 +774,35 @@ mod tests {
         }
     }
 
+    /// The state as a document with explicit allocations carries it.
+    fn inline_oasis_state(sampler: &OasisSampler) -> OasisState {
+        OasisState {
+            strata: StrataState::Inline(sampler.strata().allocations()),
+            ..oasis_state(sampler)
+        }
+    }
+
+    fn allocations(state: &mut OasisState) -> &mut Vec<Vec<usize>> {
+        match &mut state.strata {
+            StrataState::Inline(allocations) => allocations,
+            other => panic!("expected inline strata, got {other:?}"),
+        }
+    }
+
     #[test]
     fn rebuild_rejects_overlapping_allocations() {
         let (pool, _) = pool_and_truth(50, 9);
         let sampler =
             OasisSampler::new(&pool, OasisConfig::default().with_strata_count(4)).unwrap();
         // Duplicate within one stratum.
-        let mut state = oasis_state(&sampler);
-        let item = state.allocations[0][0];
-        state.allocations[0].push(item);
+        let mut state = inline_oasis_state(&sampler);
+        let item = allocations(&mut state)[0][0];
+        allocations(&mut state)[0].push(item);
         assert!(state.rebuild(&pool).is_err());
         // Duplicate across strata.
-        let mut state = oasis_state(&sampler);
-        let item = state.allocations[0][0];
-        state.allocations[1].push(item);
+        let mut state = inline_oasis_state(&sampler);
+        let item = allocations(&mut state)[0][0];
+        allocations(&mut state)[1].push(item);
         assert!(state.rebuild(&pool).is_err());
     }
 
@@ -740,9 +811,69 @@ mod tests {
         let (pool, _) = pool_and_truth(50, 6);
         let sampler =
             OasisSampler::new(&pool, OasisConfig::default().with_strata_count(4)).unwrap();
-        let mut state = oasis_state(&sampler);
-        state.allocations[0].push(10_000);
+        let mut state = inline_oasis_state(&sampler);
+        allocations(&mut state)[0].push(10_000);
         assert!(state.rebuild(&pool).is_err());
+    }
+
+    #[test]
+    fn keyed_strata_are_shared_and_checked_by_hash_on_rebuild() {
+        let (pool, _) = pool_and_truth(300, 10);
+        let config = OasisConfig::default().with_strata_count(6);
+        let a = OasisSampler::new(&pool, config.clone()).unwrap();
+        let b = OasisSampler::new(&pool, config.clone()).unwrap();
+        let stratified = StratifiedSampler::new(&pool, 0.5, 6).unwrap();
+        assert!(std::ptr::eq(a.strata(), b.strata()));
+        assert!(std::ptr::eq(a.strata(), stratified.strata()));
+
+        let state = oasis_state(&a);
+        let StrataState::Shared { key, hash } = state.strata else {
+            panic!("expected keyed strata, got {:?}", state.strata);
+        };
+        assert_eq!(key.strata_count, 6);
+        assert_eq!(hash, a.strata().hash());
+        let restored = state.clone().rebuild(&pool).unwrap();
+        assert!(std::ptr::eq(a.strata(), restored.strata()));
+
+        // The inline form of the same strata restores to equal strata.
+        let inline = inline_oasis_state(&a).rebuild(&pool).unwrap();
+        assert_eq!(inline.strata().allocations(), a.strata().allocations());
+        assert_eq!(inline.strata().hash(), a.strata().hash());
+        assert_eq!(inline.state(), SamplerState::Oasis(inline_oasis_state(&a)));
+
+        let mut edited = state;
+        edited.strata = StrataState::Shared {
+            key,
+            hash: hash ^ 1,
+        };
+        assert_eq!(
+            edited.rebuild(&pool).unwrap_err(),
+            Error::StrataMismatch {
+                key: "csf K=6".to_string(),
+                expected: hash ^ 1,
+                actual: hash,
+            }
+        );
+    }
+
+    #[test]
+    fn shared_strata_live_only_while_held() {
+        let (pool, _) = pool_and_truth(200, 14);
+        let key = StrataKey {
+            stratifier: crate::strata::StratifierChoice::EqualSize,
+            strata_count: 5,
+        };
+        let first = pool.shared_strata(key).unwrap();
+        let again = pool.shared_strata(key).unwrap();
+        assert!(Arc::ptr_eq(&first, &again));
+        assert_eq!(first.key(), Some(key));
+        let (hash, weak) = (first.hash(), Arc::downgrade(&first));
+        drop((first, again));
+        assert!(
+            weak.upgrade().is_none(),
+            "the pool must not keep strata alive"
+        );
+        assert_eq!(pool.shared_strata(key).unwrap().hash(), hash);
     }
 
     #[test]

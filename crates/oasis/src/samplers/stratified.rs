@@ -1,13 +1,14 @@
 //! Proportional stratified sampling (Druck & McCallum style) — the
 //! "Stratified" baseline of Section 6.2.
 
-use super::state::{SamplerMethod, SamplerState, StratifiedState};
+use super::state::{SamplerMethod, SamplerState, StrataState, StratifiedState};
 use super::{CategoricalCdf, InteractiveSampler, Proposal, Sampler, SamplerDiagnostics};
 use crate::error::Result;
 use crate::estimator::Estimate;
 use crate::pool::ScoredPool;
-use crate::strata::{CsfStratifier, Strata, Stratifier};
+use crate::strata::{Strata, StrataKey, StratifierChoice};
 use rand::Rng;
+use std::sync::Arc;
 
 /// Per-stratum running sums used by the stratified estimator.
 #[derive(Debug, Clone, Default)]
@@ -37,7 +38,8 @@ struct StratumTally {
 /// paper attributes to Druck & McCallum for F-measure estimation.
 #[derive(Debug, Clone)]
 pub struct StratifiedSampler {
-    strata: Strata,
+    /// Shared with every sampler over the same pool and [`StrataKey`].
+    strata: Arc<Strata>,
     alpha: f64,
     tallies: Vec<StratumTally>,
     iterations: usize,
@@ -50,14 +52,24 @@ pub struct StratifiedSampler {
 
 impl StratifiedSampler {
     /// Create a proportional stratified sampler with `strata_count` CSF strata
-    /// (the paper uses `K = 30`).
+    /// (the paper uses `K = 30`), shared through the pool's
+    /// [shared strata](ScoredPool::shared_strata).
     pub fn new(pool: &ScoredPool, alpha: f64, strata_count: usize) -> Result<Self> {
-        let strata = CsfStratifier::new(strata_count).stratify(pool)?;
-        Ok(Self::with_strata(strata, alpha))
+        let strata = pool.shared_strata(StrataKey {
+            stratifier: StratifierChoice::Csf,
+            strata_count,
+        })?;
+        Ok(Self::with_shared_strata(strata, alpha))
     }
 
     /// Create the sampler from a pre-computed stratification.
     pub fn with_strata(strata: Strata, alpha: f64) -> Self {
+        Self::with_shared_strata(Arc::new(strata), alpha)
+    }
+
+    /// [`StratifiedSampler::with_strata`] for strata other samplers may hold
+    /// too.
+    fn with_shared_strata(strata: Arc<Strata>, alpha: f64) -> Self {
         let k = strata.len();
         let stratum_sizes = (0..k).map(|i| strata.size(i) as f64).collect();
         let weight_cdf = CategoricalCdf::new(strata.weights());
@@ -79,14 +91,14 @@ impl StratifiedSampler {
     /// Assemble a sampler from restored tallies; shared by
     /// [`StratifiedState::rebuild`] (which validates the rows first).
     pub(super) fn from_parts(
-        strata: Strata,
+        strata: Arc<Strata>,
         alpha: f64,
         samples: Vec<f64>,
         true_positives: Vec<f64>,
         actual_positives: Vec<f64>,
         iterations: usize,
     ) -> Result<Self> {
-        let mut sampler = StratifiedSampler::with_strata(strata, alpha);
+        let mut sampler = StratifiedSampler::with_shared_strata(strata, alpha);
         for (k, tally) in sampler.tallies.iter_mut().enumerate() {
             tally.samples = samples[k];
             tally.true_positives = true_positives[k];
@@ -183,7 +195,7 @@ impl InteractiveSampler for StratifiedSampler {
     fn propose<R: Rng + ?Sized>(&mut self, pool: &ScoredPool, rng: &mut R) -> Proposal {
         let stratum = self.weight_cdf.sample(rng);
         let members = self.strata.members(stratum);
-        let item = members[rng.gen_range(0..members.len())];
+        let item = members[rng.gen_range(0..members.len())] as usize;
         Proposal {
             item,
             stratum,
@@ -248,7 +260,7 @@ impl InteractiveSampler for StratifiedSampler {
         }
         SamplerState::Stratified(StratifiedState {
             alpha: self.alpha,
-            allocations: self.strata.allocations().to_vec(),
+            strata: StrataState::capture(&self.strata),
             samples,
             true_positives,
             actual_positives,
@@ -272,6 +284,7 @@ mod tests {
     use super::*;
     use crate::measures::exhaustive_measures;
     use crate::oracle::GroundTruthOracle;
+    use crate::strata::{CsfStratifier, Stratifier};
     use rand::rngs::StdRng;
     use rand::SeedableRng;
 

@@ -33,8 +33,10 @@ use crate::estimator::Estimate;
 use crate::measures::{ConfusionCounts, Measures};
 use crate::samplers::{
     EstimatorState, ImportanceState, OasisConfig, OasisState, PassiveState, SamplerDiagnostics,
-    SamplerMethod, SamplerState, ShardedState, StratifiedState, StratifierChoice, TrackerState,
+    SamplerMethod, SamplerState, ShardedState, StrataState, StratifiedState, StratifierChoice,
+    TrackerState,
 };
+use crate::strata::StrataKey;
 use serde::json::{FromJson, Json, JsonError, JsonResult, ToJson};
 use serde::json_record;
 
@@ -92,15 +94,6 @@ json_record!(ImportanceState {
     estimator,
     tracker
 });
-json_record!(StratifiedState {
-    alpha,
-    allocations,
-    samples,
-    true_positives,
-    actual_positives,
-    iterations,
-    tracker
-});
 // The health report's optional statistics are null before the first label
 // (or for snapshots restored from pre-diagnostics documents), so consumers
 // can tell "not yet defined" apart from a dropped field.
@@ -145,13 +138,7 @@ impl FromJson for ConfusionCounts {
 
 impl ToJson for StratifierChoice {
     fn to_json(&self) -> Json {
-        Json::String(
-            match self {
-                StratifierChoice::Csf => "csf",
-                StratifierChoice::EqualSize => "equal_size",
-            }
-            .to_string(),
-        )
+        Json::String(self.as_str().to_string())
     }
 }
 
@@ -235,11 +222,70 @@ impl FromJson for SamplerMethod {
     }
 }
 
+/// Write a sampler's strata into its state object: keyed strata as
+/// `"strata":{"hash":…,"strata_count":…,"stratifier":…}`, inline ones as
+/// `"allocations"`, one array of pool indices per stratum.
+fn set_strata(obj: &mut Json, strata: &StrataState) {
+    match strata {
+        StrataState::Inline(allocations) => obj.set("allocations", allocations.to_json()),
+        StrataState::Shared { key, hash } => {
+            let mut reference = Json::object();
+            reference.set("hash", hash.to_json());
+            reference.set("strata_count", key.strata_count.to_json());
+            reference.set("stratifier", key.stratifier.to_json());
+            obj.set("strata", reference);
+        }
+    }
+}
+
+/// Read what [`set_strata`] wrote: a `"strata"` reference when present,
+/// else the `"allocations"` every earlier document carries.
+fn strata_field(value: &Json) -> JsonResult<StrataState> {
+    match value.get("strata") {
+        Some(reference) => Ok(StrataState::Shared {
+            key: StrataKey {
+                stratifier: reference.field("stratifier")?,
+                strata_count: reference.field("strata_count")?,
+            },
+            hash: reference.require("hash")?.as_u64()?,
+        }),
+        None => Ok(StrataState::Inline(value.field("allocations")?)),
+    }
+}
+
+impl ToJson for StratifiedState {
+    fn to_json(&self) -> Json {
+        let mut obj = Json::object();
+        obj.set("alpha", self.alpha.to_json());
+        set_strata(&mut obj, &self.strata);
+        obj.set("samples", self.samples.to_json());
+        obj.set("true_positives", self.true_positives.to_json());
+        obj.set("actual_positives", self.actual_positives.to_json());
+        obj.set("iterations", self.iterations.to_json());
+        obj.set("tracker", self.tracker.to_json());
+        obj
+    }
+}
+
+impl FromJson for StratifiedState {
+    fn from_json(value: &Json) -> JsonResult<Self> {
+        Ok(StratifiedState {
+            alpha: value.field("alpha")?,
+            strata: strata_field(value)?,
+            samples: value.field("samples")?,
+            true_positives: value.field("true_positives")?,
+            actual_positives: value.field("actual_positives")?,
+            iterations: value.field("iterations")?,
+            tracker: value.field("tracker")?,
+        })
+    }
+}
+
 impl ToJson for OasisState {
     fn to_json(&self) -> Json {
         let mut obj = Json::object();
         obj.set("config", self.config.to_json());
-        obj.set("allocations", self.allocations.to_json());
+        set_strata(&mut obj, &self.strata);
         obj.set("prior_gamma0", self.prior_gamma0.to_json());
         obj.set("prior_gamma1", self.prior_gamma1.to_json());
         obj.set("observed_matches", self.observed_matches.to_json());
@@ -263,7 +309,7 @@ impl FromJson for OasisState {
     fn from_json(value: &Json) -> JsonResult<Self> {
         Ok(OasisState {
             config: value.field("config")?,
-            allocations: value.field("allocations")?,
+            strata: strata_field(value)?,
             prior_gamma0: value.field("prior_gamma0")?,
             prior_gamma1: value.field("prior_gamma1")?,
             observed_matches: value.field("observed_matches")?,

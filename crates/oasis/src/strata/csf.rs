@@ -60,10 +60,12 @@ impl Stratifier for CsfStratifier {
         let scores = pool.scores();
         let (min, max) = pool.score_range();
 
+        super::check_pool_fits(pool)?;
+
         // Degenerate case: all scores identical → a single stratum.
         if (max - min).abs() < f64::EPSILON {
-            let all: Vec<usize> = (0..pool.len()).collect();
-            return Strata::from_allocations(pool, vec![all]);
+            let all: Vec<u32> = (0..pool.len() as u32).collect();
+            return Strata::from_members(pool, all, vec![0, pool.len()]);
         }
 
         let m = self.histogram_bins;
@@ -112,16 +114,28 @@ impl Stratifier for CsfStratifier {
             }
         }
 
-        // Line 19: allocate items to strata using the score boundaries.
+        // Line 19: allocate items to strata using the score boundaries
+        // (the first boundary strictly greater than the score determines
+        // the stratum), members in pool order within each stratum: count,
+        // then place.
         let k = boundaries.len() + 1;
-        let mut allocations: Vec<Vec<usize>> = vec![Vec::new(); k];
+        let stratum_of = |s: f64| boundaries.partition_point(|&b| s >= b);
+        let mut offsets = vec![0usize; k + 1];
+        for &s in scores {
+            offsets[stratum_of(s) + 1] += 1;
+        }
+        for i in 1..=k {
+            offsets[i] += offsets[i - 1];
+        }
+        let mut next = offsets.clone();
+        let mut members = vec![0u32; scores.len()];
         for (index, &s) in scores.iter().enumerate() {
-            // First boundary strictly greater than the score determines the stratum.
-            let stratum = boundaries.partition_point(|&b| s >= b);
-            allocations[stratum].push(index);
+            let slot = &mut next[stratum_of(s)];
+            members[*slot] = index as u32;
+            *slot += 1;
         }
 
-        Strata::from_allocations(pool, allocations)
+        Strata::from_members(pool, members, offsets)
     }
 }
 
@@ -167,7 +181,7 @@ mod tests {
         let strata = CsfStratifier::new(30).stratify(&pool).unwrap();
         let mut seen = vec![false; pool.len()];
         for k in 0..strata.len() {
-            for &i in strata.members(k) {
+            for i in strata.members(k).iter().map(|&i| i as usize) {
                 assert!(!seen[i], "item {i} allocated twice");
                 seen[i] = true;
             }

@@ -30,14 +30,15 @@ impl Stratifier for EqualSizeStratifier {
                 message: "must be at least 1".to_string(),
             });
         }
+        super::check_pool_fits(pool)?;
         let n = pool.len();
         let k = self.strata_count.min(n);
 
         // Order items by score (ties broken by index for determinism).
-        let mut order: Vec<usize> = (0..n).collect();
+        let mut order: Vec<u32> = (0..n as u32).collect();
         order.sort_by(|&a, &b| {
-            pool.score(a)
-                .partial_cmp(&pool.score(b))
+            pool.score(a as usize)
+                .partial_cmp(&pool.score(b as usize))
                 .expect("scores are finite by construction")
                 .then(a.cmp(&b))
         });
@@ -46,15 +47,13 @@ impl Stratifier for EqualSizeStratifier {
         // `n % k` strata receive one extra item.
         let base = n / k;
         let extra = n % k;
-        let mut allocations = Vec::with_capacity(k);
-        let mut cursor = 0usize;
+        let mut offsets = Vec::with_capacity(k + 1);
+        offsets.push(0);
         for stratum_index in 0..k {
             let size = base + usize::from(stratum_index < extra);
-            let chunk = order[cursor..cursor + size].to_vec();
-            cursor += size;
-            allocations.push(chunk);
+            offsets.push(offsets[stratum_index] + size);
         }
-        Strata::from_allocations(pool, allocations)
+        Strata::from_members(pool, order, offsets)
     }
 }
 
@@ -99,7 +98,7 @@ mod tests {
         let strata = EqualSizeStratifier::new(13).stratify(&pool).unwrap();
         let mut seen = vec![false; pool.len()];
         for k in 0..strata.len() {
-            for &i in strata.members(k) {
+            for i in strata.members(k).iter().map(|&i| i as usize) {
                 assert!(!seen[i]);
                 seen[i] = true;
             }

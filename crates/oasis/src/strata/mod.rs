@@ -10,6 +10,12 @@
 //!   Algorithm 1), which aims for minimal intra-stratum score variance.
 //! * [`EqualSizeStratifier`] — equal-count bins over the score order, the
 //!   alternative mentioned from Druck & McCallum.
+//!
+//! A stratification depends only on the pool's scores and on the rule and
+//! its requested `K` (a [`StrataKey`]), so samplers share one per key
+//! through [`ScoredPool::shared_strata`] instead of each building its own,
+//! and checkpoints store the key plus [`Strata::hash`] instead of the
+//! partition.
 
 mod csf;
 mod equal_size;
@@ -19,20 +25,84 @@ pub use equal_size::EqualSizeStratifier;
 
 use crate::error::{Error, Result};
 use crate::pool::ScoredPool;
+use std::fmt;
 
-/// A partition of the pool into `K` disjoint strata.
+/// Which stratification rule to use.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
+pub enum StratifierChoice {
+    /// Cumulative-√F stratification (paper Algorithm 1) — the default.
+    Csf,
+    /// Equal-count strata in score order.
+    EqualSize,
+}
+
+impl StratifierChoice {
+    /// The wire name (`"csf"`, `"equal_size"`).
+    pub fn as_str(&self) -> &'static str {
+        match self {
+            StratifierChoice::Csf => "csf",
+            StratifierChoice::EqualSize => "equal_size",
+        }
+    }
+}
+
+/// What a shared stratification is a function of, besides the pool: the
+/// rule and the requested number of strata (the realised number may be
+/// smaller).  The stratifiers run with their default settings.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
+pub struct StrataKey {
+    /// The stratification rule.
+    pub stratifier: StratifierChoice,
+    /// The requested number of strata `K̃`.
+    pub strata_count: usize,
+}
+
+impl StrataKey {
+    /// Run the rule on `pool`.  The result remembers this key, so a
+    /// sampler's state can refer to it instead of listing its members.
+    ///
+    /// # Errors
+    /// The stratifier's own (a zero `strata_count`, a pool over `u32::MAX`
+    /// items).
+    pub fn stratify(&self, pool: &ScoredPool) -> Result<Strata> {
+        let mut strata = match self.stratifier {
+            StratifierChoice::Csf => CsfStratifier::new(self.strata_count).stratify(pool)?,
+            StratifierChoice::EqualSize => {
+                EqualSizeStratifier::new(self.strata_count).stratify(pool)?
+            }
+        };
+        strata.key = Some(*self);
+        Ok(strata)
+    }
+}
+
+impl fmt::Display for StrataKey {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        write!(f, "{} K={}", self.stratifier.as_str(), self.strata_count)
+    }
+}
+
+/// A partition of the pool (or part of it) into `K` disjoint strata.
+///
+/// The members are one `u32` array in stratum order plus `K + 1` offsets,
+/// 4 bytes per item; there is no item-to-stratum map.
 #[derive(Debug, Clone, PartialEq)]
 pub struct Strata {
-    /// `allocations[k]` lists the pool indices belonging to stratum `k`.
-    allocations: Vec<Vec<usize>>,
-    /// `assignment[i]` is the stratum index of pool item `i` (the map `κ`).
-    assignment: Vec<usize>,
+    /// Pool indices, stratum by stratum: stratum `k` is
+    /// `members[offsets[k]..offsets[k + 1]]`.
+    members: Vec<u32>,
+    /// `K + 1` ascending offsets into `members`, starting at 0.
+    offsets: Vec<usize>,
     /// Stratum weights `ω_k = |P_k| / N`.
     weights: Vec<f64>,
     /// Mean similarity score per stratum.
     mean_scores: Vec<f64>,
     /// Mean predicted label per stratum (`λ_k` in the paper).
     mean_predictions: Vec<f64>,
+    /// The rule that built these strata, when a [`StrataKey`] did.
+    key: Option<StrataKey>,
+    /// Content hash of `members` and `offsets` (see [`Strata::hash`]).
+    hash: u64,
 }
 
 impl Strata {
@@ -45,77 +115,131 @@ impl Strata {
     /// [`Error::IndexOutOfBounds`] if an allocation references an item outside
     /// the pool.
     pub fn from_allocations(pool: &ScoredPool, allocations: Vec<Vec<usize>>) -> Result<Self> {
-        let non_empty: Vec<Vec<usize>> = allocations
-            .into_iter()
-            .filter(|stratum| !stratum.is_empty())
-            .collect();
-        if non_empty.is_empty() {
-            return Err(Error::EmptyStrata);
-        }
         let n = pool.len();
-        let mut assignment = vec![usize::MAX; n];
-        let mut weights = Vec::with_capacity(non_empty.len());
-        let mut mean_scores = Vec::with_capacity(non_empty.len());
-        let mut mean_predictions = Vec::with_capacity(non_empty.len());
-        for (k, stratum) in non_empty.iter().enumerate() {
-            let mut score_sum = 0.0;
-            let mut pred_sum = 0.0;
+        let total = allocations.iter().map(Vec::len).sum();
+        let mut members = Vec::with_capacity(total);
+        let mut offsets = Vec::with_capacity(allocations.len() + 1);
+        offsets.push(0);
+        for stratum in &allocations {
             for &index in stratum {
                 if index >= n {
                     return Err(Error::IndexOutOfBounds { index, len: n });
                 }
-                assignment[index] = k;
+                members.push(index_to_u32(index)?);
+            }
+            offsets.push(members.len());
+        }
+        Self::from_members(pool, members, offsets)
+    }
+
+    /// Build from members already laid out stratum by stratum, with
+    /// `offsets` of length `K + 1` bounding each stratum.  Empty strata are
+    /// removed.  Every member must be a pool index (checked by
+    /// [`Strata::from_allocations`]; the stratifiers produce only those).
+    pub(crate) fn from_members(
+        pool: &ScoredPool,
+        members: Vec<u32>,
+        mut offsets: Vec<usize>,
+    ) -> Result<Self> {
+        offsets.dedup();
+        if offsets.len() < 2 {
+            return Err(Error::EmptyStrata);
+        }
+        let n = pool.len() as f64;
+        let k = offsets.len() - 1;
+        let mut weights = Vec::with_capacity(k);
+        let mut mean_scores = Vec::with_capacity(k);
+        let mut mean_predictions = Vec::with_capacity(k);
+        // FNV-1a over K, each stratum's size, then every member, one 64-bit
+        // word at a time: the sizes fix the boundaries, so equal hashes mean
+        // equal partitions up to a collision.
+        let mut hash = FNV_OFFSET;
+        let mut eat = |word: u64| {
+            hash ^= word;
+            hash = hash.wrapping_mul(FNV_PRIME);
+        };
+        eat(k as u64);
+        for bounds in offsets.windows(2) {
+            eat((bounds[1] - bounds[0]) as u64);
+        }
+        for bounds in offsets.windows(2) {
+            let stratum = &members[bounds[0]..bounds[1]];
+            let mut score_sum = 0.0;
+            let mut pred_sum = 0.0;
+            for &index in stratum {
+                eat(u64::from(index));
+                let index = index as usize;
                 score_sum += pool.score(index);
                 pred_sum += f64::from(u8::from(pool.prediction(index)));
             }
             let size = stratum.len() as f64;
-            weights.push(size / n as f64);
+            weights.push(size / n);
             mean_scores.push(score_sum / size);
             mean_predictions.push(pred_sum / size);
         }
         Ok(Strata {
-            allocations: non_empty,
-            assignment,
+            members,
+            offsets,
             weights,
             mean_scores,
             mean_predictions,
+            key: None,
+            hash,
         })
     }
 
     /// Number of strata `K`.
     pub fn len(&self) -> usize {
-        self.allocations.len()
+        self.offsets.len() - 1
     }
 
     /// Whether there are zero strata (never true for a constructed value).
     pub fn is_empty(&self) -> bool {
-        self.allocations.is_empty()
+        self.len() == 0
     }
 
     /// Pool indices belonging to stratum `k`.
-    pub fn members(&self, k: usize) -> &[usize] {
-        &self.allocations[k]
+    pub fn members(&self, k: usize) -> &[u32] {
+        &self.members[self.offsets[k]..self.offsets[k + 1]]
     }
 
-    /// All allocations, one `Vec<usize>` of pool indices per stratum.  Used by
-    /// checkpointing to persist the exact partition; feed them back through
-    /// [`Strata::from_allocations`] to rebuild identical summary statistics.
-    pub fn allocations(&self) -> &[Vec<usize>] {
-        &self.allocations
+    /// All allocations, one `Vec<usize>` of pool indices per stratum: the
+    /// explicit form a checkpoint stores for strata no [`StrataKey`] built.
+    /// Feed them back through [`Strata::from_allocations`] to rebuild
+    /// identical strata.
+    pub fn allocations(&self) -> Vec<Vec<usize>> {
+        (0..self.len())
+            .map(|k| self.members(k).iter().map(|&i| i as usize).collect())
+            .collect()
     }
 
     /// Number of items in stratum `k`.
     pub fn size(&self, k: usize) -> usize {
-        self.allocations[k].len()
+        self.offsets[k + 1] - self.offsets[k]
     }
 
     /// Stratum index `κ(z)` of pool item `index`, or `None` if the item was
     /// not allocated to any stratum (possible when stratifying a sub-pool).
+    /// A linear scan of the members, for tests and diagnostics: samplers
+    /// carry the stratum in each proposal instead.
     pub fn stratum_of(&self, index: usize) -> Option<usize> {
-        match self.assignment.get(index) {
-            Some(&k) if k != usize::MAX => Some(k),
-            _ => None,
-        }
+        let index = u32::try_from(index).ok()?;
+        let position = self.members.iter().position(|&i| i == index)?;
+        Some(self.offsets.partition_point(|&start| start <= position) - 1)
+    }
+
+    /// The [`StrataKey`] that built these strata, or `None` for strata
+    /// built from explicit allocations.
+    pub fn key(&self) -> Option<StrataKey> {
+        self.key
+    }
+
+    /// FNV-1a hash of the partition: `K`, each stratum's size, then every
+    /// member in stratum order, each as one 64-bit word.  A checkpoint that
+    /// refers to strata by key records it, and a restore that rebuilds
+    /// different strata from the key refuses to continue.
+    pub fn hash(&self) -> u64 {
+        self.hash
     }
 
     /// Stratum weights `ω_k = |P_k| / N`.
@@ -136,14 +260,30 @@ impl Strata {
     /// Compute the true per-stratum match rate given full ground truth.  Used
     /// only for diagnostics (paper Figure 4), never by the samplers.
     pub fn true_match_rates(&self, truth: &[bool]) -> Vec<f64> {
-        self.allocations
-            .iter()
-            .map(|stratum| {
-                let matches = stratum.iter().filter(|&&i| truth[i]).count();
+        (0..self.len())
+            .map(|k| {
+                let stratum = self.members(k);
+                let matches = stratum.iter().filter(|&&i| truth[i as usize]).count();
                 matches as f64 / stratum.len() as f64
             })
             .collect()
     }
+}
+
+const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
+const FNV_PRIME: u64 = 0x0000_0100_0000_01b3;
+
+/// A pool index as a stored member.
+fn index_to_u32(index: usize) -> Result<u32> {
+    u32::try_from(index).map_err(|_| Error::InvalidParameter {
+        name: "pool",
+        message: format!("item index {index} does not fit the u32 strata members"),
+    })
+}
+
+/// Reject pools whose indices do not all fit a `u32` member.
+fn check_pool_fits(pool: &ScoredPool) -> Result<()> {
+    index_to_u32(pool.len().saturating_sub(1)).map(drop)
 }
 
 /// A strategy for partitioning a pool into strata based on similarity scores.

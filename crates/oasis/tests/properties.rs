@@ -239,7 +239,7 @@ proptest! {
         let strata = CsfStratifier::new(k).stratify(&pool).unwrap();
         let mut seen = vec![false; pool.len()];
         for s in 0..strata.len() {
-            for &i in strata.members(s) {
+            for i in strata.members(s).iter().map(|&i| i as usize) {
                 prop_assert!(!seen[i], "item {i} in two strata");
                 seen[i] = true;
             }
