@@ -370,9 +370,11 @@ impl Engine {
 
     /// The one admission path of a new session, created or restored: look
     /// up its pool, reserve its id, `build` the session, write its base
-    /// checkpoint and register it.  Building (stratification is
-    /// O(N log N)) and store I/O run under no engine-wide lock, so
-    /// admissions of different ids do not wait on each other.
+    /// checkpoint and register it.  Building and store I/O run under no
+    /// engine-wide lock, so admissions of different ids do not wait on
+    /// each other; only a stratification not yet shared
+    /// ([`ScoredPool::shared_strata`]) makes others on the same pool wait
+    /// for it, and then reuse it.
     fn admit(
         &self,
         session_id: String,
