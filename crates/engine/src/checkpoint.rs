@@ -22,15 +22,18 @@
 //! * strata a key built are stored by reference,
 //!   `{"stratifier","strata_count","hash"}`, and rebuilt from the pool on
 //!   restore (see [`oasis::StrataState`]);
-//! * the `labelled` and `queried` budget bitmaps are stored as sorted,
+//! * the `labelled` and `queried` budgets are stored as sorted,
 //!   delta-encoded index lists: the first labelled index, then the gap to
-//!   each next one.
+//!   each next one.  A parsed [`OracleCheckpoint`] holds them as index
+//!   lists, and [`Session::restore`](crate::Session::restore) expands them
+//!   to bitmaps only against a pool whose length matched, so a forged
+//!   `pool_len` cannot size an allocation.
 //!
 //! The hidden `truth` of an oracle session stays a bitmap.
 //! [`CHECKPOINT_FORMAT_V1`] documents, with bitmaps and inline
 //! `allocations`, are read forever.
 
-use crate::error::EngineResult;
+use crate::error::{EngineError, EngineResult};
 use crate::session::{SessionLimits, Ticket};
 use oasis::samplers::SamplerState;
 use oasis::Proposal;
@@ -48,10 +51,10 @@ pub const CHECKPOINT_FORMAT_V1: &str = "oasis-engine/checkpoint-v1";
 /// Oracle/budget state carried in a checkpoint.
 #[derive(Debug, Clone, PartialEq)]
 pub enum OracleCheckpoint {
-    /// Externally labelled session: the footnote-5 budget bitmap.
+    /// Externally labelled session: the footnote-5 label budget.
     External {
-        /// Which pool items have been labelled at least once.
-        labelled: Vec<bool>,
+        /// The pool items labelled at least once, ascending.
+        labelled: Vec<usize>,
         /// Number of distinct items labelled.
         distinct: usize,
     },
@@ -59,8 +62,8 @@ pub enum OracleCheckpoint {
     GroundTruth {
         /// The hidden ground-truth labels.
         truth: Vec<bool>,
-        /// Which items have been queried (the budget bitmap).
-        queried: Vec<bool>,
+        /// The items queried so far (the budget), ascending.
+        queried: Vec<usize>,
         /// Total queries issued, including cache hits.
         queries_issued: usize,
     },
@@ -163,53 +166,88 @@ impl FromJson for Ticket {
     }
 }
 
-/// A budget bitmap as a `checkpoint-v2` index list: the first set index,
-/// then the gap to each next one.
-fn deltas_json(bitmap: &[bool]) -> Json {
-    let mut deltas = Vec::new();
-    let mut previous = 0;
-    for (index, _) in bitmap.iter().enumerate().filter(|(_, &set)| set) {
-        deltas.push(index - previous);
-        previous = index;
+/// The set entries of a budget bitmap, ascending: the form a
+/// [`OracleCheckpoint`] holds its budget in.
+pub(crate) fn set_indices(bitmap: &[bool]) -> Vec<usize> {
+    (0..bitmap.len()).filter(|&index| bitmap[index]).collect()
+}
+
+/// Expand a checkpoint's budget indices into a bitmap over a loaded pool of
+/// `len` items.  Only [`Session::restore`](crate::Session::restore) calls
+/// this, after the pool's length has matched the document's: a `pool_len`
+/// read from a document never sizes an allocation.
+///
+/// # Errors
+/// [`EngineError::CheckpointMismatch`] for an index outside the pool.
+pub(crate) fn budget_bitmap(indices: &[usize], len: usize, name: &str) -> EngineResult<Vec<bool>> {
+    let mut bitmap = vec![false; len];
+    for &index in indices {
+        match bitmap.get_mut(index) {
+            Some(set) => *set = true,
+            None => {
+                return Err(EngineError::CheckpointMismatch(format!(
+                    "`{name}` names item {index} outside the {len}-item pool"
+                )))
+            }
+        }
     }
+    Ok(bitmap)
+}
+
+/// Budget indices as a `checkpoint-v2` list: the first index, then the gap
+/// to each next one.
+fn deltas_json(indices: &[usize]) -> Json {
+    let mut previous = 0;
+    let deltas: Vec<usize> = indices
+        .iter()
+        .map(|&index| {
+            let delta = index - previous;
+            previous = index;
+            delta
+        })
+        .collect();
     deltas.to_json()
 }
 
-/// The largest `pool_len` a `checkpoint-v2` document may declare: strata
-/// index pools with `u32`s.  The bound keeps a forged length from sizing a
-/// bitmap before the pool check can refuse it.
-const MAX_POOL_LEN: usize = u32::MAX as usize;
-
-/// Expand a `checkpoint-v2` index list into a bitmap over `len` items.
+/// Read a `checkpoint-v2` delta list back into ascending indices below
+/// `pool_len`.
 ///
 /// # Errors
-/// A `len` past [`MAX_POOL_LEN`], a gap of zero after the first entry (the
-/// list must ascend strictly) or an index outside the pool.
-fn bitmap_from_deltas(value: &Json, len: usize, name: &str) -> JsonResult<Vec<bool>> {
-    if len > MAX_POOL_LEN {
-        return Err(JsonError::new(format!(
-            "pool_len {len} exceeds the {MAX_POOL_LEN} items a checkpoint can index"
-        )));
-    }
-    let mut bitmap = vec![false; len];
+/// A gap of zero after the first entry (the list must ascend strictly) or
+/// an index at or past `pool_len`.
+fn indices_from_deltas(value: &Json, pool_len: usize, name: &str) -> JsonResult<Vec<usize>> {
     let mut index = 0usize;
-    for (i, delta) in Vec::<usize>::from_json(value)?.into_iter().enumerate() {
-        if i > 0 && delta == 0 {
+    let mut indices = Vec::<usize>::from_json(value)?;
+    for (i, entry) in indices.iter_mut().enumerate() {
+        if i > 0 && *entry == 0 {
             return Err(JsonError::new(format!(
                 "`{name}` repeats index {index}: gaps after the first must be positive"
             )));
         }
-        index = match index.checked_add(delta) {
-            Some(next) if next < len => next,
+        index = match index.checked_add(*entry) {
+            Some(next) if next < pool_len => next,
             _ => {
                 return Err(JsonError::new(format!(
-                    "`{name}` reaches past the {len} pool items"
+                    "`{name}` reaches past the {pool_len} pool items"
                 )))
             }
         };
-        bitmap[index] = true;
+        *entry = index;
     }
-    Ok(bitmap)
+    Ok(indices)
+}
+
+/// Read a `checkpoint-v1` budget bitmap, which must cover all `pool_len`
+/// items, into ascending indices.
+fn indices_from_bitmap(value: &Json, pool_len: usize, name: &str) -> JsonResult<Vec<usize>> {
+    let bitmap = Vec::<bool>::from_json(value)?;
+    if bitmap.len() != pool_len {
+        return Err(JsonError::new(format!(
+            "`{name}` bitmap has {} entries for {pool_len} pool items",
+            bitmap.len()
+        )));
+    }
+    Ok(set_indices(&bitmap))
 }
 
 impl OracleCheckpoint {
@@ -236,15 +274,15 @@ impl OracleCheckpoint {
     }
 
     /// Read the oracle state of a document in `format`, over a pool of
-    /// `pool_len` items: v2 budget lists are expanded to bitmaps, v1
-    /// bitmaps read as they are.
+    /// `pool_len` items: v2 delta lists and v1 bitmaps both become budget
+    /// indices.
     fn from_json(value: &Json, format: &str, pool_len: usize) -> JsonResult<Self> {
         let budget = |name: &str| {
             let field = value.require(name)?;
             if format == CHECKPOINT_FORMAT_V1 {
-                Vec::<bool>::from_json(field)
+                indices_from_bitmap(field, pool_len, name)
             } else {
-                bitmap_from_deltas(field, pool_len, name)
+                indices_from_deltas(field, pool_len, name)
             }
         };
         match value.require("kind")?.as_str()? {
@@ -604,13 +642,12 @@ mod tests {
         let OracleCheckpoint::External { labelled, .. } = &good.oracle else {
             panic!("expected an external oracle");
         };
-        let first = labelled.iter().position(|&set| set).unwrap();
         let listed = document
             .require("oracle")
             .unwrap()
             .require("labelled")
             .unwrap();
-        assert_eq!(Vec::<usize>::from_json(listed).unwrap()[0], first);
+        assert_eq!(Vec::<usize>::from_json(listed).unwrap()[0], labelled[0]);
         assert_eq!(with_labelled(&listed.render(), 50).unwrap(), good);
 
         // Items 3, 8 and 9.
@@ -618,8 +655,7 @@ mod tests {
         let OracleCheckpoint::External { labelled, .. } = parsed.oracle else {
             panic!("expected an external oracle");
         };
-        let set: Vec<usize> = (0..50).filter(|&i| labelled[i]).collect();
-        assert_eq!(set, [3, 8, 9]);
+        assert_eq!(labelled, [3, 8, 9]);
 
         for bad in [
             "[3,0]",
@@ -630,8 +666,38 @@ mod tests {
         ] {
             assert!(with_labelled(bad, 50).is_err(), "{bad}");
         }
-        // A forged pool length is refused before a bitmap is sized by it.
-        assert!(with_labelled("[]", u32::MAX as usize + 1).is_err());
+    }
+
+    #[test]
+    fn a_forged_pool_len_sizes_no_allocation_and_fails_the_restore() {
+        let (pool, _) = pool_and_truth(50, 15);
+        let session = oasis_session(&pool, 4, 9, LabelSource::external(pool.len()));
+        let mut document = Json::parse(&session.checkpoint().to_json_string()).unwrap();
+        document.set("pool_len", (u32::MAX as usize).to_json());
+        // Parsing holds the (empty) budget as indices: nothing pool-sized.
+        let forged = SessionCheckpoint::from_json(&document).unwrap();
+        assert_eq!(
+            forged.oracle,
+            OracleCheckpoint::External {
+                labelled: Vec::new(),
+                distinct: 0
+            }
+        );
+        assert!(matches!(
+            Session::restore(forged, Arc::clone(&pool)),
+            Err(crate::error::EngineError::CheckpointMismatch(_))
+        ));
+
+        // A budget index outside the pool fails the restore, not a panic.
+        let mut outside = session.checkpoint();
+        outside.oracle = OracleCheckpoint::External {
+            labelled: vec![50],
+            distinct: 1,
+        };
+        assert!(matches!(
+            Session::restore(outside, pool),
+            Err(crate::error::EngineError::CheckpointMismatch(_))
+        ));
     }
 
     #[test]

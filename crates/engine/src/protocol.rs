@@ -1028,6 +1028,32 @@ mod tests {
     }
 
     #[test]
+    fn restore_with_a_forged_pool_len_is_a_structured_error() {
+        let engine = demo_engine();
+        render(
+            &engine,
+            r#"{"cmd":"create_session","session":"s","pool":"p","seed":3,"config":{"strata_count":3}}"#,
+        );
+        let response = dispatch(
+            &engine,
+            Request::parse(r#"{"cmd":"checkpoint","session":"s"}"#).unwrap(),
+        )
+        .response;
+        let mut checkpoint = response.require("checkpoint").unwrap().clone();
+        checkpoint.set("pool_len", (u32::MAX as usize).to_json());
+        let mut oracle = checkpoint.require("oracle").unwrap().clone();
+        oracle.set("labelled", Json::parse("[]").unwrap());
+        checkpoint.set("oracle", oracle);
+        let mut restore = Json::object();
+        restore.set("cmd", Json::String("restore".to_string()));
+        restore.set("session", Json::String("copy".to_string()));
+        restore.set("checkpoint", checkpoint);
+        let rendered = render(&engine, &restore.render());
+        assert!(rendered.contains(r#""ok":false"#), "{rendered}");
+        assert!(rendered.contains("checkpoint mismatch"), "{rendered}");
+    }
+
+    #[test]
     fn store_verbs_report_structured_errors_without_a_store() {
         let engine = demo_engine();
         for line in [

@@ -20,7 +20,7 @@
 //! method-tagged sampler state, RNG words, pending tickets and oracle state,
 //! and [`Session::restore`] resumes exactly (see `crate::checkpoint`).
 
-use crate::checkpoint::{OracleCheckpoint, SessionCheckpoint};
+use crate::checkpoint::{budget_bitmap, set_indices, OracleCheckpoint, SessionCheckpoint};
 use crate::error::{EngineError, EngineResult};
 use oasis::{
     AnySampler, ConfidenceInterval, Estimate, GroundTruthOracle, InteractiveSampler, OasisConfig,
@@ -540,12 +540,12 @@ impl Session {
             lease_now_us: self.lease_now_us,
             oracle: match &self.source {
                 LabelSource::External { labelled, distinct } => OracleCheckpoint::External {
-                    labelled: labelled.clone(),
+                    labelled: set_indices(labelled),
                     distinct: *distinct,
                 },
                 LabelSource::GroundTruth(oracle) => OracleCheckpoint::GroundTruth {
                     truth: oracle.ground_truth().to_vec(),
-                    queried: oracle.queried_mask().to_vec(),
+                    queried: set_indices(oracle.queried_mask()),
                     queries_issued: oracle.queries_issued(),
                 },
             },
@@ -557,7 +557,8 @@ impl Session {
     ///
     /// # Errors
     /// [`EngineError::CheckpointMismatch`] if the pool's length or
-    /// fingerprint differs from the checkpointed one, [`EngineError::Store`]
+    /// fingerprint differs from the checkpointed one or a budget names an
+    /// item outside the pool, [`EngineError::Store`]
     /// if the strata the document refers to by key now hash differently,
     /// plus any sampler reconstruction failure.
     pub fn restore(checkpoint: SessionCheckpoint, pool: Arc<ScoredPool>) -> EngineResult<Self> {
@@ -587,11 +588,7 @@ impl Session {
         )?;
         let source = match checkpoint.oracle {
             OracleCheckpoint::External { labelled, .. } => {
-                if labelled.len() != pool.len() {
-                    return Err(EngineError::CheckpointMismatch(
-                        "labelled bitmap does not cover the pool".to_string(),
-                    ));
-                }
+                let labelled = budget_bitmap(&labelled, pool.len(), "labelled")?;
                 // Recompute the budget from the bitmap (as the oracle path
                 // does) so a hand-edited `distinct` cannot misreport it.
                 let distinct = labelled.iter().filter(|&&l| l).count();
@@ -609,7 +606,7 @@ impl Session {
                 }
                 LabelSource::GroundTruth(GroundTruthOracle::from_state(
                     truth,
-                    queried,
+                    budget_bitmap(&queried, pool.len(), "queried")?,
                     queries_issued,
                 )?)
             }

@@ -31,14 +31,19 @@ fn spawn(extra: &[&str]) -> (Server, SocketAddr) {
             .spawn()
             .unwrap(),
     );
-    // The bound address is on the first `listening on` line; a store logs
-    // its directory before it.
-    let stderr = BufReader::new(server.0.stderr.take().unwrap());
-    let line = stderr
-        .lines()
-        .map(Result::unwrap)
-        .find(|line| line.contains("listening on"))
-        .unwrap_or_default();
+    // The bound address is on the first line, or on the second after the
+    // line a store logs its directory on.
+    let mut stderr = BufReader::new(server.0.stderr.take().unwrap());
+    let mut line = String::new();
+    stderr.read_line(&mut line).unwrap();
+    if extra.contains(&"--store") {
+        assert!(
+            line.starts_with("oasis-serve: durable store at "),
+            "{extra:?}: {line:?}"
+        );
+        line.clear();
+        stderr.read_line(&mut line).unwrap();
+    }
     let addr = line
         .trim()
         .strip_prefix("oasis-serve: listening on ")

@@ -220,9 +220,10 @@ impl Strata {
 
     /// Stratum index `κ(z)` of pool item `index`, or `None` if the item was
     /// not allocated to any stratum (possible when stratifying a sub-pool).
-    /// A linear scan of the members, for tests and diagnostics: samplers
-    /// carry the stratum in each proposal instead.
-    pub fn stratum_of(&self, index: usize) -> Option<usize> {
+    /// A linear scan of the members, for tests only: samplers carry the
+    /// stratum in each proposal instead.
+    #[cfg(test)]
+    pub(crate) fn stratum_of(&self, index: usize) -> Option<usize> {
         let index = u32::try_from(index).ok()?;
         let position = self.members.iter().position(|&i| i == index)?;
         Some(self.offsets.partition_point(|&start| start <= position) - 1)
