@@ -1054,6 +1054,57 @@ mod tests {
     }
 
     #[test]
+    fn create_session_refuses_an_unbounded_strata_count() {
+        let error = Request::parse(
+            r#"{"cmd":"create_session","session":"s","pool":"p","seed":3,"config":{"strata_count":1000000000000}}"#,
+        )
+        .unwrap_err();
+        let rendered = error_response(&error).render();
+        assert!(rendered.contains(r#""ok":false"#), "{rendered}");
+        assert!(
+            rendered.contains("strata_count 1000000000000 exceeds"),
+            "{rendered}"
+        );
+    }
+
+    #[test]
+    fn restore_with_an_unbounded_strata_reference_is_a_structured_error() {
+        let engine = demo_engine();
+        render(
+            &engine,
+            r#"{"cmd":"create_session","session":"s","pool":"p","seed":3,"config":{"strata_count":3}}"#,
+        );
+        let response = dispatch(
+            &engine,
+            Request::parse(r#"{"cmd":"checkpoint","session":"s"}"#).unwrap(),
+        )
+        .response;
+        let checkpoint = response.require("checkpoint").unwrap();
+        // 2^52 is a JSON integer the cap refuses; 2^60 is past what a JSON
+        // number holds exactly, so the integer parse refuses it first.
+        for (count, message) in [
+            (1usize << 52, "strata_count 4503599627370496 exceeds"),
+            (1usize << 60, "expected unsigned integer"),
+        ] {
+            let mut checkpoint = checkpoint.clone();
+            let mut sampler = checkpoint.require("sampler").unwrap().clone();
+            let mut strata = sampler.require("strata").unwrap().clone();
+            strata.set("strata_count", count.to_json());
+            sampler.set("strata", strata);
+            checkpoint.set("sampler", sampler);
+            let mut restore = Json::object();
+            restore.set("cmd", Json::String("restore".to_string()));
+            restore.set("session", Json::String("copy".to_string()));
+            restore.set("checkpoint", checkpoint);
+            // Refused while parsing, so nothing stratified with it.
+            let error = Request::parse(&restore.render()).unwrap_err();
+            let rendered = error_response(&error).render();
+            assert!(rendered.contains(r#""ok":false"#), "{rendered}");
+            assert!(rendered.contains(message), "{rendered}");
+        }
+    }
+
+    #[test]
     fn store_verbs_report_structured_errors_without_a_store() {
         let engine = demo_engine();
         for line in [

@@ -39,6 +39,11 @@ use std::time::{Duration, Instant};
 /// line buffer until the process OOMs, bypassing every parse-time limit.
 pub const MAX_LINE_BYTES: usize = 64 * 1024 * 1024;
 
+/// Largest line buffer a serving loop keeps between lines.  Request lines
+/// are a few KiB (256 labels are about 9 KB); a longer one, a pool or a
+/// checkpoint, is read into a buffer that is freed once it is answered.
+const RETAINED_LINE_BYTES: usize = 64 * 1024;
+
 /// Most TCP connections served at once, each on its own thread.  A client
 /// accepted past the cap gets one `kind:"backpressure"` error line and is
 /// closed, as when the OS refuses a thread.
@@ -132,7 +137,9 @@ fn response_line(response: &Json) -> Vec<u8> {
 /// Blank lines are ignored; malformed lines produce an `"ok": false`
 /// response and the loop continues — a broken client cannot wedge the
 /// server.  Lines longer than [`MAX_LINE_BYTES`] are answered with an error
-/// and discarded without being buffered whole.  A final line without its
+/// and discarded without being buffered whole.  A buffer a line grew past
+/// 64 KiB is released once that line is answered, so an idle connection
+/// holds no more than that.  A final line without its
 /// newline is answered at EOF; a line cut short by a read error is not.
 ///
 /// # Errors
@@ -162,10 +169,14 @@ pub fn serve_lines_guarded<R: BufRead, W: Write>(
     let mut conn = ConnState::default();
     // One buffer for every line: it holds at most the cap plus one byte.
     let mut line = Vec::new();
-    let cap = MAX_LINE_BYTES as u64 + 1;
     loop {
+        // The last line is answered: a buffer a long line grew is given
+        // back rather than held for the rest of the connection.
+        if line.capacity() > RETAINED_LINE_BYTES {
+            line = Vec::new();
+        }
         line.clear();
-        if (&mut reader).take(cap).read_until(b'\n', &mut line)? == 0 {
+        if read_line_capped(&mut reader, &mut line)? == 0 {
             return Ok(false);
         }
         let request = line.strip_suffix(b"\n");
@@ -197,6 +208,31 @@ pub fn serve_lines_guarded<R: BufRead, W: Write>(
             reader.skip_until(b'\n')?;
         }
     }
+}
+
+/// Read one line into the empty `line`, newline included when there is
+/// one, but no more than [`MAX_LINE_BYTES`] plus one byte.  Returns the
+/// number of bytes read.
+///
+/// A line longer than [`RETAINED_LINE_BYTES`] goes on in a buffer reserved
+/// at the cap in one step.  An allocation that large is mapped on its own
+/// (it is past glibc's largest mmap threshold), so its pages are resident
+/// only as far as the line reaches and go back to the OS when it is freed.
+/// Grown by doubling, the buffer would pass through sizes that malloc
+/// serves from the thread's arena and keeps there after the free.
+fn read_line_capped<R: BufRead>(reader: &mut R, line: &mut Vec<u8>) -> std::io::Result<usize> {
+    let head = reader
+        .take(RETAINED_LINE_BYTES as u64)
+        .read_until(b'\n', line)?;
+    if head < RETAINED_LINE_BYTES || line.last() == Some(&b'\n') {
+        return Ok(head);
+    }
+    let cap = MAX_LINE_BYTES + 1;
+    line.reserve_exact(cap - line.len());
+    let tail = reader
+        .take((cap - line.len()) as u64)
+        .read_until(b'\n', line)?;
+    Ok(head + tail)
 }
 
 /// A registry of the open TCP connections of one serving loop, so shutdown

@@ -1,6 +1,7 @@
 //! The `oasis-serve` binary end to end over TCP: it logs the address it
 //! bound, not the one requested, with or without the no-op `--evented`,
-//! and a store it was SIGKILLed over answers as it did before the kill.
+//! a store it was SIGKILLed over answers as it did before the kill, and
+//! pool-sized memory is paid once per pool, never held per connection.
 
 use serde::json::{Json, ToJson};
 use std::io::{BufRead as _, BufReader, Write as _};
@@ -158,4 +159,86 @@ fn tcp_mode_logs_the_bound_address_and_serves_on_it() {
         assert!(line.contains(r#""shutdown":true"#), "{extra:?}: {line}");
         assert!(server.0.wait().unwrap().success(), "{extra:?}");
     }
+}
+
+/// The resident set of process `pid` in KiB (`VmRSS` in its
+/// `/proc/<pid>/status`).
+#[cfg(target_os = "linux")]
+fn resident_kib(pid: u32) -> usize {
+    let status = std::fs::read_to_string(format!("/proc/{pid}/status")).unwrap();
+    status
+        .lines()
+        .find_map(|line| line.strip_prefix("VmRSS:"))
+        .and_then(|rest| rest.trim().strip_suffix("kB")?.trim().parse().ok())
+        .unwrap_or_else(|| panic!("no VmRSS in {status}"))
+}
+
+#[cfg(target_os = "linux")]
+#[test]
+fn importance_proposals_are_shared_and_long_lines_are_not_kept() {
+    const POOL: usize = 500_000;
+    let (pool, _) = oasis::test_fixtures::pool_and_truth(POOL, 29, 0.05);
+    let mut load = Json::object();
+    load.set("cmd", Json::String("load_pool".to_string()));
+    load.set("pool", Json::String("p".to_string()));
+    load.set("scores", pool.scores().to_vec().to_json());
+    load.set("predictions", pool.predictions().to_vec().to_json());
+    drop(pool);
+
+    let (server, addr) = spawn(&[]);
+    let resident = || resident_kib(server.0.id());
+    let mut client = Client::connect(addr);
+    client.send(&load.render());
+    drop(load);
+    let create = |client: &mut Client, session: usize| {
+        client.send(&format!(
+            r#"{{"cmd":"create_session","session":"s{session}","pool":"p","seed":1,"method":"importance"}}"#
+        ));
+    };
+
+    // Sharing: the first session builds the proposal (N f64s, plus its CDF
+    // and weights); the next three reuse it.
+    create(&mut client, 0);
+    let one = resident();
+    for session in 1..4 {
+        create(&mut client, session);
+    }
+    let four = resident();
+    let proposal_kib = POOL * std::mem::size_of::<f64>() / 1024;
+    assert!(
+        four.saturating_sub(one) < proposal_kib,
+        "sessions 2-4 added {} KiB, one proposal is {proposal_kib} KiB",
+        four - one
+    );
+
+    // Release: four idle connections, each after one 16 MiB line, hold no
+    // line buffer.  The handler frees it just after writing the answer, so
+    // give it a moment.
+    let before = resident();
+    let mut idle = Vec::new();
+    for _ in 0..4 {
+        let mut stream = TcpStream::connect(addr).unwrap();
+        let mut line = vec![b'x'; 16 << 20];
+        line.push(b'\n');
+        stream.write_all(&line).unwrap();
+        let mut reader = BufReader::new(stream);
+        let mut response = String::new();
+        reader.read_line(&mut response).unwrap();
+        assert!(response.contains(r#""ok":false"#), "{response}");
+        idle.push(reader);
+    }
+    let slack_kib = 4 * 1024;
+    let deadline = std::time::Instant::now() + std::time::Duration::from_secs(10);
+    let mut after = resident();
+    while after > before + slack_kib && std::time::Instant::now() < deadline {
+        std::thread::sleep(std::time::Duration::from_millis(20));
+        after = resident();
+    }
+    assert!(
+        after <= before + slack_kib,
+        "idle connections hold {} KiB after their long lines",
+        after - before
+    );
+    client.send(r#"{"cmd":"estimate","session":"s3"}"#);
+    drop(idle);
 }

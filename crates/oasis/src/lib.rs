@@ -92,6 +92,7 @@ pub use samplers::{
 };
 pub use strata::{
     CsfStratifier, EqualSizeStratifier, Strata, StrataKey, Stratifier, StratifierChoice,
+    MAX_STRATA_COUNT,
 };
 
 #[cfg(any(test, feature = "test-util"))]

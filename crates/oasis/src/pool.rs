@@ -7,6 +7,7 @@
 //! labels must be purchased one at a time.
 
 use crate::error::{Error, Result};
+use crate::samplers::StaticProposal;
 use crate::strata::{Strata, StrataKey};
 use std::fmt;
 use std::sync::{Arc, Mutex, OnceLock, PoisonError, Weak};
@@ -20,15 +21,18 @@ use std::sync::{Arc, Mutex, OnceLock, PoisonError, Weak};
 ///
 /// A pool never changes after construction, so its content
 /// [fingerprint](ScoredPool::fingerprint) is computed once and cached, and
-/// its [strata](ScoredPool::shared_strata) are built once per key and
-/// shared while in use.
+/// what samplers derive from it alone — its
+/// [strata](ScoredPool::shared_strata) and the static importance proposal
+/// — is built once per key and shared while in use.
 pub struct ScoredPool {
     scores: Vec<f64>,
     predictions: Vec<bool>,
     fingerprint: OnceLock<u64>,
-    /// Strata built on this pool, by key.  Weak, so strata live only as
-    /// long as some sampler holds them.
-    shared_strata: Mutex<Vec<(StrataKey, Weak<Strata>)>>,
+    /// Strata built on this pool, by key.
+    strata: WeakMemo<StrataKey, Strata>,
+    /// Static importance proposals built on this pool, by the bits of
+    /// `(α, τ)`.
+    proposals: WeakMemo<(u64, u64), StaticProposal>,
 }
 
 /// A clone shares the caches: they describe the same content.
@@ -38,8 +42,47 @@ impl Clone for ScoredPool {
             scores: self.scores.clone(),
             predictions: self.predictions.clone(),
             fingerprint: self.fingerprint.clone(),
-            shared_strata: Mutex::new(self.strata_memo().clone()),
+            strata: self.strata.clone(),
+            proposals: self.proposals.clone(),
         }
+    }
+}
+
+/// Values built from a pool, one per key, held weakly: a value lives only
+/// as long as some sampler holds it, and while one does, every other
+/// caller gets the same allocation.  Clones share the one memo.
+struct WeakMemo<K, V>(Arc<Mutex<MemoEntries<K, V>>>);
+
+type MemoEntries<K, V> = Vec<(K, Weak<V>)>;
+
+impl<K, V> Clone for WeakMemo<K, V> {
+    fn clone(&self) -> Self {
+        WeakMemo(Arc::clone(&self.0))
+    }
+}
+
+impl<K: Copy + PartialEq, V> WeakMemo<K, V> {
+    fn new() -> Self {
+        WeakMemo(Arc::new(Mutex::new(Vec::new())))
+    }
+
+    /// The live value of `key`, or a new one from `build`.  The lock is
+    /// held while building, so two callers racing on one key build it once.
+    fn get_or_build(&self, key: K, build: impl FnOnce() -> Result<V>) -> Result<Arc<V>> {
+        // A panic cannot leave the memo half-updated: an entry is pushed
+        // whole or not at all.
+        let mut memo = self.0.lock().unwrap_or_else(PoisonError::into_inner);
+        if let Some(value) = memo
+            .iter()
+            .find(|(k, _)| *k == key)
+            .and_then(|(_, value)| value.upgrade())
+        {
+            return Ok(value);
+        }
+        let value = Arc::new(build()?);
+        memo.retain(|(k, value)| *k != key && value.strong_count() > 0);
+        memo.push((key, Arc::downgrade(&value)));
+        Ok(value)
     }
 }
 
@@ -89,7 +132,8 @@ impl ScoredPool {
             scores,
             predictions,
             fingerprint: OnceLock::new(),
-            shared_strata: Mutex::new(Vec::new()),
+            strata: WeakMemo::new(),
+            proposals: WeakMemo::new(),
         })
     }
 
@@ -101,26 +145,21 @@ impl ScoredPool {
     /// # Errors
     /// The stratifier's own (see [`StrataKey::stratify`]).
     pub fn shared_strata(&self, key: StrataKey) -> Result<Arc<Strata>> {
-        let mut memo = self.strata_memo();
-        if let Some(strata) = memo
-            .iter()
-            .find(|(k, _)| *k == key)
-            .and_then(|(_, strata)| strata.upgrade())
-        {
-            return Ok(strata);
-        }
-        let strata = Arc::new(key.stratify(self)?);
-        memo.retain(|(k, strata)| *k != key && strata.strong_count() > 0);
-        memo.push((key, Arc::downgrade(&strata)));
-        Ok(strata)
+        self.strata.get_or_build(key, || key.stratify(self))
     }
 
-    fn strata_memo(&self) -> std::sync::MutexGuard<'_, Vec<(StrataKey, Weak<Strata>)>> {
-        // A panic cannot leave the memo half-updated: an entry is pushed
-        // whole or not at all.
-        self.shared_strata
-            .lock()
-            .unwrap_or_else(PoisonError::into_inner)
+    /// The static importance proposal for `alpha` and `score_threshold`,
+    /// shared the same way as [strata](ScoredPool::shared_strata): a pure
+    /// function of the scores, α and τ, so every holder may read one copy.
+    pub(crate) fn shared_proposal(
+        &self,
+        alpha: f64,
+        score_threshold: f64,
+    ) -> Result<Arc<StaticProposal>> {
+        self.proposals
+            .get_or_build((alpha.to_bits(), score_threshold.to_bits()), || {
+                Ok(StaticProposal::build(self, alpha, score_threshold))
+            })
     }
 
     /// FNV-1a content fingerprint of the pool (each item's score bits, then

@@ -13,7 +13,8 @@
 //! which is what makes IS an order of magnitude slower than OASIS in the
 //! paper's Table 3; because the distribution is static, this implementation
 //! precomputes its cumulative weights once and draws in `O(log N)` via
-//! binary search ([`CategoricalCdf`]).
+//! binary search ([`CategoricalCdf`]).  "Once" is once per pool, α and τ:
+//! the pool shares the proposal between samplers as it shares strata.
 
 use super::state::{EstimatorState, ImportanceState, SamplerMethod, SamplerState};
 use super::{
@@ -25,6 +26,7 @@ use crate::estimator::{AisEstimator, Estimate};
 use crate::instrumental::pointwise_optimal;
 use crate::pool::ScoredPool;
 use rand::Rng;
+use std::sync::Arc;
 
 /// Map an arbitrary real-valued score to `(0, 1)` via the logistic function,
 /// shifted so the decision threshold `tau` maps to ½.
@@ -32,38 +34,23 @@ pub(crate) fn logistic(score: f64, tau: f64) -> f64 {
     1.0 / (1.0 + (-(score - tau)).exp())
 }
 
-/// Static importance sampler over the whole pool.
-#[derive(Debug, Clone)]
-pub struct ImportanceSampler {
+/// The static instrumental distribution of one pool, α and τ, with what
+/// draws need from it.  A pure function of those three, so a pool builds
+/// it once and every sampler with that α and τ shares it
+/// ([`ScoredPool::shared_proposal`]).
+#[derive(Debug)]
+pub(crate) struct StaticProposal {
     /// Normalised instrumental probabilities over the pool items.
     proposal: Vec<f64>,
     /// Cumulative weights of `proposal`, precomputed for O(log N) draws.
     cdf: CategoricalCdf,
     /// Importance weights `p(z)/q(z) = (1/N)/q_i`, pre-computed.
     weights: Vec<f64>,
-    /// The decision threshold τ the proposal was built with (kept for
-    /// serializable state; the proposal itself is recomputed on restore).
-    score_threshold: f64,
-    estimator: AisEstimator,
 }
 
-impl ImportanceSampler {
-    /// Build the static IS sampler.
-    ///
-    /// * `alpha` — F-measure weight.
-    /// * `score_threshold` — decision threshold `τ` used to squash raw scores
-    ///   through the logistic function when they are not already
-    ///   probabilities.  Ignored for probability scores.
-    ///
-    /// # Errors
-    /// [`Error::InvalidParameter`] if `alpha` lies outside `[0, 1]`.
-    pub fn new(pool: &ScoredPool, alpha: f64, score_threshold: f64) -> Result<Self> {
-        if !(0.0..=1.0).contains(&alpha) || alpha.is_nan() {
-            return Err(Error::InvalidParameter {
-                name: "alpha",
-                message: format!("must be in [0, 1], got {alpha}"),
-            });
-        }
+impl StaticProposal {
+    /// Build the proposal; `alpha` must already be validated.
+    pub(crate) fn build(pool: &ScoredPool, alpha: f64, score_threshold: f64) -> Self {
         // Scores as stand-ins for the oracle probabilities.
         let probabilities: Vec<f64> = if pool.scores_are_probabilities() {
             pool.scores().to_vec()
@@ -82,10 +69,45 @@ impl ImportanceSampler {
             .map(|&q| if q > 0.0 { uniform / q } else { 0.0 })
             .collect();
         let cdf = CategoricalCdf::new(&proposal);
-        Ok(ImportanceSampler {
+        StaticProposal {
             proposal,
             cdf,
             weights,
+        }
+    }
+}
+
+/// Static importance sampler over the whole pool.
+#[derive(Debug, Clone)]
+pub struct ImportanceSampler {
+    /// The pool's shared proposal for this sampler's α and τ.
+    proposal: Arc<StaticProposal>,
+    /// The decision threshold τ the proposal was built with (kept for
+    /// serializable state; a restore looks the proposal up again).
+    score_threshold: f64,
+    estimator: AisEstimator,
+}
+
+impl ImportanceSampler {
+    /// Build the static IS sampler, sharing the pool's proposal for this
+    /// `alpha` and `score_threshold` when another sampler already holds it.
+    ///
+    /// * `alpha` — F-measure weight.
+    /// * `score_threshold` — decision threshold `τ` used to squash raw scores
+    ///   through the logistic function when they are not already
+    ///   probabilities.  Ignored for probability scores.
+    ///
+    /// # Errors
+    /// [`Error::InvalidParameter`] if `alpha` lies outside `[0, 1]`.
+    pub fn new(pool: &ScoredPool, alpha: f64, score_threshold: f64) -> Result<Self> {
+        if !(0.0..=1.0).contains(&alpha) || alpha.is_nan() {
+            return Err(Error::InvalidParameter {
+                name: "alpha",
+                message: format!("must be in [0, 1], got {alpha}"),
+            });
+        }
+        Ok(ImportanceSampler {
+            proposal: pool.shared_proposal(alpha, score_threshold)?,
             score_threshold,
             estimator: AisEstimator::new(alpha),
         })
@@ -93,7 +115,7 @@ impl ImportanceSampler {
 
     /// The (normalised) static instrumental distribution over pool items.
     pub fn proposal(&self) -> &[f64] {
-        &self.proposal
+        &self.proposal.proposal
     }
 
     /// The AIS estimator's running sums — read by the sharded merge.
@@ -101,8 +123,8 @@ impl ImportanceSampler {
         &self.estimator
     }
 
-    /// Assemble a sampler from a restored estimator, recomputing the static
-    /// proposal from the pool (a pure deterministic function of the scores,
+    /// Assemble a sampler from a restored estimator and the pool's proposal
+    /// (shared, or recomputed: a pure deterministic function of the scores,
     /// so the recomputation is bit-exact); shared by
     /// [`ImportanceState::rebuild`].
     pub(super) fn from_parts(
@@ -141,12 +163,12 @@ impl InteractiveSampler for ImportanceSampler {
     /// importance weight is the precomputed `(1/N)/q_i` and the stratum slot
     /// is unused (0).
     fn propose<R: Rng + ?Sized>(&mut self, pool: &ScoredPool, rng: &mut R) -> Proposal {
-        let item = self.cdf.sample(rng);
+        let item = self.proposal.cdf.sample(rng);
         Proposal {
             item,
             stratum: 0,
             prediction: pool.prediction(item),
-            weight: self.weights[item],
+            weight: self.proposal.weights[item],
         }
     }
 
@@ -294,6 +316,89 @@ mod tests {
             is_err / repeats as f64,
             passive_err / repeats as f64
         );
+    }
+
+    #[test]
+    fn samplers_on_one_pool_share_one_proposal_per_alpha_and_threshold() {
+        let (pool, _) = calibrated_pool(300, 0.1, 5);
+        let a = ImportanceSampler::new(&pool, 0.5, 0.5).unwrap();
+        let b = ImportanceSampler::new(&pool, 0.5, 0.5).unwrap();
+        assert!(std::ptr::eq(a.proposal().as_ptr(), b.proposal().as_ptr()));
+        // Another α, or another τ, is another proposal.
+        let other_alpha = ImportanceSampler::new(&pool, 0.7, 0.5).unwrap();
+        let other_tau = ImportanceSampler::new(&pool, 0.5, 0.25).unwrap();
+        assert!(!std::ptr::eq(
+            a.proposal().as_ptr(),
+            other_alpha.proposal().as_ptr()
+        ));
+        assert!(!std::ptr::eq(
+            a.proposal().as_ptr(),
+            other_tau.proposal().as_ptr()
+        ));
+        assert_ne!(a.proposal(), other_alpha.proposal());
+    }
+
+    #[test]
+    fn a_proposal_lives_only_while_held() {
+        let (pool, _) = calibrated_pool(300, 0.1, 6);
+        let first = ImportanceSampler::new(&pool, 0.5, 0.5).unwrap();
+        let copy = first.clone();
+        let held = Arc::downgrade(&first.proposal);
+        let bits: Vec<u64> = first.proposal().iter().map(|q| q.to_bits()).collect();
+        drop(first);
+        assert!(held.upgrade().is_some(), "the clone still holds it");
+        drop(copy);
+        assert!(
+            held.upgrade().is_none(),
+            "the memo holds no strong reference"
+        );
+        // The next build is fresh, and lands on the same bits.
+        let fresh = ImportanceSampler::new(&pool, 0.5, 0.5).unwrap();
+        assert_eq!(Arc::weak_count(&fresh.proposal), 1);
+        let again: Vec<u64> = fresh.proposal().iter().map(|q| q.to_bits()).collect();
+        assert_eq!(again, bits);
+    }
+
+    #[test]
+    fn a_clone_of_the_pool_shares_the_memo() {
+        let (pool, _) = calibrated_pool(300, 0.1, 7);
+        let a = ImportanceSampler::new(&pool, 0.5, 0.5).unwrap();
+        let copy = pool.clone();
+        let b = ImportanceSampler::new(&copy, 0.5, 0.5).unwrap();
+        assert!(std::ptr::eq(a.proposal().as_ptr(), b.proposal().as_ptr()));
+        // Built on the clone first, shared with the original too.
+        let c = ImportanceSampler::new(&copy, 0.3, 0.5).unwrap();
+        let d = ImportanceSampler::new(&pool, 0.3, 0.5).unwrap();
+        assert!(std::ptr::eq(c.proposal().as_ptr(), d.proposal().as_ptr()));
+    }
+
+    #[test]
+    fn restores_on_an_empty_and_a_populated_memo_draw_the_same() {
+        let (pool, truth) = calibrated_pool(400, 0.1, 8);
+        let mut oracle = GroundTruthOracle::new(truth.clone());
+        let mut rng = StdRng::seed_from_u64(9);
+        let mut sampler = ImportanceSampler::new(&pool, 0.5, 0.5).unwrap();
+        sampler.run(&pool, &mut oracle, &mut rng, 60).unwrap();
+        let state = sampler.state();
+
+        // `pool` still holds the proposal; `fresh` has never built one.
+        let fresh = ScoredPool::new(pool.scores().to_vec(), pool.predictions().to_vec()).unwrap();
+        let run_on = |pool: &ScoredPool| {
+            let mut restored = ImportanceSampler::from_state(pool, state.clone()).unwrap();
+            let mut oracle = GroundTruthOracle::new(truth.clone());
+            let mut rng = StdRng::seed_from_u64(10);
+            let estimate = restored.run(pool, &mut oracle, &mut rng, 80).unwrap();
+            format!("{estimate:?} {:?}", restored.state())
+        };
+        let populated = run_on(&pool);
+        assert!(std::ptr::eq(
+            sampler.proposal().as_ptr(),
+            ImportanceSampler::from_state(&pool, state.clone())
+                .unwrap()
+                .proposal()
+                .as_ptr()
+        ));
+        assert_eq!(run_on(&fresh), populated);
     }
 
     #[test]

@@ -71,6 +71,7 @@ pub use crate::strata::StratifierChoice;
 pub use any::AnySampler;
 pub use fenwick::FenwickTree;
 pub use importance::ImportanceSampler;
+pub(crate) use importance::StaticProposal;
 pub use oasis_sampler::{OasisConfig, OasisSampler, Proposal};
 pub use passive::PassiveSampler;
 pub use sharding::{ShardedPool, ShardedSampler};

@@ -392,10 +392,10 @@ impl PassiveState {
 ///
 /// The static instrumental distribution is *not* embedded: it is a pure
 /// deterministic function of the pool's scores, `alpha` (carried inside the
-/// estimator state) and `score_threshold`, so `rebuild` recomputes it with
-/// identical IEEE-754 operations and lands on identical bits.  The engine
-/// layer's pool fingerprint guarantees the pool is the one the state was
-/// captured against.
+/// estimator state) and `score_threshold`, so `rebuild` takes the pool's
+/// shared copy, or recomputes it with identical IEEE-754 operations and
+/// lands on identical bits.  The engine layer's pool fingerprint
+/// guarantees the pool is the one the state was captured against.
 #[derive(Debug, Clone, PartialEq)]
 pub struct ImportanceState {
     /// Decision threshold τ used to squash non-probability scores.

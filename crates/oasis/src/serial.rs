@@ -36,7 +36,7 @@ use crate::samplers::{
     SamplerMethod, SamplerState, ShardedState, StrataState, StratifiedState, StratifierChoice,
     TrackerState,
 };
-use crate::strata::StrataKey;
+use crate::strata::{StrataKey, MAX_STRATA_COUNT};
 use serde::json::{FromJson, Json, JsonError, JsonResult, ToJson};
 use serde::json_record;
 
@@ -112,6 +112,17 @@ json_record!(SamplerDiagnostics {
 /// is an `Option`).
 fn field_or<T: FromJson>(value: &Json, key: &str, default: T) -> JsonResult<T> {
     value.get(key).map_or(Ok(default), T::from_json)
+}
+
+/// Refuse a `strata_count` above [`MAX_STRATA_COUNT`] where it is parsed,
+/// before anything stratifies with it.
+fn bounded_strata_count(count: usize) -> JsonResult<usize> {
+    if count > MAX_STRATA_COUNT {
+        return Err(JsonError::new(format!(
+            "strata_count {count} exceeds the maximum {MAX_STRATA_COUNT}"
+        )));
+    }
+    Ok(count)
 }
 
 impl ToJson for ConfusionCounts {
@@ -201,7 +212,11 @@ impl FromJson for OasisConfig {
         Ok(OasisConfig {
             alpha: field_or(value, "alpha", defaults.alpha)?,
             epsilon: field_or(value, "epsilon", defaults.epsilon)?,
-            strata_count: field_or(value, "strata_count", defaults.strata_count)?,
+            strata_count: bounded_strata_count(field_or(
+                value,
+                "strata_count",
+                defaults.strata_count,
+            )?)?,
             prior_strength: field_or(value, "prior_strength", defaults.prior_strength)?,
             decay_prior: field_or(value, "decay_prior", defaults.decay_prior)?,
             score_threshold: field_or(value, "score_threshold", defaults.score_threshold)?,
@@ -245,7 +260,7 @@ fn strata_field(value: &Json) -> JsonResult<StrataState> {
         Some(reference) => Ok(StrataState::Shared {
             key: StrataKey {
                 stratifier: reference.field("stratifier")?,
-                strata_count: reference.field("strata_count")?,
+                strata_count: bounded_strata_count(reference.field("strata_count")?)?,
             },
             hash: reference.require("hash")?.as_u64()?,
         }),
@@ -463,6 +478,28 @@ mod tests {
         let back =
             ConfusionCounts::from_json(&Json::parse(&c.to_json().render()).unwrap()).unwrap();
         assert_eq!(back, c);
+    }
+
+    #[test]
+    fn strata_counts_above_the_cap_are_refused_where_parsed() {
+        let config = |count: usize| {
+            OasisConfig::from_json(&Json::parse(&format!(r#"{{"strata_count":{count}}}"#)).unwrap())
+        };
+        assert_eq!(
+            config(MAX_STRATA_COUNT).unwrap().strata_count,
+            MAX_STRATA_COUNT
+        );
+        assert!(config(MAX_STRATA_COUNT + 1).is_err());
+        let reference = |count: usize| {
+            strata_field(
+                &Json::parse(&format!(
+                    r#"{{"strata":{{"hash":"1","strata_count":{count},"stratifier":"csf"}}}}"#
+                ))
+                .unwrap(),
+            )
+        };
+        assert!(reference(30).is_ok());
+        assert!(reference(MAX_STRATA_COUNT + 1).is_err());
     }
 
     #[test]

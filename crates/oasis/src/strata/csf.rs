@@ -97,7 +97,9 @@ impl Stratifier for CsfStratifier {
         // Lines 8–18: map the cut points back to score-scale boundaries.
         // `boundaries` holds the upper score edge of each stratum except the
         // last (which is implicitly `max`).
-        let mut boundaries: Vec<f64> = Vec::with_capacity(k_tilde);
+        // There is at most one boundary per bin, so the work is O(M)
+        // whatever K̃ is.
+        let mut boundaries: Vec<f64> = Vec::with_capacity(k_tilde.min(m));
         let mut next_cut = 1usize; // index of the next csf bin boundary (k · w)
         for (j, &csf_j) in csf.iter().enumerate() {
             if boundaries.len() + 1 >= k_tilde {
@@ -107,8 +109,11 @@ impl Stratifier for CsfStratifier {
                 // Upper score edge of histogram bin j.
                 let edge = min + (j + 1) as f64 * width;
                 boundaries.push(edge);
-                // Skip any cut points that fell inside this same bin.
-                while csf_j >= next_cut as f64 * w {
+                // Skip any cut points that fell inside this same bin: every
+                // cut below ⌊csf_j / w⌋ did, so jump there, then step over
+                // the few that rounding leaves.
+                next_cut = next_cut.max((csf_j / w) as usize);
+                while next_cut < usize::MAX && csf_j >= next_cut as f64 * w {
                     next_cut += 1;
                 }
             }
@@ -253,6 +258,22 @@ mod tests {
         assert!(strata.len() > 1);
         let allocated: usize = (0..strata.len()).map(|k| strata.size(k)).sum();
         assert_eq!(allocated, 1000);
+    }
+
+    #[test]
+    fn a_huge_strata_count_costs_no_more_than_the_histogram() {
+        let pool =
+            ScoredPool::new(vec![0.1, 0.2, 0.9, 0.95], vec![false, false, true, true]).unwrap();
+        let start = std::time::Instant::now();
+        for k in [usize::MAX, 1 << 60, 1_000_000_000_000] {
+            let strata = CsfStratifier::new(k).stratify(&pool).unwrap();
+            assert!(strata.len() <= 4);
+            let allocated: usize = (0..strata.len()).map(|k| strata.size(k)).sum();
+            assert_eq!(allocated, 4);
+        }
+        // The old loop stepped through every cut point: minutes at
+        // usize::MAX.
+        assert!(start.elapsed() < std::time::Duration::from_secs(5));
     }
 
     #[test]

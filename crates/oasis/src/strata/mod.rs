@@ -76,6 +76,13 @@ impl StrataKey {
     }
 }
 
+/// The largest `strata_count` a config or a stored strata reference may
+/// name; parsing refuses more, before anything stratifies.  CSF realises
+/// at most one stratum per histogram bin (2,000 by default) and the paper
+/// uses K in the tens, so the cap, about a million, is far above any K in
+/// use.
+pub const MAX_STRATA_COUNT: usize = 1 << 20;
+
 impl fmt::Display for StrataKey {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         write!(f, "{} K={}", self.stratifier.as_str(), self.strata_count)
