@@ -45,6 +45,9 @@ pub enum EngineError {
     /// The request would grow a bounded queue (e.g. pending tickets) past
     /// its cap; the client must drain it first.
     Backpressure(String),
+    /// A propose would issue ticket ids past `u64::MAX`; the session's
+    /// ticket ids are spent.
+    TicketsExhausted(String),
     /// A request line exceeded the server's per-line byte cap before a
     /// newline appeared.  The payload is the cap; the offending line is
     /// discarded, never buffered whole.
@@ -72,6 +75,7 @@ impl fmt::Display for EngineError {
             EngineError::Unauthorized(why) => write!(f, "unauthorized: {why}"),
             EngineError::Throttled(why) => write!(f, "throttled: {why}"),
             EngineError::Backpressure(why) => write!(f, "backpressure: {why}"),
+            EngineError::TicketsExhausted(why) => write!(f, "tickets exhausted: {why}"),
             EngineError::LineTooLong(max) => {
                 write!(f, "request line exceeds {max} bytes")
             }
@@ -101,6 +105,7 @@ impl EngineError {
             EngineError::Unauthorized(_) => "unauthorized",
             EngineError::Throttled(_) => "throttled",
             EngineError::Backpressure(_) => "backpressure",
+            EngineError::TicketsExhausted(_) => "tickets_exhausted",
             EngineError::LineTooLong(_) => "line_too_long",
         }
     }

@@ -1054,6 +1054,56 @@ mod tests {
     }
 
     #[test]
+    fn a_propose_past_the_last_ticket_id_is_refused_and_the_session_stays_restorable() {
+        let engine = demo_engine();
+        render(
+            &engine,
+            r#"{"cmd":"create_session","session":"s","pool":"p","seed":3,"config":{"strata_count":3}}"#,
+        );
+        render(&engine, r#"{"cmd":"propose","session":"s","count":1}"#);
+        let checkpoint_of = |session: &str| {
+            let line = format!(r#"{{"cmd":"checkpoint","session":"{session}"}}"#);
+            dispatch(&engine, Request::parse(&line).unwrap())
+                .response
+                .require("checkpoint")
+                .unwrap()
+                .clone()
+        };
+        let restore = |session: &str, checkpoint: Json| {
+            let mut restore = Json::object();
+            restore.set("cmd", Json::String("restore".to_string()));
+            restore.set("session", Json::String(session.to_string()));
+            restore.set("checkpoint", checkpoint);
+            render(&engine, &restore.render())
+        };
+        // Ticket 0 is pending and the next id is the last one a u64 holds.
+        let mut checkpoint = checkpoint_of("s");
+        checkpoint.set("next_ticket", u64::MAX.to_json());
+        let restored = restore("edge", checkpoint);
+        assert!(restored.contains(r#""ok":true"#), "{restored}");
+        let before = checkpoint_of("edge").render();
+
+        let refused = render(&engine, r#"{"cmd":"propose","session":"edge","count":2}"#);
+        assert!(refused.contains(r#""ok":false"#), "{refused}");
+        assert!(
+            refused.contains(r#""kind":"tickets_exhausted""#),
+            "{refused}"
+        );
+        assert_eq!(
+            checkpoint_of("edge").render(),
+            before,
+            "a refused propose leaves sampler, RNG and tickets untouched"
+        );
+        let labelled = render(
+            &engine,
+            r#"{"cmd":"label","session":"edge","labels":[{"ticket":0,"label":true}]}"#,
+        );
+        assert!(labelled.contains(r#""applied":1"#), "{labelled}");
+        let again = restore("again", checkpoint_of("edge"));
+        assert!(again.contains(r#""ok":true"#), "{again}");
+    }
+
+    #[test]
     fn create_session_refuses_an_unbounded_strata_count() {
         let error = Request::parse(
             r#"{"cmd":"create_session","session":"s","pool":"p","seed":3,"config":{"strata_count":1000000000000}}"#,

@@ -327,8 +327,9 @@ impl Session {
     ///
     /// # Errors
     /// [`EngineError::Backpressure`] when a configured `max_pending` cap
-    /// would be exceeded; the sampler and RNG are untouched, so a rejected
-    /// propose is invisible to replay.
+    /// would be exceeded, and [`EngineError::TicketsExhausted`] when the
+    /// batch's ticket ids would pass `u64::MAX`; the sampler and RNG are
+    /// untouched, so a rejected propose is invisible to replay.
     pub fn propose(&mut self, count: usize) -> EngineResult<Vec<Ticket>> {
         if let Some(cap) = self.limits.max_pending {
             let would_hold = self.pending.len().saturating_add(count);
@@ -339,18 +340,29 @@ impl Session {
                 )));
             }
         }
+        // Ticket ids never wrap: a wrapped id could collide with a pending
+        // one, and the session could no longer checkpoint.
+        let Some(next_ticket) = u64::try_from(count)
+            .ok()
+            .and_then(|count| self.next_ticket.checked_add(count))
+        else {
+            return Err(EngineError::TicketsExhausted(format!(
+                "propose of {count} would run ticket ids past {}; next ticket id is {}",
+                u64::MAX,
+                self.next_ticket
+            )));
+        };
         let proposals = self.sampler.propose_batch(&self.pool, &mut self.rng, count);
-        let mut tickets = Vec::with_capacity(count);
-        for proposal in proposals {
-            let ticket = Ticket {
-                id: self.next_ticket,
+        let tickets: Vec<Ticket> = (self.next_ticket..next_ticket)
+            .zip(proposals)
+            .map(|(id, proposal)| Ticket {
+                id,
                 proposal,
                 issued_at_us: self.lease_now_us,
-            };
-            self.next_ticket += 1;
-            self.pending.push_back(ticket);
-            tickets.push(ticket);
-        }
+            })
+            .collect();
+        self.next_ticket = next_ticket;
+        self.pending.extend(&tickets);
         Ok(tickets)
     }
 
@@ -411,36 +423,58 @@ impl Session {
     /// batch names one ticket twice; no labels are applied in either case.
     pub fn apply_labels(&mut self, labels: &[(u64, bool)]) -> EngineResult<usize> {
         // Validate the whole batch first so errors leave the session intact.
-        // Batches and pending queues are both unbounded over the protocol, so
-        // everything here is O(B + P) — no per-label rescans.
-        let mut by_ticket: std::collections::HashMap<u64, bool> =
-            std::collections::HashMap::with_capacity(labels.len());
-        for &(ticket_id, label) in labels {
-            if by_ticket.insert(ticket_id, label).is_some() {
-                return Err(EngineError::DuplicateTicket(ticket_id));
+        // Batches and pending queues are both unbounded over the protocol,
+        // so nothing rescans per label: the batch is sorted by ticket id
+        // (stably, so an ascending batch costs one pass) and each pending
+        // ticket finds its label by binary search.
+        let mut by_ticket: Vec<(u64, usize)> = labels
+            .iter()
+            .enumerate()
+            .map(|(position, &(id, _))| (id, position))
+            .collect();
+        by_ticket.sort_by_key(|&(id, _)| id);
+        // Equal ids sit next to each other in batch order, so every repeat
+        // is the later of two neighbours; report the earliest in the batch.
+        if let Some(position) = by_ticket
+            .windows(2)
+            .filter(|pair| pair[0].0 == pair[1].0)
+            .map(|pair| pair[1].1)
+            .min()
+        {
+            return Err(EngineError::DuplicateTicket(labels[position].0));
+        }
+        let label_of = |id: u64| {
+            let k = by_ticket.binary_search_by_key(&id, |&(id, _)| id).ok()?;
+            Some(labels[by_ticket[k].1].1)
+        };
+        // One pass splits the queue: answered tickets come out in queue
+        // order, the order labels are applied in.
+        let mut kept = VecDeque::with_capacity(self.pending.len());
+        let mut answered = Vec::with_capacity(labels.len());
+        for ticket in &self.pending {
+            match label_of(ticket.id) {
+                Some(label) => answered.push((*ticket, label)),
+                None => kept.push_back(*ticket),
             }
         }
-        let pending_ids: std::collections::HashSet<u64> =
-            self.pending.iter().map(|t| t.id).collect();
-        for &(ticket_id, _) in labels {
-            if !pending_ids.contains(&ticket_id) {
-                return Err(EngineError::UnknownTicket(ticket_id));
+        if answered.len() < labels.len() {
+            // Pending ids are distinct, so some batch id matched nothing;
+            // report the earliest in batch order.
+            let mut pending: Vec<u64> = self.pending.iter().map(|t| t.id).collect();
+            pending.sort_unstable();
+            if let Some(&(id, _)) = labels
+                .iter()
+                .find(|(id, _)| pending.binary_search(id).is_err())
+            {
+                return Err(EngineError::UnknownTicket(id));
             }
         }
-        // One pass over the deque: answered tickets come out in queue order,
-        // which is ascending ticket id — the order labels are applied in.
-        let mut answered = Vec::with_capacity(by_ticket.len());
-        self.pending.retain(|ticket| {
-            if by_ticket.contains_key(&ticket.id) {
-                answered.push(*ticket);
-                false
-            } else {
-                true
-            }
-        });
-        for ticket in &answered {
-            let label = by_ticket[&ticket.id];
-            self.sampler.apply_label(&ticket.proposal, label);
+        self.pending = kept;
+        for (ticket, label) in &answered {
+            self.sampler.apply_label(&ticket.proposal, *label);
+        }
+        // A pass of its own, so the budget bitmap's cache misses overlap.
+        for (ticket, _) in &answered {
             self.charge_label_budget(ticket.proposal.item);
         }
         Ok(answered.len())

@@ -1,11 +1,14 @@
 //! Engine-level guarantees for sharded sessions: the `shards` protocol field
 //! is validated and echoed, a `shards: 1` session is bit-identical to an
 //! unsharded one over the wire (the K=1 parity the CI pins), sharded
-//! sessions survive kill-and-replay bit-for-bit, and the shard-routing
-//! metrics count what actually happened.
+//! sessions survive kill-and-replay bit-for-bit, sessions and restores
+//! with one shard count share one partition of the pool, and the
+//! shard-routing metrics count what actually happened.
 
+use oasis::pool::ScoredPool;
+use oasis::samplers::{AnySampler, OasisConfig, ShardedPool};
 use oasis_engine::server::serve_lines;
-use oasis_engine::{Engine, FsCheckpointStore};
+use oasis_engine::{Engine, FsCheckpointStore, LabelSource, Session, SessionSpec};
 use std::io::Cursor;
 use std::sync::Arc;
 
@@ -167,5 +170,78 @@ fn shards_field_is_validated_echoed_and_counted() {
         lines[5].contains(r#""shard_route":"20""#),
         "each routed step counts: {}",
         lines[5]
+    );
+}
+
+fn sharded_pool(session: &Session) -> &Arc<ShardedPool> {
+    match session.sampler() {
+        AnySampler::Sharded(sampler) => sampler.pool(),
+        _ => panic!("the session is not sharded"),
+    }
+}
+
+/// Answer `rounds` batches of 24 proposals from the hidden truth.
+fn label_rounds(session: &mut Session, truth: &[bool], rounds: usize) {
+    for _ in 0..rounds {
+        let tickets = session.propose(24).unwrap();
+        let answers: Vec<(u64, bool)> = tickets
+            .iter()
+            .map(|t| (t.id, truth[t.proposal.item]))
+            .collect();
+        session.apply_labels(&answers).unwrap();
+    }
+}
+
+#[test]
+fn sessions_and_restores_with_one_shard_count_share_the_partition() {
+    let (pool, truth) = oasis::test_fixtures::pool_and_truth(1_600, 8, 0.1);
+    let pool = Arc::new(pool);
+    let session = |id: &str, pool: &Arc<ScoredPool>| {
+        let spec = SessionSpec::new(id, "p", 5, LabelSource::external(pool.len()));
+        Session::new(
+            SessionSpec {
+                config: OasisConfig::default().with_strata_count(4),
+                shards: Some(16),
+                ..spec
+            },
+            Arc::clone(pool),
+        )
+        .unwrap()
+    };
+    let mut first = session("first", &pool);
+    let mut second = session("second", &pool);
+    assert!(Arc::ptr_eq(sharded_pool(&first), sharded_pool(&second)));
+    label_rounds(&mut first, &truth, 5);
+    label_rounds(&mut second, &truth, 5);
+
+    let checkpoint = first.checkpoint();
+    let mut restored = Session::restore(checkpoint.clone(), Arc::clone(&pool)).unwrap();
+    assert!(Arc::ptr_eq(sharded_pool(&first), sharded_pool(&restored)));
+    // A pool with the same content but a memo of its own builds its own
+    // partition, and lands on the same draws.
+    let copy =
+        Arc::new(ScoredPool::new(pool.scores().to_vec(), pool.predictions().to_vec()).unwrap());
+    let mut unshared = Session::restore(checkpoint, copy).unwrap();
+    assert!(!Arc::ptr_eq(sharded_pool(&first), sharded_pool(&unshared)));
+
+    for session in [&mut first, &mut second, &mut restored, &mut unshared] {
+        label_rounds(session, &truth, 5);
+    }
+    let bits = |session: &Session| {
+        let estimate = session.estimate();
+        (
+            estimate.f_measure.to_bits(),
+            estimate.precision.to_bits(),
+            estimate.recall.to_bits(),
+            estimate.iterations,
+        )
+    };
+    assert_eq!(bits(&first), bits(&second));
+    assert_eq!(bits(&first), bits(&restored));
+    assert_eq!(bits(&first), bits(&unshared));
+    assert_eq!(
+        first.checkpoint().sampler,
+        restored.checkpoint().sampler,
+        "the restore continues bit for bit"
     );
 }

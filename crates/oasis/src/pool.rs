@@ -7,7 +7,7 @@
 //! labels must be purchased one at a time.
 
 use crate::error::{Error, Result};
-use crate::samplers::StaticProposal;
+use crate::samplers::{ShardedPool, StaticProposal};
 use crate::strata::{Strata, StrataKey};
 use std::fmt;
 use std::sync::{Arc, Mutex, OnceLock, PoisonError, Weak};
@@ -22,8 +22,9 @@ use std::sync::{Arc, Mutex, OnceLock, PoisonError, Weak};
 /// A pool never changes after construction, so its content
 /// [fingerprint](ScoredPool::fingerprint) is computed once and cached, and
 /// what samplers derive from it alone — its
-/// [strata](ScoredPool::shared_strata) and the static importance proposal
-/// — is built once per key and shared while in use.
+/// [strata](ScoredPool::shared_strata), the static importance proposal and
+/// its [partitions into shards](ScoredPool::shared_shards) — is built once
+/// per key and shared while in use.
 pub struct ScoredPool {
     scores: Vec<f64>,
     predictions: Vec<bool>,
@@ -33,6 +34,8 @@ pub struct ScoredPool {
     /// Static importance proposals built on this pool, by the bits of
     /// `(α, τ)`.
     proposals: WeakMemo<(u64, u64), StaticProposal>,
+    /// Partitions of this pool into shards, by shard count.
+    shards: WeakMemo<usize, ShardedPool>,
 }
 
 /// A clone shares the caches: they describe the same content.
@@ -44,6 +47,7 @@ impl Clone for ScoredPool {
             fingerprint: self.fingerprint.clone(),
             strata: self.strata.clone(),
             proposals: self.proposals.clone(),
+            shards: self.shards.clone(),
         }
     }
 }
@@ -134,6 +138,7 @@ impl ScoredPool {
             fingerprint: OnceLock::new(),
             strata: WeakMemo::new(),
             proposals: WeakMemo::new(),
+            shards: WeakMemo::new(),
         })
     }
 
@@ -160,6 +165,18 @@ impl ScoredPool {
             .get_or_build((alpha.to_bits(), score_threshold.to_bits()), || {
                 Ok(StaticProposal::build(self, alpha, score_threshold))
             })
+    }
+
+    /// The partition of this pool into `shard_count` shards, shared the same
+    /// way as [strata](ScoredPool::shared_strata): every sharded sampler
+    /// with that shard count reads one copy of the sub-pools, and so one
+    /// copy of each shard's strata and proposals.
+    ///
+    /// # Errors
+    /// [`ShardedPool::partition`]'s own.
+    pub fn shared_shards(&self, shard_count: usize) -> Result<Arc<ShardedPool>> {
+        self.shards
+            .get_or_build(shard_count, || ShardedPool::partition(self, shard_count))
     }
 
     /// FNV-1a content fingerprint of the pool (each item's score bits, then

@@ -13,8 +13,10 @@
 //! which is what makes IS an order of magnitude slower than OASIS in the
 //! paper's Table 3; because the distribution is static, this implementation
 //! precomputes its cumulative weights once and draws in `O(log N)` via
-//! binary search ([`CategoricalCdf`]).  "Once" is once per pool, α and τ:
-//! the pool shares the proposal between samplers as it shares strata.
+//! binary search ([`CategoricalCdf`]); a batch runs its searches
+//! interleaved, so their cache misses overlap.  "Once" is once per pool,
+//! α and τ: the pool shares the proposal between samplers as it shares
+//! strata.
 
 use super::state::{EstimatorState, ImportanceState, SamplerMethod, SamplerState};
 use super::{
@@ -136,6 +138,17 @@ impl ImportanceSampler {
         sampler.estimator = estimator;
         Ok(sampler)
     }
+
+    /// The proposal for a drawn `item`: its prediction and precomputed
+    /// weight; the stratum slot is unused (0).
+    fn proposal_of(&self, pool: &ScoredPool, item: usize) -> Proposal {
+        Proposal {
+            item,
+            stratum: 0,
+            prediction: pool.prediction(item),
+            weight: self.proposal.weights[item],
+        }
+    }
 }
 
 /// Plug-in initial guess of the F-measure from scores treated as probabilities
@@ -164,12 +177,24 @@ impl InteractiveSampler for ImportanceSampler {
     /// is unused (0).
     fn propose<R: Rng + ?Sized>(&mut self, pool: &ScoredPool, rng: &mut R) -> Proposal {
         let item = self.proposal.cdf.sample(rng);
-        Proposal {
-            item,
-            stratum: 0,
-            prediction: pool.prediction(item),
-            weight: self.proposal.weights[item],
-        }
+        self.proposal_of(pool, item)
+    }
+
+    /// The same draws as `count` calls of [`propose`](Self::propose), from
+    /// the same RNG calls, with the binary searches over the pool-sized CDF
+    /// interleaved ([`CategoricalCdf::sample_many`]).
+    fn propose_batch<R: Rng + ?Sized>(
+        &mut self,
+        pool: &ScoredPool,
+        rng: &mut R,
+        count: usize,
+    ) -> Vec<Proposal> {
+        self.proposal
+            .cdf
+            .sample_many(rng, count)
+            .into_iter()
+            .map(|item| self.proposal_of(pool, item))
+            .collect()
     }
 
     fn apply_label(&mut self, proposal: &Proposal, label: bool) {

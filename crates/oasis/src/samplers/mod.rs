@@ -179,7 +179,9 @@ pub trait InteractiveSampler {
     /// batch, the instrumental distribution is identical for every draw, so
     /// this produces the same proposals (bit-for-bit, same RNG stream) as
     /// calling [`propose`](Self::propose) `count` times; adaptive samplers
-    /// override it to pay their per-refresh cost once per batch.
+    /// override it to pay their per-refresh cost once per batch, and
+    /// samplers that index pool-sized arrays to overlap the batch's cache
+    /// misses.
     fn propose_batch<R: Rng + ?Sized>(
         &mut self,
         pool: &ScoredPool,
@@ -533,20 +535,67 @@ pub fn sample_categorical<R: Rng + ?Sized>(rng: &mut R, probabilities: &[f64]) -
 
 /// Draw an index given the *cumulative* weights `cumulative[i] = p_0 + … + p_i`
 /// (left-to-right partial sums).  Shared by [`sample_categorical`] and
-/// [`CategoricalCdf`].
+/// [`CategoricalCdf`]; the one-lane case of [`CategoricalCdf::sample_many`].
 pub fn sample_from_cumulative<R: Rng + ?Sized>(rng: &mut R, cumulative: &[f64]) -> usize {
+    let mut index = [0];
+    draw_from_cumulative(rng, cumulative, &mut index);
+    index[0]
+}
+
+/// How many binary searches [`partition_lanes`] runs side by side.  Each
+/// halving step over a pool-sized CDF is a likely cache miss; a step of 16
+/// lanes issues 16 independent loads, so their misses overlap instead of
+/// queueing one behind the other.
+const SEARCH_LANES: usize = 16;
+
+/// Fill `out` with draws from `cumulative`, taking the same RNG calls in the
+/// same order as `out.len()` calls of [`sample_from_cumulative`]: each
+/// group of [`SEARCH_LANES`] uniforms is drawn first, then resolved by
+/// interleaved binary searches.
+fn draw_from_cumulative<R: Rng + ?Sized>(rng: &mut R, cumulative: &[f64], out: &mut [usize]) {
     debug_assert!(!cumulative.is_empty());
     let total = *cumulative.last().unwrap();
     if total <= 0.0 || !total.is_finite() {
         // Degenerate distribution: fall back to uniform.
-        return rng.gen_range(0..cumulative.len());
+        for index in out {
+            *index = rng.gen_range(0..cumulative.len());
+        }
+        return;
     }
-    let target = rng.gen::<f64>() * total;
-    // First index whose cumulative weight reaches the target.  `partition_point`
-    // is a binary search: all entries `< target` precede all entries `>= target`
-    // because the cumulative sums are non-decreasing.
-    let index = cumulative.partition_point(|&c| c < target);
-    index.min(cumulative.len() - 1)
+    for indices in out.chunks_mut(SEARCH_LANES) {
+        let mut targets = [0.0; SEARCH_LANES];
+        let targets = &mut targets[..indices.len()];
+        for target in targets.iter_mut() {
+            *target = rng.gen::<f64>() * total;
+        }
+        partition_lanes(cumulative, targets, indices);
+    }
+}
+
+/// For every lane, the first index whose cumulative weight reaches the
+/// lane's target — exactly `cumulative.partition_point(|&c| c < target)`,
+/// found by the same halving `partition_point` does — clamped to the last
+/// index.  All lanes probe at one depth before any goes deeper.
+fn partition_lanes(cumulative: &[f64], targets: &[f64], out: &mut [usize]) {
+    debug_assert!(targets.len() <= SEARCH_LANES && targets.len() == out.len());
+    let mut bases = [0usize; SEARCH_LANES];
+    let bases = &mut bases[..targets.len()];
+    // Entries `< target` precede all entries `>= target` because the
+    // cumulative sums are non-decreasing; every lane narrows the same
+    // window size, so they take the same number of steps.
+    let mut size = cumulative.len();
+    while size > 1 {
+        let half = size / 2;
+        for (base, &target) in bases.iter_mut().zip(targets) {
+            let mid = *base + half;
+            *base = std::hint::select_unpredictable(cumulative[mid] < target, mid, *base);
+        }
+        size -= half;
+    }
+    for ((index, &base), &target) in out.iter_mut().zip(bases.iter()).zip(targets) {
+        let point = base + usize::from(cumulative[base] < target);
+        *index = point.min(cumulative.len() - 1);
+    }
 }
 
 /// A categorical distribution with precomputed cumulative weights, for
@@ -591,6 +640,15 @@ impl CategoricalCdf {
     /// Draw one index using a single uniform variate and binary search.
     pub fn sample<R: Rng + ?Sized>(&self, rng: &mut R) -> usize {
         sample_from_cumulative(rng, &self.cumulative)
+    }
+
+    /// Draw `count` indices: the same draws, from the same RNG calls in the
+    /// same order, as `count` calls of [`sample`](Self::sample), with up to
+    /// 16 binary searches in flight at once.
+    pub fn sample_many<R: Rng + ?Sized>(&self, rng: &mut R, count: usize) -> Vec<usize> {
+        let mut indices = vec![0; count];
+        draw_from_cumulative(rng, &self.cumulative, &mut indices);
+        indices
     }
 }
 

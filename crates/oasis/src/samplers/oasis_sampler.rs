@@ -357,14 +357,22 @@ impl OasisSampler {
         self.cdf_rebuilds
     }
 
-    /// Draw one proposal from the (already refreshed) cached distribution.
-    fn draw_from_cache<R: Rng + ?Sized>(&self, pool: &ScoredPool, rng: &mut R) -> Proposal {
+    /// Draw a stratum and a position within it from the (already
+    /// refreshed) cached distribution.
+    fn draw_from_cache<R: Rng + ?Sized>(&self, rng: &mut R) -> (usize, usize) {
         debug_assert!(!self.proposal_dirty);
         // Line 4: draw a stratum — binary search over the cached CDF.
         let stratum = super::sample_from_cumulative(rng, &self.cdf_scratch);
         // Line 5: draw an item uniformly within the stratum.
-        let members = self.strata.members(stratum);
-        let item = members[rng.gen_range(0..members.len())] as usize;
+        (
+            stratum,
+            rng.gen_range(0..self.strata.members(stratum).len()),
+        )
+    }
+
+    /// The proposal for the member at `position` of `stratum`.
+    fn proposal_at(&self, pool: &ScoredPool, stratum: usize, position: usize) -> Proposal {
+        let item = self.strata.members(stratum)[position] as usize;
         // Line 6: importance weight w_t = ω_k / v_k.
         let weight = self.strata.weights()[stratum] / self.current_proposal[stratum];
         Proposal {
@@ -439,7 +447,8 @@ impl InteractiveSampler for OasisSampler {
     /// and lock in the importance weight.
     fn propose<R: Rng + ?Sized>(&mut self, pool: &ScoredPool, rng: &mut R) -> Proposal {
         self.refresh_proposal_cache();
-        self.draw_from_cache(pool, rng)
+        let (stratum, position) = self.draw_from_cache(rng);
+        self.proposal_at(pool, stratum, position)
     }
 
     /// Batch form: one refresh of the instrumental distribution serves all
@@ -447,7 +456,9 @@ impl InteractiveSampler for OasisSampler {
     /// posterior — and therefore the distribution — is identical for every
     /// draw, so this produces the same proposals (bit-for-bit, same RNG
     /// stream) as calling `propose` `count` times while paying the O(K)
-    /// distribution/CDF refit at most once.
+    /// distribution/CDF refit at most once.  Every draw's stratum and
+    /// position come first, then the member and prediction loads, whose
+    /// cache misses no longer wait behind the next draw's RNG work.
     fn propose_batch<R: Rng + ?Sized>(
         &mut self,
         pool: &ScoredPool,
@@ -458,8 +469,10 @@ impl InteractiveSampler for OasisSampler {
             return Vec::new();
         }
         self.refresh_proposal_cache();
-        (0..count)
-            .map(|_| self.draw_from_cache(pool, rng))
+        let picks: Vec<(usize, usize)> = (0..count).map(|_| self.draw_from_cache(rng)).collect();
+        picks
+            .into_iter()
+            .map(|(stratum, position)| self.proposal_at(pool, stratum, position))
             .collect()
     }
 

@@ -61,12 +61,15 @@ use crate::estimator::{AisEstimator, Estimate};
 use crate::pool::ScoredPool;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
+use std::sync::Arc;
 
 /// A contiguous partition of a [`ScoredPool`] into K shards.
 ///
 /// Shard `s` holds the items `[s·N/K, (s+1)·N/K)` of the source pool, so the
 /// partition is a pure function of `(N, K)` — checkpoints never store it,
-/// they recompute it.  Every shard is non-empty (K ≤ N is enforced).
+/// they recompute it, and samplers share it through
+/// [`ScoredPool::shared_shards`].  Every shard is non-empty (K ≤ N is
+/// enforced).
 #[derive(Debug, Clone, PartialEq)]
 pub struct ShardedPool {
     /// The per-shard sub-pools, in pool order.
@@ -167,7 +170,8 @@ pub struct ShardedSampler {
     method: SamplerMethod,
     /// F-measure weight α (shared by all shards).
     alpha: f64,
-    pool: ShardedPool,
+    /// The source pool's shared partition.
+    pool: Arc<ShardedPool>,
     inners: Vec<AnySampler>,
     /// Private per-shard RNG streams (see module docs on randomness).
     shard_rngs: Vec<StdRng>,
@@ -209,7 +213,7 @@ impl ShardedSampler {
         shard_count: usize,
         seed: u64,
     ) -> Result<Self> {
-        let sharded = ShardedPool::partition(pool, shard_count)?;
+        let sharded = pool.shared_shards(shard_count)?;
         let mut inners = Vec::with_capacity(shard_count);
         let mut shard_rngs = Vec::with_capacity(shard_count);
         for s in 0..shard_count {
@@ -225,7 +229,7 @@ impl ShardedSampler {
     fn assemble(
         method: SamplerMethod,
         alpha: f64,
-        pool: ShardedPool,
+        pool: Arc<ShardedPool>,
         inners: Vec<AnySampler>,
         shard_rngs: Vec<StdRng>,
     ) -> Result<Self> {
@@ -268,7 +272,7 @@ impl ShardedSampler {
                 ),
             });
         }
-        let sharded = ShardedPool::partition(pool, k)?;
+        let sharded = pool.shared_shards(k)?;
         let alpha = state.shards.first().map_or(f64::NAN, SamplerState::alpha);
         let mut inners = Vec::with_capacity(k);
         for (s, inner_state) in state.shards.into_iter().enumerate() {
@@ -303,8 +307,9 @@ impl ShardedSampler {
         self.inners.len()
     }
 
-    /// The partitioned pool.
-    pub fn pool(&self) -> &ShardedPool {
+    /// The partitioned pool, shared with every sampler that partitions the
+    /// same source pool into as many shards.
+    pub fn pool(&self) -> &Arc<ShardedPool> {
         &self.pool
     }
 

@@ -108,6 +108,26 @@ impl StratifiedSampler {
         Ok(sampler)
     }
 
+    /// Draw a stratum by its weight and a position within it.
+    fn draw<R: Rng + ?Sized>(&self, rng: &mut R) -> (usize, usize) {
+        let stratum = self.weight_cdf.sample(rng);
+        (
+            stratum,
+            rng.gen_range(0..self.strata.members(stratum).len()),
+        )
+    }
+
+    /// The proposal for the member at `position` of `stratum`.
+    fn proposal_at(&self, pool: &ScoredPool, stratum: usize, position: usize) -> Proposal {
+        let item = self.strata.members(stratum)[position] as usize;
+        Proposal {
+            item,
+            stratum,
+            prediction: pool.prediction(item),
+            weight: 1.0,
+        }
+    }
+
     /// The transferred-mass sums the stratified estimator is built from:
     /// `(Σ_k |P_k|·tp_k/n_k, Σ_k |P_k|·λ_k, Σ_k |P_k|·act_k/n_k, any
     /// observed stratum)`.  All three sums are in *absolute item counts*
@@ -193,15 +213,25 @@ impl InteractiveSampler for StratifiedSampler {
     /// within it; the marginal item distribution is uniform, so the
     /// importance weight is 1.
     fn propose<R: Rng + ?Sized>(&mut self, pool: &ScoredPool, rng: &mut R) -> Proposal {
-        let stratum = self.weight_cdf.sample(rng);
-        let members = self.strata.members(stratum);
-        let item = members[rng.gen_range(0..members.len())] as usize;
-        Proposal {
-            item,
-            stratum,
-            prediction: pool.prediction(item),
-            weight: 1.0,
-        }
+        let (stratum, position) = self.draw(rng);
+        self.proposal_at(pool, stratum, position)
+    }
+
+    /// The same draws as `count` calls of [`propose`](Self::propose), from
+    /// the same RNG calls: every draw's stratum and position within it
+    /// first, then the member and prediction loads, whose cache misses no
+    /// longer wait behind the next draw's RNG work.
+    fn propose_batch<R: Rng + ?Sized>(
+        &mut self,
+        pool: &ScoredPool,
+        rng: &mut R,
+        count: usize,
+    ) -> Vec<Proposal> {
+        let picks: Vec<(usize, usize)> = (0..count).map(|_| self.draw(rng)).collect();
+        picks
+            .into_iter()
+            .map(|(stratum, position)| self.proposal_at(pool, stratum, position))
+            .collect()
     }
 
     /// Fold the label into the proposal's stratum tally.

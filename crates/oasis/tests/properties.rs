@@ -16,7 +16,7 @@ use oasis::samplers::{
 use oasis::strata::{CsfStratifier, EqualSizeStratifier, Stratifier};
 use proptest::prelude::*;
 use rand::rngs::StdRng;
-use rand::SeedableRng;
+use rand::{Rng, SeedableRng};
 use serde::json::{FromJson, Json, ToJson};
 
 /// Strategy: a pool of (score, prediction, truth) triples with scores in [0, 1].
@@ -378,8 +378,9 @@ proptest! {
     }
 
     /// `propose_batch` is bit-identical to repeated `propose` on the same
-    /// RNG stream, for every method (the adaptive sampler refreshes its
-    /// distribution once per batch; the static ones trivially agree).
+    /// RNG stream, and leaves the same RNG words, for every method (the
+    /// adaptive sampler refreshes its distribution once per batch; the
+    /// stratified ones draw every position before loading any member).
     #[test]
     fn propose_batch_matches_singles_bitwise_for_every_method(
         (scores, predictions, _) in pool_strategy(20, 120),
@@ -399,10 +400,12 @@ proptest! {
                 let reference = single.propose(&pool, &mut rng_b);
                 prop_assert_eq!(proposal.item, reference.item, "{}", method);
                 prop_assert_eq!(proposal.stratum, reference.stratum, "{}", method);
+                prop_assert_eq!(proposal.prediction, reference.prediction, "{}", method);
                 prop_assert_eq!(
                     proposal.weight.to_bits(), reference.weight.to_bits(), "{}", method
                 );
             }
+            prop_assert_eq!(rng_a.state_words(), rng_b.state_words(), "{}", method);
         }
     }
 
@@ -506,6 +509,100 @@ proptest! {
                     false, "{}: interval definedness diverged: {:?} vs {:?}", method, a, b
                 ),
             }
+        }
+    }
+}
+
+/// The batch sizes around the 16 interleaved searches of a batched draw.
+const BATCH_SIZES: [usize; 6] = [0, 1, 15, 16, 17, 256];
+
+/// Strategy: a pool with ties (four distinct scores) and zero-weight items
+/// (a predicted non-match scored 0 gets no importance mass).
+fn tied_pool_strategy() -> impl Strategy<Value = ScoredPool> {
+    prop::collection::vec((0usize..4, any::<bool>()), 1..300).prop_map(|items| {
+        const SCORES: [f64; 4] = [0.0, 0.25, 0.5, 1.0];
+        let scores = items.iter().map(|&(s, _)| SCORES[s]).collect();
+        let predictions = items.iter().map(|&(_, p)| p).collect();
+        ScoredPool::new(scores, predictions).unwrap()
+    })
+}
+
+/// What `CategoricalCdf::sample` drew before batched draws existed: one
+/// uniform, then `partition_point` over the left-to-right partial sums, or a
+/// uniform index when the total is degenerate.
+fn reference_draw(weights: &[f64], rng: &mut StdRng) -> usize {
+    let cumulative: Vec<f64> = weights
+        .iter()
+        .scan(0.0, |running, &w| {
+            *running += w;
+            Some(*running)
+        })
+        .collect();
+    let total = *cumulative.last().unwrap();
+    if total <= 0.0 || !total.is_finite() {
+        return rng.gen_range(0..cumulative.len());
+    }
+    let target = rng.gen::<f64>() * total;
+    cumulative
+        .partition_point(|&c| c < target)
+        .min(cumulative.len() - 1)
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(64))]
+
+    /// An importance sampler's `propose_batch(n)` is `n` successive
+    /// `propose` calls: the same proposals, and the same RNG words after.
+    #[test]
+    fn importance_batches_equal_successive_proposes(
+        pool in tied_pool_strategy(),
+        seed in any::<u64>(),
+        alpha in 0.0f64..=1.0,
+    ) {
+        let mut batched = oasis::ImportanceSampler::new(&pool, alpha, 0.5).unwrap();
+        let mut single = batched.clone();
+        let mut rng_a = StdRng::seed_from_u64(seed);
+        let mut rng_b = StdRng::seed_from_u64(seed);
+        for count in BATCH_SIZES {
+            let batch = batched.propose_batch(&pool, &mut rng_a, count);
+            prop_assert_eq!(batch.len(), count);
+            for proposal in batch {
+                let reference = single.propose(&pool, &mut rng_b);
+                prop_assert_eq!(proposal.item, reference.item, "count {}", count);
+                prop_assert_eq!(proposal.prediction, reference.prediction);
+                prop_assert_eq!(proposal.weight.to_bits(), reference.weight.to_bits());
+            }
+            prop_assert_eq!(rng_a.state_words(), rng_b.state_words(), "count {}", count);
+        }
+    }
+
+    /// `CategoricalCdf::sample_many(n)` is `n` calls of `sample`, and both
+    /// draw what a single `partition_point` search drew — over zero weights,
+    /// ties and a zero total — leaving the same RNG words.
+    #[test]
+    fn batched_cdf_draws_equal_single_and_reference_draws(
+        picks in prop::collection::vec(0usize..4, 1..300),
+        zero_total in any::<bool>(),
+        seed in any::<u64>(),
+    ) {
+        const WEIGHTS: [f64; 4] = [0.0, 1.0, 1.0, 2.5];
+        let weights: Vec<f64> = picks
+            .iter()
+            .map(|&w| if zero_total { 0.0 } else { WEIGHTS[w] })
+            .collect();
+        let cdf = oasis::CategoricalCdf::new(&weights);
+        let mut rng_many = StdRng::seed_from_u64(seed);
+        let mut rng_one = StdRng::seed_from_u64(seed);
+        let mut rng_reference = StdRng::seed_from_u64(seed);
+        for count in BATCH_SIZES {
+            let many = cdf.sample_many(&mut rng_many, count);
+            prop_assert_eq!(many.len(), count);
+            for index in many {
+                prop_assert_eq!(index, cdf.sample(&mut rng_one), "count {}", count);
+                prop_assert_eq!(index, reference_draw(&weights, &mut rng_reference));
+            }
+            prop_assert_eq!(rng_many.state_words(), rng_one.state_words());
+            prop_assert_eq!(rng_many.state_words(), rng_reference.state_words());
         }
     }
 }
