@@ -26,7 +26,7 @@
 //!   delta-encoded index lists: the first labelled index, then the gap to
 //!   each next one.  A parsed [`OracleCheckpoint`] holds them as index
 //!   lists, and [`Session::restore`](crate::Session::restore) expands them
-//!   to bitmaps only against a pool whose length matched, so a forged
+//!   to [`BitSet`]s only against a pool whose length matched, so a forged
 //!   `pool_len` cannot size an allocation.
 //!
 //! The hidden `truth` of an oracle session stays a bitmap.
@@ -36,7 +36,7 @@
 use crate::error::{EngineError, EngineResult};
 use crate::session::{SessionLimits, Ticket};
 use oasis::samplers::SamplerState;
-use oasis::Proposal;
+use oasis::{BitSet, Proposal};
 use serde::json::{
     write_bool, write_number, write_u64, FromJson, Json, JsonError, JsonResult, ToJson,
 };
@@ -166,32 +166,19 @@ impl FromJson for Ticket {
     }
 }
 
-/// The set entries of a budget bitmap, ascending: the form a
-/// [`OracleCheckpoint`] holds its budget in.
-pub(crate) fn set_indices(bitmap: &[bool]) -> Vec<usize> {
-    (0..bitmap.len()).filter(|&index| bitmap[index]).collect()
-}
-
-/// Expand a checkpoint's budget indices into a bitmap over a loaded pool of
+/// Expand a checkpoint's budget indices into a set over a loaded pool of
 /// `len` items.  Only [`Session::restore`](crate::Session::restore) calls
 /// this, after the pool's length has matched the document's: a `pool_len`
 /// read from a document never sizes an allocation.
 ///
 /// # Errors
 /// [`EngineError::CheckpointMismatch`] for an index outside the pool.
-pub(crate) fn budget_bitmap(indices: &[usize], len: usize, name: &str) -> EngineResult<Vec<bool>> {
-    let mut bitmap = vec![false; len];
-    for &index in indices {
-        match bitmap.get_mut(index) {
-            Some(set) => *set = true,
-            None => {
-                return Err(EngineError::CheckpointMismatch(format!(
-                    "`{name}` names item {index} outside the {len}-item pool"
-                )))
-            }
-        }
-    }
-    Ok(bitmap)
+pub(crate) fn budget_set(indices: &[usize], len: usize, name: &str) -> EngineResult<BitSet> {
+    BitSet::from_indices(len, indices).map_err(|index| {
+        EngineError::CheckpointMismatch(format!(
+            "`{name}` names item {index} outside the {len}-item pool"
+        ))
+    })
 }
 
 /// Budget indices as a `checkpoint-v2` list: the first index, then the gap
@@ -247,7 +234,7 @@ fn indices_from_bitmap(value: &Json, pool_len: usize, name: &str) -> JsonResult<
             bitmap.len()
         )));
     }
-    Ok(set_indices(&bitmap))
+    Ok((0..bitmap.len()).filter(|&index| bitmap[index]).collect())
 }
 
 impl OracleCheckpoint {
@@ -539,7 +526,7 @@ mod tests {
     fn session_new_rejects_label_sources_that_do_not_cover_the_pool() {
         let (pool, truth) = pool_and_truth(200, 9);
         let short_bitmap = LabelSource::External {
-            labelled: vec![false; 10],
+            labelled: BitSet::new(10),
             distinct: 0,
         };
         assert!(Session::new(oasis_spec("s", 4, 1, short_bitmap), Arc::clone(&pool)).is_err());
@@ -665,6 +652,72 @@ mod tests {
             "[true]",
         ] {
             assert!(with_labelled(bad, 50).is_err(), "{bad}");
+        }
+    }
+
+    #[test]
+    fn budget_sets_round_trip_through_v1_and_v2_documents() {
+        // Pools just under, at and past the 64-item words of a budget set.
+        for len in [63usize, 64, 65, 130] {
+            let (pool, truth) = pool_and_truth(len, 16 + len as u64);
+            let sources = [
+                LabelSource::external(len),
+                LabelSource::GroundTruth(GroundTruthOracle::new(truth.clone())),
+            ];
+            for source in sources {
+                // Passive sessions carry no strata, so one sampler state
+                // reads as both formats.
+                let spec = SessionSpec::new("s", "p", len as u64, source);
+                let mut session = Session::new(
+                    SessionSpec {
+                        method: oasis::SamplerMethod::Passive,
+                        ..spec
+                    },
+                    Arc::clone(&pool),
+                )
+                .unwrap();
+                let tickets = session.propose(2 * len).unwrap();
+                let answers: Vec<(u64, bool)> = tickets
+                    .iter()
+                    .map(|t| (t.id, truth[t.proposal.item]))
+                    .collect();
+                session.apply_labels(&answers).unwrap();
+                let written = session.checkpoint();
+                let (OracleCheckpoint::External {
+                    labelled: budget, ..
+                }
+                | OracleCheckpoint::GroundTruth {
+                    queried: budget, ..
+                }) = &written.oracle;
+                assert_eq!(budget.len(), session.labels_consumed());
+                assert!(budget.windows(2).all(|pair| pair[0] < pair[1]));
+
+                // v2: the delta list, as written.
+                let v2 = written.to_json_string();
+                let restored = Session::restore(
+                    SessionCheckpoint::from_json_string(&v2).unwrap(),
+                    Arc::clone(&pool),
+                )
+                .unwrap();
+                assert_eq!(restored.checkpoint(), written, "v2, {len} items");
+
+                // v1: the same budget as a pool-long bitmap.
+                let mut document = Json::parse(&v2).unwrap();
+                document.set("format", Json::String(CHECKPOINT_FORMAT_V1.to_string()));
+                let mut oracle = document.require("oracle").unwrap().clone();
+                let bitmap: Vec<bool> =
+                    (0..len).map(|i| budget.binary_search(&i).is_ok()).collect();
+                let key = match written.oracle {
+                    OracleCheckpoint::External { .. } => "labelled",
+                    OracleCheckpoint::GroundTruth { .. } => "queried",
+                };
+                oracle.set(key, bitmap.to_json());
+                document.set("oracle", oracle);
+                let v1 = SessionCheckpoint::from_json_string(&document.render()).unwrap();
+                let restored = Session::restore(v1, Arc::clone(&pool)).unwrap();
+                assert_eq!(restored.labels_consumed(), session.labels_consumed());
+                assert_eq!(restored.checkpoint(), written, "v1, {len} items");
+            }
         }
     }
 

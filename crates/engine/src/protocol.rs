@@ -55,7 +55,7 @@ use crate::error::{EngineError, EngineResult};
 use crate::session::{LabelSource, Session, SessionLimits, SessionSpec};
 use crate::wal::{parse_labelled_line, required_labels, Outcome, WalEntry};
 use oasis::{GroundTruthOracle, OasisConfig, SamplerMethod, ScoredPool};
-use serde::json::{FromJson, Json, ToJson};
+use serde::json::{FromJson, Json, JsonError, ToJson};
 
 /// A parsed protocol request.
 #[derive(Debug, Clone, PartialEq)]
@@ -181,6 +181,15 @@ fn string_field(value: &Json, key: &str) -> EngineResult<String> {
     Ok(String::from_json(value.require(key)?)?)
 }
 
+/// Decode and remove an object key's value.  A packed array moves out of
+/// the parsed line whole, so a pool-sized array is never held twice.
+fn take_field<T: FromJson>(value: &mut Json, key: &str) -> EngineResult<Vec<T>> {
+    let field = value
+        .remove(key)
+        .ok_or_else(|| JsonError::missing_field(key))?;
+    Ok(T::vec_from_owned_json(field)?)
+}
+
 /// Largest propose batch a single request may ask for.
 pub const MAX_PROPOSE_COUNT: usize = 100_000;
 /// Largest number of iterations a single `step`/`run_budget` request may run.
@@ -203,12 +212,12 @@ impl Request {
     /// # Errors
     /// [`EngineError::Protocol`] / [`EngineError::Json`] on malformed input.
     pub fn parse(line: &str) -> EngineResult<Request> {
-        let (value, labels) = parse_labelled_line(line)?;
+        let (mut value, labels) = parse_labelled_line(line)?;
         match value.require("cmd")?.as_str()? {
             "load_pool" => Ok(Request::LoadPool {
                 pool: string_field(&value, "pool")?,
-                scores: Vec::<f64>::from_json(value.require("scores")?)?,
-                predictions: Vec::<bool>::from_json(value.require("predictions")?)?,
+                scores: take_field(&mut value, "scores")?,
+                predictions: take_field(&mut value, "predictions")?,
             }),
             "create_session" => Ok(Request::CreateSession {
                 session: string_field(&value, "session")?,

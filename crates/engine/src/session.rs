@@ -20,11 +20,11 @@
 //! method-tagged sampler state, RNG words, pending tickets and oracle state,
 //! and [`Session::restore`] resumes exactly (see `crate::checkpoint`).
 
-use crate::checkpoint::{budget_bitmap, set_indices, OracleCheckpoint, SessionCheckpoint};
+use crate::checkpoint::{budget_set, OracleCheckpoint, SessionCheckpoint};
 use crate::error::{EngineError, EngineResult};
 use oasis::{
-    AnySampler, ConfidenceInterval, Estimate, GroundTruthOracle, InteractiveSampler, OasisConfig,
-    Oracle, Proposal, SamplerDiagnostics, SamplerMethod, ScoredPool, TrackedSampler,
+    AnySampler, BitSet, ConfidenceInterval, Estimate, GroundTruthOracle, InteractiveSampler,
+    OasisConfig, Oracle, Proposal, SamplerDiagnostics, SamplerMethod, ScoredPool, TrackedSampler,
 };
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -69,7 +69,7 @@ pub enum LabelSource {
     /// itself: repeated labels for the same item charge once.
     External {
         /// Which pool items have been labelled at least once.
-        labelled: Vec<bool>,
+        labelled: BitSet,
         /// Number of distinct items labelled (the consumed budget).
         distinct: usize,
     },
@@ -82,7 +82,7 @@ impl LabelSource {
     /// An external source for a pool of `pool_len` items.
     pub fn external(pool_len: usize) -> Self {
         LabelSource::External {
-            labelled: vec![false; pool_len],
+            labelled: BitSet::new(pool_len),
             distinct: 0,
         }
     }
@@ -470,9 +470,11 @@ impl Session {
             }
         }
         self.pending = kept;
-        for (ticket, label) in &answered {
-            self.sampler.apply_label(&ticket.proposal, *label);
-        }
+        self.sampler.apply_labels(
+            answered
+                .iter()
+                .map(|(ticket, label)| (&ticket.proposal, *label)),
+        );
         // A pass of its own, so the budget bitmap's cache misses overlap.
         for (ticket, _) in &answered {
             self.charge_label_budget(ticket.proposal.item);
@@ -483,8 +485,7 @@ impl Session {
     fn charge_label_budget(&mut self, item: usize) {
         match &mut self.source {
             LabelSource::External { labelled, distinct } => {
-                if !labelled[item] {
-                    labelled[item] = true;
+                if labelled.insert(item) {
                     *distinct += 1;
                 }
             }
@@ -574,12 +575,12 @@ impl Session {
             lease_now_us: self.lease_now_us,
             oracle: match &self.source {
                 LabelSource::External { labelled, distinct } => OracleCheckpoint::External {
-                    labelled: set_indices(labelled),
+                    labelled: labelled.iter().collect(),
                     distinct: *distinct,
                 },
                 LabelSource::GroundTruth(oracle) => OracleCheckpoint::GroundTruth {
                     truth: oracle.ground_truth().to_vec(),
-                    queried: set_indices(oracle.queried_mask()),
+                    queried: oracle.queried().iter().collect(),
                     queries_issued: oracle.queries_issued(),
                 },
             },
@@ -622,10 +623,10 @@ impl Session {
         )?;
         let source = match checkpoint.oracle {
             OracleCheckpoint::External { labelled, .. } => {
-                let labelled = budget_bitmap(&labelled, pool.len(), "labelled")?;
-                // Recompute the budget from the bitmap (as the oracle path
+                let labelled = budget_set(&labelled, pool.len(), "labelled")?;
+                // Recompute the budget from the set (as the oracle path
                 // does) so a hand-edited `distinct` cannot misreport it.
-                let distinct = labelled.iter().filter(|&&l| l).count();
+                let distinct = labelled.count();
                 LabelSource::External { labelled, distinct }
             }
             OracleCheckpoint::GroundTruth {
@@ -640,14 +641,15 @@ impl Session {
                 }
                 LabelSource::GroundTruth(GroundTruthOracle::from_state(
                     truth,
-                    budget_bitmap(&queried, pool.len(), "queried")?,
+                    budget_set(&queried, pool.len(), "queried")?,
                     queries_issued,
                 )?)
             }
         };
         // Pending tickets come verbatim from the document; a crafted
         // checkpoint must not be able to smuggle out-of-range indices past
-        // restore and panic a later apply_labels.
+        // restore and panic a later apply_labels.  A sharded sampler also
+        // refuses a stratum that belongs to another shard than the item.
         let strata_count = sampler.strata_len();
         let mut seen_tickets = std::collections::HashSet::new();
         for ticket in &checkpoint.pending {
@@ -663,10 +665,10 @@ impl Session {
                     ticket.id, ticket.proposal.weight
                 )));
             }
-            if ticket.proposal.item >= pool.len() || ticket.proposal.stratum >= strata_count {
+            if ticket.proposal.item >= pool.len() || !sampler.admits(&ticket.proposal) {
                 return Err(EngineError::CheckpointMismatch(format!(
                     "pending ticket {} references item {} / stratum {} outside the pool \
-                     ({} items, {} strata)",
+                     or the item's strata ({} items, {} strata)",
                     ticket.id,
                     ticket.proposal.item,
                     ticket.proposal.stratum,

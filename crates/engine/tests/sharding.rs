@@ -6,7 +6,7 @@
 //! shard-routing metrics count what actually happened.
 
 use oasis::pool::ScoredPool;
-use oasis::samplers::{AnySampler, OasisConfig, ShardedPool};
+use oasis::samplers::{AnySampler, InteractiveSampler, OasisConfig, ShardedPool};
 use oasis_engine::server::serve_lines;
 use oasis_engine::{Engine, FsCheckpointStore, LabelSource, Session, SessionSpec};
 use std::io::Cursor;
@@ -244,4 +244,55 @@ fn sessions_and_restores_with_one_shard_count_share_the_partition() {
         restored.checkpoint().sampler,
         "the restore continues bit for bit"
     );
+}
+
+#[test]
+fn a_pending_ticket_whose_stratum_lies_in_another_shard_is_refused_at_restore() {
+    // Every stratum number is below the session's total, but a shard's
+    // ticket may only name one of its own shard's strata: another shard's
+    // stratum used to pass restore and panic the next `apply_labels`.
+    let (pool, truth) = oasis::test_fixtures::pool_and_truth(400, 9, 0.1);
+    let pool = Arc::new(pool);
+    let spec = SessionSpec::new("s", "p", 7, LabelSource::external(pool.len()));
+    let mut session = Session::new(
+        SessionSpec {
+            config: OasisConfig::default().with_strata_count(4),
+            shards: Some(4),
+            ..spec
+        },
+        Arc::clone(&pool),
+    )
+    .unwrap();
+    label_rounds(&mut session, &truth, 2);
+    let tickets = session.propose(64).unwrap();
+    let good = session.checkpoint();
+    let strata_total = session.sampler().strata_len();
+    let shards = sharded_pool(&session);
+    let last_shard = shards.shard_count() - 1;
+    let position = |shard: usize| {
+        tickets
+            .iter()
+            .position(|t| shards.shard_of_item(t.proposal.item) == shard)
+            .expect("64 draws reach the first and the last shard")
+    };
+
+    // A stratum past the item's shard (in the last shard's range), and one
+    // before it (in the first shard's range).
+    for (position, stratum) in [(position(0), strata_total - 1), (position(last_shard), 0)] {
+        let mut forged = good.clone();
+        forged.pending[position].proposal.stratum = stratum;
+        let error = Session::restore(forged, Arc::clone(&pool)).unwrap_err();
+        assert!(
+            matches!(error, oasis_engine::EngineError::CheckpointMismatch(_)),
+            "{error}"
+        );
+    }
+
+    // The checkpoint as written restores and answers every ticket.
+    let mut restored = Session::restore(good, Arc::clone(&pool)).unwrap();
+    let answers: Vec<(u64, bool)> = tickets
+        .iter()
+        .map(|t| (t.id, truth[t.proposal.item]))
+        .collect();
+    assert_eq!(restored.apply_labels(&answers).unwrap(), tickets.len());
 }

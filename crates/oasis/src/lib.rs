@@ -65,6 +65,7 @@
 #![warn(rust_2018_idioms)]
 
 pub mod bayes;
+pub mod bitset;
 pub mod confidence;
 pub mod diagnostics;
 pub mod error;
@@ -77,6 +78,7 @@ pub mod samplers;
 pub mod serial;
 pub mod strata;
 
+pub use bitset::BitSet;
 pub use confidence::{ConfidenceInterval, VarianceTracker};
 pub use error::{Error, Result};
 pub use estimator::{AisEstimator, Estimate};

@@ -13,6 +13,7 @@
 //! * The deterministic oracle used in the experiments has
 //!   `p(1|z) ∈ {0, 1}` (one label per pair in the ground truth).
 
+use crate::bitset::BitSet;
 use crate::error::{Error, Result};
 use rand::Rng;
 
@@ -56,7 +57,7 @@ pub trait Oracle {
 #[derive(Debug, Clone)]
 pub struct GroundTruthOracle {
     truth: Vec<bool>,
-    queried: Vec<bool>,
+    queried: BitSet,
     labels_consumed: usize,
     queries_issued: usize,
 }
@@ -65,7 +66,7 @@ impl GroundTruthOracle {
     /// Create an oracle that answers according to `truth` (indexed like the
     /// pool).
     pub fn new(truth: Vec<bool>) -> Self {
-        let queried = vec![false; truth.len()];
+        let queried = BitSet::new(truth.len());
         GroundTruthOracle {
             truth,
             queried,
@@ -95,9 +96,9 @@ impl GroundTruthOracle {
         self.truth.iter().filter(|&&t| t).count()
     }
 
-    /// Which items have been labelled so far (the budget bitmap), for
+    /// Which items have been labelled so far (the budget), for
     /// checkpointing.  Restore with [`GroundTruthOracle::from_state`].
-    pub fn queried_mask(&self) -> &[bool] {
+    pub fn queried(&self) -> &BitSet {
         &self.queried
     }
 
@@ -116,32 +117,31 @@ impl GroundTruthOracle {
                 len: self.truth.len(),
             });
         }
-        if !self.queried[index] {
-            self.queried[index] = true;
+        if self.queried.insert(index) {
             self.labels_consumed += 1;
         }
         Ok(())
     }
 
     /// Rebuild an oracle mid-run from checkpointed state: the ground truth,
-    /// the already-labelled bitmap and the total query count.
-    /// `labels_consumed` is recomputed from the bitmap, so the footnote-5
+    /// the already-labelled set and the total query count.
+    /// `labels_consumed` is recomputed from the set, so the footnote-5
     /// budget accounting cannot be corrupted by a hand-edited checkpoint.
     ///
     /// # Errors
-    /// [`Error::LengthMismatch`] if the bitmap does not cover the truth.
-    pub fn from_state(truth: Vec<bool>, queried: Vec<bool>, queries_issued: usize) -> Result<Self> {
+    /// [`Error::InvalidParameter`] if the set does not cover the truth.
+    pub fn from_state(truth: Vec<bool>, queried: BitSet, queries_issued: usize) -> Result<Self> {
         if truth.len() != queried.len() {
             return Err(Error::InvalidParameter {
                 name: "queried",
                 message: format!(
-                    "queried bitmap covers {} items but the truth has {}",
+                    "queried set covers {} items but the truth has {}",
                     queried.len(),
                     truth.len()
                 ),
             });
         }
-        let labels_consumed = queried.iter().filter(|&&q| q).count();
+        let labels_consumed = queried.count();
         Ok(GroundTruthOracle {
             truth,
             queried,
@@ -158,8 +158,7 @@ impl Oracle for GroundTruthOracle {
             len: self.truth.len(),
         })?;
         self.queries_issued += 1;
-        if !self.queried[index] {
-            self.queried[index] = true;
+        if self.queried.insert(index) {
             self.labels_consumed += 1;
         }
         Ok(label)
@@ -174,7 +173,7 @@ impl Oracle for GroundTruthOracle {
     }
 
     fn reset(&mut self) {
-        self.queried.iter_mut().for_each(|q| *q = false);
+        self.queried.clear();
         self.labels_consumed = 0;
         self.queries_issued = 0;
     }
@@ -372,14 +371,14 @@ mod tests {
         oracle.query(2, &mut rng).unwrap();
         let restored = GroundTruthOracle::from_state(
             oracle.ground_truth().to_vec(),
-            oracle.queried_mask().to_vec(),
+            oracle.queried().clone(),
             oracle.queries_issued(),
         )
         .unwrap();
         assert_eq!(restored.labels_consumed(), 1);
         assert_eq!(restored.queries_issued(), 2);
-        assert_eq!(restored.queried_mask(), oracle.queried_mask());
-        assert!(GroundTruthOracle::from_state(vec![true], vec![], 0).is_err());
+        assert_eq!(restored.queried(), oracle.queried());
+        assert!(GroundTruthOracle::from_state(vec![true], BitSet::new(0), 0).is_err());
     }
 
     #[test]

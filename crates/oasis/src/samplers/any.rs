@@ -136,6 +136,13 @@ impl InteractiveSampler for AnySampler {
         dispatch!(self, s => s.apply_label(proposal, label))
     }
 
+    fn apply_labels<'a, I>(&mut self, labelled: I)
+    where
+        I: IntoIterator<Item = (&'a Proposal, bool)>,
+    {
+        dispatch!(self, s => s.apply_labels(labelled))
+    }
+
     fn estimate(&self) -> Estimate {
         dispatch!(self, s => s.estimate())
     }
@@ -150,6 +157,10 @@ impl InteractiveSampler for AnySampler {
 
     fn strata_len(&self) -> usize {
         dispatch!(self, s => s.strata_len())
+    }
+
+    fn admits(&self, proposal: &Proposal) -> bool {
+        dispatch!(self, s => s.admits(proposal))
     }
 
     fn diagnostics(&self) -> SamplerDiagnostics {

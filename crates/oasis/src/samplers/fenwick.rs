@@ -361,7 +361,7 @@ mod tests {
             let draws = 4000usize;
             let tree = FenwickTree::from_weights(&weights);
             let mut cumulative = Vec::new();
-            fill_cumulative(&weights, &mut cumulative);
+            fill_cumulative(weights.iter().copied(), &mut cumulative);
             let cdf = CategoricalCdf::new(&weights);
             let mut tree_counts = vec![0usize; weights.len()];
             let mut cdf_counts = vec![0usize; weights.len()];

@@ -17,6 +17,12 @@
 //! interleaved, so their cache misses overlap.  "Once" is once per pool,
 //! α and τ: the pool shares the proposal between samplers as it shares
 //! strata.
+//!
+//! The cumulative weights are the only pool-sized array the proposal keeps
+//! (8 bytes per item).  A drawn item's probability `q_i` and importance
+//! weight `(1/N)/q_i` are recomputed from its score and prediction with the
+//! arithmetic the build used, so they carry the bits a stored array would.
+//! The build streams over the pool and allocates nothing else pool-sized.
 
 use super::state::{EstimatorState, ImportanceState, SamplerMethod, SamplerState};
 use super::{
@@ -25,7 +31,7 @@ use super::{
 };
 use crate::error::{Error, Result};
 use crate::estimator::{AisEstimator, Estimate};
-use crate::instrumental::pointwise_optimal;
+use crate::instrumental::optimal_mass;
 use crate::pool::ScoredPool;
 use rand::Rng;
 use std::sync::Arc;
@@ -42,39 +48,93 @@ pub(crate) fn logistic(score: f64, tau: f64) -> f64 {
 /// ([`ScoredPool::shared_proposal`]).
 #[derive(Debug)]
 pub(crate) struct StaticProposal {
-    /// Normalised instrumental probabilities over the pool items.
-    proposal: Vec<f64>,
-    /// Cumulative weights of `proposal`, precomputed for O(log N) draws.
+    /// Cumulative probabilities over the pool items, for O(log N) draws.
     cdf: CategoricalCdf,
-    /// Importance weights `p(z)/q(z) = (1/N)/q_i`, pre-computed.
-    weights: Vec<f64>,
+    /// What a drawn item's probability and weight are recomputed from.
+    masses: OptimalMasses,
+}
+
+/// The scalars the pointwise optimal masses of one pool are a function of.
+#[derive(Debug)]
+struct OptimalMasses {
+    /// The τ raw scores are squashed with, or `None` when the scores are
+    /// already probabilities.
+    squash: Option<f64>,
+    /// The F-measure weight α.
+    alpha: f64,
+    /// The plug-in F-measure guess.
+    f_guess: f64,
+    /// The sum of the un-normalised masses.
+    total: f64,
+    /// Whether that sum was zero or not finite, so the proposal fell back to
+    /// uniform.
+    uniform: bool,
+}
+
+impl OptimalMasses {
+    /// The score as a stand-in for the oracle probability.
+    fn oracle_probability(&self, score: f64) -> f64 {
+        match self.squash {
+            Some(tau) => logistic(score, tau),
+            None => score,
+        }
+    }
+
+    /// The un-normalised pointwise optimal mass of `item` (paper Eqn. 5).
+    fn mass(&self, pool: &ScoredPool, item: usize) -> f64 {
+        optimal_mass(
+            pool.prediction(item),
+            self.oracle_probability(pool.score(item)),
+            self.f_guess,
+            self.alpha,
+        )
+    }
+
+    /// The normalised instrumental probability `q_i` of `item`.
+    fn probability(&self, pool: &ScoredPool, item: usize) -> f64 {
+        if self.uniform {
+            1.0 / pool.len() as f64
+        } else {
+            self.mass(pool, item) / self.total
+        }
+    }
 }
 
 impl StaticProposal {
-    /// Build the proposal; `alpha` must already be validated.
+    /// Build the proposal in three streaming passes over the pool (the
+    /// F-measure guess, the total mass, the CDF); `alpha` must already be
+    /// validated.
     pub(crate) fn build(pool: &ScoredPool, alpha: f64, score_threshold: f64) -> Self {
-        // Scores as stand-ins for the oracle probabilities.
-        let probabilities: Vec<f64> = if pool.scores_are_probabilities() {
-            pool.scores().to_vec()
-        } else {
-            pool.scores()
-                .iter()
-                .map(|&s| logistic(s, score_threshold))
-                .collect()
+        let mut masses = OptimalMasses {
+            squash: (!pool.scores_are_probabilities()).then_some(score_threshold),
+            alpha,
+            f_guess: 0.0,
+            total: 0.0,
+            uniform: false,
         };
         // Initial F-measure guess from the same plug-in quantities.
-        let f_guess = initial_f_guess(pool.predictions(), &probabilities, alpha);
-        let proposal = pointwise_optimal(pool.predictions(), &probabilities, f_guess, alpha);
-        let uniform = pool.uniform_mass();
-        let weights = proposal
-            .iter()
-            .map(|&q| if q > 0.0 { uniform / q } else { 0.0 })
-            .collect();
-        let cdf = CategoricalCdf::new(&proposal);
-        StaticProposal {
-            proposal,
-            cdf,
-            weights,
+        masses.f_guess = initial_f_guess(
+            pool.predictions()
+                .iter()
+                .zip(pool.scores())
+                .map(|(&prediction, &score)| (prediction, masses.oracle_probability(score))),
+            alpha,
+        );
+        masses.total = (0..pool.len()).map(|item| masses.mass(pool, item)).sum();
+        masses.uniform = !(masses.total > 0.0 && masses.total.is_finite());
+        let cdf = CategoricalCdf::from_weights(
+            (0..pool.len()).map(|item| masses.probability(pool, item)),
+        );
+        StaticProposal { cdf, masses }
+    }
+
+    /// The importance weight `p(z)/q(z) = (1/N)/q_i` of `item`.
+    fn weight(&self, pool: &ScoredPool, item: usize) -> f64 {
+        let q = self.masses.probability(pool, item);
+        if q > 0.0 {
+            pool.uniform_mass() / q
+        } else {
+            0.0
         }
     }
 }
@@ -115,9 +175,10 @@ impl ImportanceSampler {
         })
     }
 
-    /// The (normalised) static instrumental distribution over pool items.
-    pub fn proposal(&self) -> &[f64] {
-        &self.proposal.proposal
+    /// The (normalised) static instrumental probability of pool item
+    /// `item`; `pool` must be the pool the sampler was built on.
+    pub fn probability(&self, pool: &ScoredPool, item: usize) -> f64 {
+        self.proposal.masses.probability(pool, item)
     }
 
     /// The AIS estimator's running sums — read by the sharded merge.
@@ -139,25 +200,26 @@ impl ImportanceSampler {
         Ok(sampler)
     }
 
-    /// The proposal for a drawn `item`: its prediction and precomputed
+    /// The proposal for a drawn `item`: its prediction and importance
     /// weight; the stratum slot is unused (0).
     fn proposal_of(&self, pool: &ScoredPool, item: usize) -> Proposal {
         Proposal {
             item,
             stratum: 0,
             prediction: pool.prediction(item),
-            weight: self.proposal.weights[item],
+            weight: self.proposal.weight(pool, item),
         }
     }
 }
 
-/// Plug-in initial guess of the F-measure from scores treated as probabilities
-/// (the same construction as paper Algorithm 2, but without strata).
-pub(crate) fn initial_f_guess(predictions: &[bool], probabilities: &[f64], alpha: f64) -> f64 {
+/// Plug-in initial guess of the F-measure from `(prediction, probability)`
+/// pairs, scores treated as probabilities (the same construction as paper
+/// Algorithm 2, but without strata).
+fn initial_f_guess(items: impl Iterator<Item = (bool, f64)>, alpha: f64) -> f64 {
     let mut tp = 0.0;
     let mut predicted = 0.0;
     let mut actual = 0.0;
-    for (&pred, &p) in predictions.iter().zip(probabilities.iter()) {
+    for (pred, p) in items {
         let l_hat = f64::from(u8::from(pred));
         tp += p * l_hat;
         predicted += l_hat;
@@ -173,8 +235,7 @@ pub(crate) fn initial_f_guess(predictions: &[bool], probabilities: &[f64], alpha
 
 impl InteractiveSampler for ImportanceSampler {
     /// Draw one item from the static instrumental distribution; the
-    /// importance weight is the precomputed `(1/N)/q_i` and the stratum slot
-    /// is unused (0).
+    /// importance weight is `(1/N)/q_i` and the stratum slot is unused (0).
     fn propose<R: Rng + ?Sized>(&mut self, pool: &ScoredPool, rng: &mut R) -> Proposal {
         let item = self.proposal.cdf.sample(rng);
         self.proposal_of(pool, item)
@@ -265,6 +326,13 @@ mod tests {
         (ScoredPool::new(scores, predictions).unwrap(), truth)
     }
 
+    /// Every pool item's instrumental probability, in pool order.
+    fn probabilities(sampler: &ImportanceSampler, pool: &ScoredPool) -> Vec<f64> {
+        (0..pool.len())
+            .map(|item| sampler.probability(pool, item))
+            .collect()
+    }
+
     #[test]
     fn logistic_maps_threshold_to_half() {
         assert!((logistic(2.0, 2.0) - 0.5).abs() < 1e-12);
@@ -274,10 +342,10 @@ mod tests {
 
     #[test]
     fn initial_f_guess_bounds() {
-        let g = initial_f_guess(&[true, false], &[0.9, 0.1], 0.5);
+        let g = initial_f_guess([(true, 0.9), (false, 0.1)].into_iter(), 0.5);
         assert!((0.0..=1.0).contains(&g));
         // No predictions and no probability mass → fallback ½.
-        assert_eq!(initial_f_guess(&[false], &[0.0], 0.5), 0.5);
+        assert_eq!(initial_f_guess([(false, 0.0)].into_iter(), 0.5), 0.5);
     }
 
     #[test]
@@ -292,13 +360,14 @@ mod tests {
     fn proposal_is_normalised_and_favours_predicted_matches() {
         let (pool, _) = calibrated_pool(2000, 0.05, 2);
         let sampler = ImportanceSampler::new(&pool, 0.5, 0.5).unwrap();
-        let total: f64 = sampler.proposal().iter().sum();
+        let proposal = probabilities(&sampler, &pool);
+        let total: f64 = proposal.iter().sum();
         assert!((total - 1.0).abs() < 1e-9);
         // Average proposal mass on predicted matches should exceed the uniform mass.
         let uniform = pool.uniform_mass();
         let mut match_mass = 0.0;
         let mut match_count = 0usize;
-        for (i, &q) in sampler.proposal().iter().enumerate() {
+        for (i, &q) in proposal.iter().enumerate() {
             if pool.prediction(i) {
                 match_mass += q;
                 match_count += 1;
@@ -348,19 +417,13 @@ mod tests {
         let (pool, _) = calibrated_pool(300, 0.1, 5);
         let a = ImportanceSampler::new(&pool, 0.5, 0.5).unwrap();
         let b = ImportanceSampler::new(&pool, 0.5, 0.5).unwrap();
-        assert!(std::ptr::eq(a.proposal().as_ptr(), b.proposal().as_ptr()));
+        assert!(Arc::ptr_eq(&a.proposal, &b.proposal));
         // Another α, or another τ, is another proposal.
         let other_alpha = ImportanceSampler::new(&pool, 0.7, 0.5).unwrap();
         let other_tau = ImportanceSampler::new(&pool, 0.5, 0.25).unwrap();
-        assert!(!std::ptr::eq(
-            a.proposal().as_ptr(),
-            other_alpha.proposal().as_ptr()
-        ));
-        assert!(!std::ptr::eq(
-            a.proposal().as_ptr(),
-            other_tau.proposal().as_ptr()
-        ));
-        assert_ne!(a.proposal(), other_alpha.proposal());
+        assert!(!Arc::ptr_eq(&a.proposal, &other_alpha.proposal));
+        assert!(!Arc::ptr_eq(&a.proposal, &other_tau.proposal));
+        assert_ne!(probabilities(&a, &pool), probabilities(&other_alpha, &pool));
     }
 
     #[test]
@@ -369,7 +432,10 @@ mod tests {
         let first = ImportanceSampler::new(&pool, 0.5, 0.5).unwrap();
         let copy = first.clone();
         let held = Arc::downgrade(&first.proposal);
-        let bits: Vec<u64> = first.proposal().iter().map(|q| q.to_bits()).collect();
+        let bits: Vec<u64> = probabilities(&first, &pool)
+            .iter()
+            .map(|q| q.to_bits())
+            .collect();
         drop(first);
         assert!(held.upgrade().is_some(), "the clone still holds it");
         drop(copy);
@@ -380,7 +446,10 @@ mod tests {
         // The next build is fresh, and lands on the same bits.
         let fresh = ImportanceSampler::new(&pool, 0.5, 0.5).unwrap();
         assert_eq!(Arc::weak_count(&fresh.proposal), 1);
-        let again: Vec<u64> = fresh.proposal().iter().map(|q| q.to_bits()).collect();
+        let again: Vec<u64> = probabilities(&fresh, &pool)
+            .iter()
+            .map(|q| q.to_bits())
+            .collect();
         assert_eq!(again, bits);
     }
 
@@ -390,11 +459,11 @@ mod tests {
         let a = ImportanceSampler::new(&pool, 0.5, 0.5).unwrap();
         let copy = pool.clone();
         let b = ImportanceSampler::new(&copy, 0.5, 0.5).unwrap();
-        assert!(std::ptr::eq(a.proposal().as_ptr(), b.proposal().as_ptr()));
+        assert!(Arc::ptr_eq(&a.proposal, &b.proposal));
         // Built on the clone first, shared with the original too.
         let c = ImportanceSampler::new(&copy, 0.3, 0.5).unwrap();
         let d = ImportanceSampler::new(&pool, 0.3, 0.5).unwrap();
-        assert!(std::ptr::eq(c.proposal().as_ptr(), d.proposal().as_ptr()));
+        assert!(Arc::ptr_eq(&c.proposal, &d.proposal));
     }
 
     #[test]
@@ -416,12 +485,11 @@ mod tests {
             format!("{estimate:?} {:?}", restored.state())
         };
         let populated = run_on(&pool);
-        assert!(std::ptr::eq(
-            sampler.proposal().as_ptr(),
-            ImportanceSampler::from_state(&pool, state.clone())
+        assert!(Arc::ptr_eq(
+            &sampler.proposal,
+            &ImportanceSampler::from_state(&pool, state.clone())
                 .unwrap()
-                .proposal()
-                .as_ptr()
+                .proposal
         ));
         assert_eq!(run_on(&fresh), populated);
     }

@@ -220,9 +220,18 @@ pub trait InteractiveSampler {
 
     /// Number of strata the sampler's proposals index into — `1` for
     /// unstratified samplers, whose proposals always carry stratum `0`.
-    /// Drivers use this to validate untrusted pending proposals.
     fn strata_len(&self) -> usize {
         1
+    }
+
+    /// Whether [`apply_label`](Self::apply_label) can take `proposal`
+    /// without indexing out of range: its stratum is one this sampler could
+    /// have drawn its item from.  Drivers ask before they admit an
+    /// untrusted proposal (a checkpoint's pending ticket) whose item they
+    /// have checked against the pool.  Defaults to
+    /// `stratum < strata_len()`.
+    fn admits(&self, proposal: &Proposal) -> bool {
+        proposal.stratum < self.strata_len()
     }
 
     /// Ground-truth-free diagnostics of the run so far (see
@@ -438,6 +447,20 @@ impl<S: InteractiveSampler> InteractiveSampler for TrackedSampler<S> {
             .observe(proposal.weight, proposal.prediction, label);
     }
 
+    /// The inner sampler takes the whole batch, so its own batch path runs;
+    /// the tracker then observes the labels in order.
+    fn apply_labels<'a, I>(&mut self, labelled: I)
+    where
+        I: IntoIterator<Item = (&'a Proposal, bool)>,
+    {
+        let batch: Vec<(&Proposal, bool)> = labelled.into_iter().collect();
+        self.inner.apply_labels(batch.iter().copied());
+        for (proposal, label) in batch {
+            self.tracker
+                .observe(proposal.weight, proposal.prediction, label);
+        }
+    }
+
     fn estimate(&self) -> Estimate {
         self.inner.estimate()
     }
@@ -452,6 +475,10 @@ impl<S: InteractiveSampler> InteractiveSampler for TrackedSampler<S> {
 
     fn strata_len(&self) -> usize {
         self.inner.strata_len()
+    }
+
+    fn admits(&self, proposal: &Proposal) -> bool {
+        self.inner.admits(proposal)
     }
 
     fn diagnostics(&self) -> SamplerDiagnostics {
@@ -503,15 +530,17 @@ impl<S: InteractiveSampler> InteractiveSampler for TrackedSampler<S> {
 
 impl<S: InteractiveSampler> Sampler for TrackedSampler<S> {}
 
-/// Write the running cumulative sums of `probabilities` into `cumulative`
+/// Write the running cumulative sums of `weights` into `cumulative`
 /// (cleared first), reusing its capacity.  Shared by the one-shot sampler,
-/// [`CategoricalCdf`] and the adaptive samplers' scratch buffers.
-pub(crate) fn fill_cumulative(probabilities: &[f64], cumulative: &mut Vec<f64>) {
+/// [`CategoricalCdf`] and the adaptive samplers' scratch buffers; the
+/// weights may be computed as they stream past.
+pub(crate) fn fill_cumulative(weights: impl IntoIterator<Item = f64>, cumulative: &mut Vec<f64>) {
+    let weights = weights.into_iter();
     cumulative.clear();
-    cumulative.reserve(probabilities.len());
+    cumulative.reserve(weights.size_hint().0);
     let mut running = 0.0;
-    for &p in probabilities {
-        running += p;
+    for weight in weights {
+        running += weight;
         cumulative.push(running);
     }
 }
@@ -529,7 +558,7 @@ pub(crate) fn fill_cumulative(probabilities: &[f64], cumulative: &mut Vec<f64>) 
 pub fn sample_categorical<R: Rng + ?Sized>(rng: &mut R, probabilities: &[f64]) -> usize {
     debug_assert!(!probabilities.is_empty());
     let mut cumulative = Vec::new();
-    fill_cumulative(probabilities, &mut cumulative);
+    fill_cumulative(probabilities.iter().copied(), &mut cumulative);
     sample_from_cumulative(rng, &cumulative)
 }
 
@@ -618,12 +647,22 @@ impl CategoricalCdf {
     /// # Panics
     /// Panics if `probabilities` is empty.
     pub fn new(probabilities: &[f64]) -> Self {
+        Self::from_weights(probabilities.iter().copied())
+    }
+
+    /// Precompute the cumulative weights of `weights` as they stream past,
+    /// so a caller that derives them on the fly never holds them in an
+    /// array of their own.  The same sums as [`new`](Self::new).
+    ///
+    /// # Panics
+    /// Panics if `weights` is empty.
+    pub(crate) fn from_weights(weights: impl IntoIterator<Item = f64>) -> Self {
+        let mut cumulative = Vec::new();
+        fill_cumulative(weights, &mut cumulative);
         assert!(
-            !probabilities.is_empty(),
+            !cumulative.is_empty(),
             "categorical distribution needs at least one weight"
         );
-        let mut cumulative = Vec::new();
-        fill_cumulative(probabilities, &mut cumulative);
         CategoricalCdf { cumulative }
     }
 

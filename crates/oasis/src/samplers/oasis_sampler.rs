@@ -344,7 +344,7 @@ impl OasisSampler {
             // Line 3: v⁽ᵗ⁾ from Eqn. 12, plus its CDF in the reusable
             // scratch buffer (no allocation on the hot path).
             self.current_proposal = self.compute_proposal();
-            super::fill_cumulative(&self.current_proposal, &mut self.cdf_scratch);
+            super::fill_cumulative(self.current_proposal.iter().copied(), &mut self.cdf_scratch);
             self.proposal_dirty = false;
             self.cdf_rebuilds += 1;
         }
@@ -425,7 +425,7 @@ impl OasisSampler {
                     message: "current_proposal is not a distribution".to_string(),
                 });
             }
-            super::fill_cumulative(&current_proposal, &mut cdf_scratch);
+            super::fill_cumulative(current_proposal.iter().copied(), &mut cdf_scratch);
         }
         Ok(OasisSampler {
             config,

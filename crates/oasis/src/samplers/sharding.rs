@@ -416,6 +416,38 @@ impl ShardedSampler {
             iterations,
         )
     }
+
+    /// Lift shard `s`'s local proposal to global indices and the global
+    /// weight scale.
+    fn lift(&self, s: usize, local: Proposal) -> Proposal {
+        Proposal {
+            item: self.pool.item_offsets[s] + local.item,
+            stratum: self.stratum_offsets[s] + local.stratum,
+            prediction: local.prediction,
+            weight: local.weight * self.weight_scale(s),
+        }
+    }
+
+    /// Hand a label to the shard that owns its item, with indices
+    /// translated back to local and the global weight kept; returns the
+    /// shard.  Its selection mass is left to the caller.
+    fn route_label(&mut self, proposal: &Proposal, label: bool) -> usize {
+        let s = self.pool.shard_of_item(proposal.item);
+        let local = Proposal {
+            item: proposal.item - self.pool.item_offsets[s],
+            stratum: proposal.stratum.saturating_sub(self.stratum_offsets[s]),
+            prediction: proposal.prediction,
+            weight: proposal.weight,
+        };
+        self.inners[s].apply_label(&local, label);
+        s
+    }
+
+    /// Recompute shard `s`'s selection mass from its inner sampler.
+    fn refresh_mass(&mut self, s: usize) {
+        let mass = guarded_mass(self.pool.shard_weight(s), self.inners[s].proposal_mass());
+        self.fenwick.set(s, mass);
+    }
 }
 
 impl InteractiveSampler for ShardedSampler {
@@ -425,31 +457,89 @@ impl InteractiveSampler for ShardedSampler {
     fn propose<R: Rng + ?Sized>(&mut self, pool: &ScoredPool, rng: &mut R) -> Proposal {
         debug_assert_eq!(pool.len(), self.pool.len());
         let s = self.fenwick.sample(rng);
-        let scale = self.weight_scale(s);
-        let shard_pool = &self.pool.shards[s];
-        let local = self.inners[s].propose(shard_pool, &mut self.shard_rngs[s]);
-        Proposal {
-            item: self.pool.item_offsets[s] + local.item,
-            stratum: self.stratum_offsets[s] + local.stratum,
-            prediction: local.prediction,
-            weight: local.weight * scale,
+        let local = self.inners[s].propose(&self.pool.shards[s], &mut self.shard_rngs[s]);
+        self.lift(s, local)
+    }
+
+    /// The same proposals as `count` calls of [`propose`](Self::propose):
+    /// every shard selection is drawn first, off the caller's RNG in the
+    /// same order, then each selected shard draws its whole share in one
+    /// inner batch from its private RNG, and the results are put back in
+    /// selection order.  Nothing a draw reads changes inside a batch.
+    fn propose_batch<R: Rng + ?Sized>(
+        &mut self,
+        pool: &ScoredPool,
+        rng: &mut R,
+        count: usize,
+    ) -> Vec<Proposal> {
+        debug_assert_eq!(pool.len(), self.pool.len());
+        let selections: Vec<usize> = (0..count).map(|_| self.fenwick.sample(rng)).collect();
+        let mut shares = vec![0usize; self.inners.len()];
+        for &s in &selections {
+            shares[s] += 1;
         }
+        let mut drawn: Vec<_> = shares
+            .iter()
+            .enumerate()
+            .map(|(s, &share)| {
+                // An unselected shard is not asked at all, as singles would not.
+                if share == 0 {
+                    return Vec::new().into_iter();
+                }
+                self.inners[s]
+                    .propose_batch(&self.pool.shards[s], &mut self.shard_rngs[s], share)
+                    .into_iter()
+            })
+            .collect();
+        selections
+            .into_iter()
+            .map(|s| {
+                let local = drawn[s].next().expect("one draw per selection");
+                self.lift(s, local)
+            })
+            .collect()
     }
 
     /// Route the label to the owning shard (translating indices back to
     /// local, keeping the global weight), then refresh only that shard's
     /// selection mass — O(inner apply + log K), independent of pool size.
     fn apply_label(&mut self, proposal: &Proposal, label: bool) {
+        let s = self.route_label(proposal, label);
+        self.refresh_mass(s);
+    }
+
+    /// Route every label first, then refresh each touched shard's selection
+    /// mass once.  A shard's mass depends only on its own labels, and
+    /// [`FenwickTree::set`] is canonical, so the state is the one
+    /// [`apply_label`](Self::apply_label) per label leaves.
+    fn apply_labels<'a, I>(&mut self, labelled: I)
+    where
+        I: IntoIterator<Item = (&'a Proposal, bool)>,
+    {
+        let mut touched = vec![false; self.inners.len()];
+        for (proposal, label) in labelled {
+            touched[self.route_label(proposal, label)] = true;
+        }
+        for s in (0..touched.len()).filter(|&s| touched[s]) {
+            self.refresh_mass(s);
+        }
+    }
+
+    /// A proposal's stratum must lie in the stratum range of the shard that
+    /// owns its item, and be one that shard's sampler admits.
+    fn admits(&self, proposal: &Proposal) -> bool {
+        if proposal.item >= self.pool.len() {
+            return false;
+        }
         let s = self.pool.shard_of_item(proposal.item);
-        let local = Proposal {
-            item: proposal.item - self.pool.item_offsets[s],
-            stratum: proposal.stratum.saturating_sub(self.stratum_offsets[s]),
-            prediction: proposal.prediction,
-            weight: proposal.weight,
+        let Some(stratum) = proposal.stratum.checked_sub(self.stratum_offsets[s]) else {
+            return false;
         };
-        self.inners[s].apply_label(&local, label);
-        let mass = guarded_mass(self.pool.shard_weight(s), self.inners[s].proposal_mass());
-        self.fenwick.set(s, mass);
+        self.inners[s].admits(&Proposal {
+            item: proposal.item - self.pool.item_offsets[s],
+            stratum,
+            ..*proposal
+        })
     }
 
     fn estimate(&self) -> Estimate {

@@ -378,34 +378,100 @@ proptest! {
     }
 
     /// `propose_batch` is bit-identical to repeated `propose` on the same
-    /// RNG stream, and leaves the same RNG words, for every method (the
-    /// adaptive sampler refreshes its distribution once per batch; the
-    /// stratified ones draw every position before loading any member).
+    /// RNG stream, and leaves the same RNG words, for every method, flat and
+    /// sharded (the adaptive sampler refreshes its distribution once per
+    /// batch; the stratified ones draw every position before loading any
+    /// member; a sharded one draws every shard selection first).
     #[test]
     fn propose_batch_matches_singles_bitwise_for_every_method(
         (scores, predictions, _) in pool_strategy(20, 120),
         seed in any::<u64>(),
         count in 0usize..40,
+        shards in 1usize..=4,
     ) {
         let pool = ScoredPool::new(scores, predictions).unwrap();
         let config = OasisConfig::default().with_strata_count(4);
         for method in SamplerMethod::ALL {
-            let mut batched = AnySampler::build(method, &pool, &config).unwrap();
-            let mut single = AnySampler::build(method, &pool, &config).unwrap();
-            let mut rng_a = StdRng::seed_from_u64(seed);
-            let mut rng_b = StdRng::seed_from_u64(seed);
-            let batch = batched.propose_batch(&pool, &mut rng_a, count);
-            prop_assert_eq!(batch.len(), count);
-            for proposal in batch {
-                let reference = single.propose(&pool, &mut rng_b);
-                prop_assert_eq!(proposal.item, reference.item, "{}", method);
-                prop_assert_eq!(proposal.stratum, reference.stratum, "{}", method);
-                prop_assert_eq!(proposal.prediction, reference.prediction, "{}", method);
+            for sharded in [false, true] {
+                let build = || if sharded {
+                    AnySampler::build_sharded(method, &pool, &config, shards, seed).unwrap()
+                } else {
+                    AnySampler::build(method, &pool, &config).unwrap()
+                };
+                let mut batched = build();
+                let mut single = build();
+                let mut rng_a = StdRng::seed_from_u64(seed);
+                let mut rng_b = StdRng::seed_from_u64(seed);
+                let batch = batched.propose_batch(&pool, &mut rng_a, count);
+                prop_assert_eq!(batch.len(), count);
+                for proposal in batch {
+                    let reference = single.propose(&pool, &mut rng_b);
+                    prop_assert_eq!(proposal.item, reference.item, "{} {}", method, sharded);
+                    prop_assert_eq!(proposal.stratum, reference.stratum, "{} {}", method, sharded);
+                    prop_assert_eq!(
+                        proposal.prediction, reference.prediction, "{} {}", method, sharded
+                    );
+                    prop_assert_eq!(
+                        proposal.weight.to_bits(), reference.weight.to_bits(),
+                        "{} {}", method, sharded
+                    );
+                }
+                prop_assert_eq!(rng_a.state_words(), rng_b.state_words(), "{} {}", method, sharded);
+                // The shards' private streams moved alike too.
                 prop_assert_eq!(
-                    proposal.weight.to_bits(), reference.weight.to_bits(), "{}", method
+                    batched.state().to_json().render(),
+                    single.state().to_json().render(),
+                    "{} {}", method, sharded
                 );
             }
-            prop_assert_eq!(rng_a.state_words(), rng_b.state_words(), "{}", method);
+        }
+    }
+
+    /// `apply_labels` of a batch leaves the state that `apply_label` per
+    /// label leaves, byte for byte in the state's JSON (estimator, posterior,
+    /// shard selection masses and variance tracker), for every method, flat
+    /// and sharded, over several propose/label rounds.
+    #[test]
+    fn apply_labels_matches_single_applies_for_every_method(
+        (scores, predictions, truth) in pool_strategy(20, 120),
+        seed in any::<u64>(),
+        batches in prop::collection::vec(0usize..40, 1..5),
+        shards in 1usize..=4,
+    ) {
+        let pool = ScoredPool::new(scores, predictions).unwrap();
+        let config = OasisConfig::default().with_strata_count(4);
+        for method in SamplerMethod::ALL {
+            for sharded in [false, true] {
+                let build = || {
+                    let inner = if sharded {
+                        AnySampler::build_sharded(method, &pool, &config, shards, seed).unwrap()
+                    } else {
+                        AnySampler::build(method, &pool, &config).unwrap()
+                    };
+                    TrackedSampler::new(inner, config.alpha)
+                };
+                let mut batched = build();
+                let mut single = build();
+                let mut rng_a = StdRng::seed_from_u64(seed);
+                let mut rng_b = StdRng::seed_from_u64(seed);
+                for &count in &batches {
+                    let batch = batched.propose_batch(&pool, &mut rng_a, count);
+                    let singles = single.propose_batch(&pool, &mut rng_b, count);
+                    batched.apply_labels(batch.iter().map(|p| (p, truth[p.item])));
+                    for proposal in &singles {
+                        single.apply_label(proposal, truth[proposal.item]);
+                    }
+                    prop_assert_eq!(
+                        batched.state().to_json().render(),
+                        single.state().to_json().render(),
+                        "{} {}", method, sharded
+                    );
+                }
+                let a = batched.estimate();
+                let b = single.estimate();
+                prop_assert_eq!(a.f_measure.to_bits(), b.f_measure.to_bits(), "{}", method);
+                prop_assert_eq!(a.iterations, b.iterations, "{}", method);
+            }
         }
     }
 
@@ -548,6 +614,42 @@ fn reference_draw(weights: &[f64], rng: &mut StdRng) -> usize {
         .min(cumulative.len() - 1)
 }
 
+/// The static importance proposal as it was built when it kept three
+/// pool-sized arrays: the scores as probabilities (squashed through τ
+/// unless they already are), a plug-in F-measure guess, the normalised
+/// pointwise optimal distribution, and the weights `(1/N)/q_i`.  Its draws
+/// were [`reference_draw`]s over the distribution.
+fn three_array_proposal(pool: &ScoredPool, alpha: f64, tau: f64) -> (Vec<f64>, Vec<f64>) {
+    let probabilities: Vec<f64> = if pool.scores_are_probabilities() {
+        pool.scores().to_vec()
+    } else {
+        pool.scores()
+            .iter()
+            .map(|&s| 1.0 / (1.0 + (-(s - tau)).exp()))
+            .collect()
+    };
+    let (mut tp, mut predicted, mut actual) = (0.0, 0.0, 0.0);
+    for (&prediction, &p) in pool.predictions().iter().zip(&probabilities) {
+        let l_hat = f64::from(u8::from(prediction));
+        tp += p * l_hat;
+        predicted += l_hat;
+        actual += p;
+    }
+    let denom = alpha * predicted + (1.0 - alpha) * actual;
+    let f_guess = if denom > 0.0 {
+        (tp / denom).clamp(0.0, 1.0)
+    } else {
+        0.5
+    };
+    let proposal = pointwise_optimal(pool.predictions(), &probabilities, f_guess, alpha);
+    let uniform = pool.uniform_mass();
+    let weights = proposal
+        .iter()
+        .map(|&q| if q > 0.0 { uniform / q } else { 0.0 })
+        .collect();
+    (proposal, weights)
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
 
@@ -573,6 +675,48 @@ proptest! {
                 prop_assert_eq!(proposal.weight.to_bits(), reference.weight.to_bits());
             }
             prop_assert_eq!(rng_a.state_words(), rng_b.state_words(), "count {}", count);
+        }
+    }
+
+    /// The importance proposal, which keeps only its CDF and recomputes a
+    /// drawn item's probability and weight, draws the items and weights the
+    /// three-array build drew, with the same RNG words: over probability
+    /// and raw scores, ties, zero-mass items and an all-zero total.
+    #[test]
+    fn importance_draws_match_the_three_array_build(
+        items in prop::collection::vec((0usize..4, any::<bool>()), 1..300),
+        raw_scores in any::<bool>(),
+        zero_mass in any::<bool>(),
+        alpha in 0.0f64..=1.0,
+        tau in -1.0f64..1.0,
+        seed in any::<u64>(),
+    ) {
+        // Raw scores leave [0, 1], so they are squashed through τ.
+        const SCORES: [f64; 4] = [0.0, 0.25, 0.5, 1.0];
+        let scale = if raw_scores { 6.0 } else { 1.0 };
+        let scores: Vec<f64> = items
+            .iter()
+            .map(|&(s, _)| if zero_mass { 0.0 } else { (SCORES[s] - 0.5) * scale + 0.5 })
+            .collect();
+        let predictions = items.iter().map(|&(_, p)| p && !zero_mass).collect();
+        let pool = ScoredPool::new(scores, predictions).unwrap();
+        let (proposal, weights) = three_array_proposal(&pool, alpha, tau);
+
+        let mut sampler = oasis::ImportanceSampler::new(&pool, alpha, tau).unwrap();
+        for (item, q) in proposal.iter().enumerate() {
+            prop_assert_eq!(sampler.probability(&pool, item).to_bits(), q.to_bits());
+        }
+        let mut rng = StdRng::seed_from_u64(seed);
+        let mut rng_reference = StdRng::seed_from_u64(seed);
+        for count in BATCH_SIZES {
+            let mut drawn = sampler.propose_batch(&pool, &mut rng, count);
+            drawn.push(sampler.propose(&pool, &mut rng));
+            for draw in drawn {
+                let item = reference_draw(&proposal, &mut rng_reference);
+                prop_assert_eq!(draw.item, item, "count {}", count);
+                prop_assert_eq!(draw.weight.to_bits(), weights[item].to_bits());
+            }
+            prop_assert_eq!(rng.state_words(), rng_reference.state_words());
         }
     }
 
