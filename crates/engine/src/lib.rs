@@ -102,6 +102,7 @@ pub mod protocol;
 pub mod server;
 mod session;
 pub mod store;
+mod stream;
 mod sync;
 pub mod wal;
 

@@ -133,6 +133,9 @@ pub enum Counter {
     Connection,
     /// Request lines rejected for exceeding the per-line byte cap.
     LineTooLong,
+    /// Request lines longer than the line loop's 64 KiB head whose object
+    /// was decoded as the line arrived, never resident whole.
+    StreamedLine,
     /// `accept()` failures answered with a bounded backoff instead of a
     /// hot retry loop (EMFILE/ENFILE under fd pressure).
     AcceptRetry,
@@ -143,7 +146,7 @@ pub enum Counter {
 
 impl Counter {
     /// Every counter, in wire order.
-    pub const ALL: [Counter; 20] = [
+    pub const ALL: [Counter; 21] = [
         Counter::Propose,
         Counter::Label,
         Counter::Step,
@@ -162,6 +165,7 @@ impl Counter {
         Counter::FaultInjected,
         Counter::Connection,
         Counter::LineTooLong,
+        Counter::StreamedLine,
         Counter::AcceptRetry,
         Counter::ConnectionRefused,
     ];
@@ -187,6 +191,7 @@ impl Counter {
             Counter::FaultInjected => "fault_injected",
             Counter::Connection => "connection",
             Counter::LineTooLong => "line_too_long",
+            Counter::StreamedLine => "streamed_line",
             Counter::AcceptRetry => "accept_retry",
             Counter::ConnectionRefused => "connection_refused",
         }

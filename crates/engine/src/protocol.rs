@@ -53,9 +53,11 @@ use crate::checkpoint::{tickets_json, SessionCheckpoint};
 use crate::engine::Engine;
 use crate::error::{EngineError, EngineResult};
 use crate::session::{LabelSource, Session, SessionLimits, SessionSpec};
-use crate::wal::{parse_labelled_line, required_labels, Outcome, WalEntry};
+use crate::wal::{read_label_batch, required, LabelBatch, Outcome, WalEntry};
 use oasis::{GroundTruthOracle, OasisConfig, SamplerMethod, ScoredPool};
-use serde::json::{FromJson, Json, JsonError, ToJson};
+use serde::json::{FromJson, Json, JsonResult, Reader, ToJson};
+use std::borrow::Cow;
+use std::collections::BTreeMap;
 
 /// A parsed protocol request.
 #[derive(Debug, Clone, PartialEq)]
@@ -181,43 +183,77 @@ fn string_field(value: &Json, key: &str) -> EngineResult<String> {
     Ok(String::from_json(value.require(key)?)?)
 }
 
-/// Decode and remove an object key's value.  A packed array moves out of
-/// the parsed line whole, so a pool-sized array is never held twice.
-fn take_field<T: FromJson>(value: &mut Json, key: &str) -> EngineResult<Vec<T>> {
-    let field = value
-        .remove(key)
-        .ok_or_else(|| JsonError::missing_field(key))?;
-    Ok(T::vec_from_owned_json(field)?)
+/// The members of one request object, read one key at a time — off a line
+/// in memory ([`Request::parse`]) or off a connection as the line arrives
+/// (`crate::stream`) — then decoded into a [`Request`].
+///
+/// The pool-sized arrays, a `load_pool`'s `scores` and `predictions` and a
+/// `create_session`'s `truth`, go straight into their `Vec`s, and a
+/// `label` batch straight into its pairs; every other value is a tree.  A
+/// value that is well-formed but not what its key needs keeps its error
+/// until the request is decoded, so a syntax error anywhere in the line
+/// wins, as it does in [`Json::parse`].  A repeated key keeps its last
+/// value.
+#[derive(Default)]
+pub(crate) struct Members {
+    fields: BTreeMap<String, Json>,
+    labels: Option<LabelBatch>,
+    scores: Option<JsonResult<Vec<f64>>>,
+    predictions: Option<JsonResult<Vec<bool>>>,
+    truth: Option<JsonResult<Vec<bool>>>,
 }
 
-/// Largest propose batch a single request may ask for.
-pub const MAX_PROPOSE_COUNT: usize = 100_000;
-/// Largest number of iterations a single `step`/`run_budget` request may run.
-pub const MAX_STEPS_PER_REQUEST: usize = 100_000_000;
+/// Where a member read straight into a `Vec` goes.
+pub(crate) enum ArraySlot<'a> {
+    /// An array of numbers.
+    Numbers(&'a mut Option<JsonResult<Vec<f64>>>),
+    /// An array of bools.
+    Bools(&'a mut Option<JsonResult<Vec<bool>>>),
+}
 
-fn bounded(value: usize, limit: usize, what: &str) -> EngineResult<usize> {
-    if value > limit {
-        return Err(EngineError::Protocol(format!(
-            "{what} {value} exceeds the per-request limit {limit}"
-        )));
+impl Members {
+    /// The slot of `key`, when its value is read straight into a `Vec`.
+    pub(crate) fn array_slot(&mut self, key: &str) -> Option<ArraySlot<'_>> {
+        match key {
+            "scores" => Some(ArraySlot::Numbers(&mut self.scores)),
+            "predictions" => Some(ArraySlot::Bools(&mut self.predictions)),
+            "truth" => Some(ArraySlot::Bools(&mut self.truth)),
+            _ => None,
+        }
     }
-    Ok(value)
-}
 
-impl Request {
-    /// Parse one protocol line.  A `label` request's batch is read straight
-    /// off the line, with no tree per label (see [`crate::wal`]'s shared
-    /// label-batch reader).
+    /// Read the value of `key` off `reader`.
+    pub(crate) fn read(&mut self, key: Cow<'_, str>, reader: &mut Reader<'_>) -> JsonResult<()> {
+        match self.array_slot(&key) {
+            Some(ArraySlot::Numbers(slot)) => *slot = Some(reader.vec()?),
+            Some(ArraySlot::Bools(slot)) => *slot = Some(reader.vec()?),
+            None if key == "labels" => self.labels = Some(read_label_batch(reader)?),
+            None => {
+                let value = reader.value()?;
+                self.fields.insert(key.into_owned(), value);
+            }
+        }
+        Ok(())
+    }
+
+    /// The request the members make.
     ///
     /// # Errors
-    /// [`EngineError::Protocol`] / [`EngineError::Json`] on malformed input.
-    pub fn parse(line: &str) -> EngineResult<Request> {
-        let (mut value, labels) = parse_labelled_line(line)?;
+    /// [`EngineError::Protocol`] / [`EngineError::Json`] when they make none.
+    pub(crate) fn into_request(self) -> EngineResult<Request> {
+        let Members {
+            fields,
+            labels,
+            scores,
+            predictions,
+            truth,
+        } = self;
+        let value = Json::Object(fields);
         match value.require("cmd")?.as_str()? {
             "load_pool" => Ok(Request::LoadPool {
                 pool: string_field(&value, "pool")?,
-                scores: take_field(&mut value, "scores")?,
-                predictions: take_field(&mut value, "predictions")?,
+                scores: required(scores, "scores")?,
+                predictions: required(predictions, "predictions")?,
             }),
             "create_session" => Ok(Request::CreateSession {
                 session: string_field(&value, "session")?,
@@ -246,10 +282,7 @@ impl Request {
                     }
                     None => None,
                 },
-                truth: match value.get("truth") {
-                    Some(truth) => Some(Vec::<bool>::from_json(truth)?),
-                    None => None,
-                },
+                truth: truth.transpose()?,
                 limits: SessionLimits {
                     lease_timeout_us: match value.get("lease_timeout_us") {
                         Some(timeout) => {
@@ -285,7 +318,7 @@ impl Request {
                 },
             }),
             "label" => {
-                let labels = required_labels(labels)?;
+                let labels = required(labels, "labels")?;
                 Ok(Request::Label {
                     session: string_field(&value, "session")?,
                     labels,
@@ -342,6 +375,42 @@ impl Request {
             "shutdown" => Ok(Request::Shutdown),
             other => Err(EngineError::Protocol(format!("unknown cmd {other:?}"))),
         }
+    }
+}
+
+/// Largest propose batch a single request may ask for.
+pub const MAX_PROPOSE_COUNT: usize = 100_000;
+/// Largest number of iterations a single `step`/`run_budget` request may run.
+pub const MAX_STEPS_PER_REQUEST: usize = 100_000_000;
+
+fn bounded(value: usize, limit: usize, what: &str) -> EngineResult<usize> {
+    if value > limit {
+        return Err(EngineError::Protocol(format!(
+            "{what} {value} exceeds the per-request limit {limit}"
+        )));
+    }
+    Ok(value)
+}
+
+impl Request {
+    /// Parse one protocol line.  A `label` request's batch is read straight
+    /// off the line, with no tree per label (see [`crate::wal`]'s shared
+    /// label-batch reader).
+    ///
+    /// # Errors
+    /// [`EngineError::Protocol`] / [`EngineError::Json`] on malformed input.
+    pub fn parse(line: &str) -> EngineResult<Request> {
+        let mut reader = Reader::new(line);
+        let mut members = Members::default();
+        if reader.peek() == Some(b'{') {
+            reader.object(|reader, key| members.read(key, reader))?;
+        } else {
+            // Not an object, so it has no `cmd`, but its syntax is checked
+            // first.
+            reader.value()?;
+        }
+        reader.finish()?;
+        members.into_request()
     }
 
     /// The wire name of this request's command (for the event log).

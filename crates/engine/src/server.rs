@@ -2,8 +2,8 @@
 //! thread-per-connection TCP server.
 //!
 //! [`serve_lines`] is the transport-agnostic core — one request line in, one
-//! response line out, each line read with `BufRead::read_until` under
-//! [`MAX_LINE_BYTES`] — used directly for stdin/stdout mode and per-connection
+//! response line out, each line at most [`MAX_LINE_BYTES`] long — used
+//! directly for stdin/stdout mode and per-connection
 //! by [`serve_listener`], `oasis-serve`'s TCP server, which handles each
 //! connection on a scoped thread sharing one [`Engine`],
 //! so concurrent clients can drive disjoint sessions in parallel
@@ -14,18 +14,31 @@
 //! once the kernel's buffers fill, and that thread stops reading its
 //! requests.
 //!
+//! A line that ends within its first 64 KiB is read whole with
+//! `BufRead::read_until` and decoded in memory.  A longer line, such as a
+//! `load_pool`, is decoded as it arrives, off the same reader: its arrays
+//! go from the connection into the request, and only its other member
+//! values are buffered, so the line is never resident whole (the
+//! `streamed_line` counter counts these lines).  The contract is the same
+//! for both: the cap, the `line_too_long` answer, the error bytes of a
+//! malformed line, and the refusal of a line that is not UTF-8, in that
+//! order.  A streamed line's error is answered once the decoder has read on
+//! to its newline or the cap, and its request's latency in the JSONL event
+//! log includes the time spent reading it.
+//!
 //! The `_guarded` forms take an optional [`EventLog`] (with
 //! [`LogFormat::Json`](crate::log::LogFormat::Json) each request emits one
 //! structured event — see [`crate::log`]) and an optional [`ClientPolicy`].
 
 use crate::engine::Engine;
-use crate::error::EngineError;
+use crate::error::{EngineError, EngineResult};
 use crate::guard::{guarded_dispatch, ClientPolicy, ConnState};
 use crate::log::EventLog;
 use crate::metrics::Counter;
 use crate::protocol::{error_response, Dispatch, Request};
+use crate::stream::{self, Line};
 use crate::sync::lock;
-use serde::json::{Json, JsonError};
+use serde::json::Json;
 use std::collections::HashMap;
 use std::io::{BufRead, BufReader, Read, Write};
 use std::net::{Shutdown, TcpListener, TcpStream};
@@ -39,9 +52,11 @@ use std::time::{Duration, Instant};
 /// line buffer until the process OOMs, bypassing every parse-time limit.
 pub const MAX_LINE_BYTES: usize = 64 * 1024 * 1024;
 
-/// Largest line buffer a serving loop keeps between lines.  Request lines
-/// are a few KiB (256 labels are about 9 KB); a longer one, a pool or a
-/// checkpoint, is read into a buffer that is freed once it is answered.
+/// Largest line buffer a serving loop keeps between lines, and the head of
+/// a line it reads before decoding it.  Request lines are a few KiB (256
+/// labels are about 9 KB); a longer one, a pool or a checkpoint, is
+/// decoded as it arrives, and a member value buffered whole on the way is
+/// freed once the line is answered.
 const RETAINED_LINE_BYTES: usize = 64 * 1024;
 
 /// Most TCP connections served at once, each on its own thread.  A client
@@ -58,34 +73,21 @@ fn log_message(log: Option<&EventLog>, text: &str) {
     }
 }
 
-/// Render the response for one raw request line (`None` for blank lines),
-/// emitting one structured event per request when a log is attached.  With a
-/// [`ClientPolicy`], requests are screened (auth, rate limits) before they
-/// reach the engine; `conn` carries this connection's authentication state.
-fn handle_line(
+/// Answer one decoded request, emitting one structured event per request
+/// when a log is attached.  With a [`ClientPolicy`], requests are screened
+/// (auth, rate limits) before they reach the engine; `conn` carries this
+/// connection's authentication state.  `started` is when the request's
+/// line was read, or, for a line decoded as it arrived, when its first
+/// 64 KiB were.
+fn answer(
     engine: &Engine,
-    raw: &[u8],
+    parsed: EngineResult<Request>,
+    started: Instant,
     log: Option<&EventLog>,
     policy: Option<&ClientPolicy>,
     conn: &mut ConnState,
-) -> Option<Dispatch> {
-    let started = Instant::now();
-    // JSON text is UTF-8.  A lossy decode would turn different invalid bytes
-    // into the same U+FFFD, so two session ids could address one session: a
-    // line that is not UTF-8 is rejected whole instead.
-    let parsed = match std::str::from_utf8(raw) {
-        Ok(text) => {
-            let trimmed = text.trim();
-            if trimmed.is_empty() {
-                return None;
-            }
-            Request::parse(trimmed)
-        }
-        Err(error) => Err(EngineError::Json(JsonError::new(format!(
-            "request line is not UTF-8: {error}"
-        )))),
-    };
-    Some(match parsed {
+) -> Dispatch {
+    match parsed {
         Ok(request) => {
             let verb = request.verb();
             // Copied only for the event log: the request moves into dispatch.
@@ -116,7 +118,7 @@ fn handle_line(
                 shutdown: false,
             }
         }
-    })
+    }
 }
 
 /// Frame one response for the wire: the rendered JSON and its terminating
@@ -137,8 +139,9 @@ fn response_line(response: &Json) -> Vec<u8> {
 /// Blank lines are ignored; malformed lines produce an `"ok": false`
 /// response and the loop continues — a broken client cannot wedge the
 /// server.  Lines longer than [`MAX_LINE_BYTES`] are answered with an error
-/// and discarded without being buffered whole.  A buffer a line grew past
-/// 64 KiB is released once that line is answered, so an idle connection
+/// and discarded without being buffered whole.  A line longer than 64 KiB
+/// is decoded as it arrives (see the module docs), and a buffer it grew
+/// past 64 KiB is released once it is answered, so an idle connection
 /// holds no more than that.  A final line without its
 /// newline is answered at EOF; a line cut short by a read error is not.
 ///
@@ -167,7 +170,7 @@ pub fn serve_lines_guarded<R: BufRead, W: Write>(
     policy: Option<&ClientPolicy>,
 ) -> std::io::Result<bool> {
     let mut conn = ConnState::default();
-    // One buffer for every line: it holds at most the cap plus one byte.
+    // One buffer for every line.
     let mut line = Vec::new();
     loop {
         // The last line is answered: a buffer a long line grew is given
@@ -176,28 +179,38 @@ pub fn serve_lines_guarded<R: BufRead, W: Write>(
             line = Vec::new();
         }
         line.clear();
-        if read_line_capped(&mut reader, &mut line)? == 0 {
+        let head = (&mut reader)
+            .take(RETAINED_LINE_BYTES as u64)
+            .read_until(b'\n', &mut line)?;
+        if head == 0 {
             return Ok(false);
         }
-        let request = line.strip_suffix(b"\n");
-        // The cap filled before a newline.  Answer now, as the newline may
-        // never come, then drop the rest of the line.
-        let too_long = request.is_none() && line.len() > MAX_LINE_BYTES;
-        let outcome = if too_long {
+        let started = Instant::now();
+        let decoded = if head < RETAINED_LINE_BYTES || line.last() == Some(&b'\n') {
+            // Without its newline, the line is the last one before EOF.
+            stream::decode(line.strip_suffix(b"\n").unwrap_or(&line))
+        } else {
+            let (decoded, streamed) = stream::read_rest(&mut reader, &mut line)?;
+            if streamed {
+                engine.metrics().incr(Counter::StreamedLine);
+            }
+            decoded
+        };
+        let too_long = matches!(decoded, Line::TooLong);
+        let outcome = match decoded {
+            Line::Blank => continue,
+            // The cap filled before a newline.  Answer now, as the newline
+            // may never come, then drop the rest of the line.
             // `kind:"line_too_long"` tells a framing overflow apart from a
             // malformed request.
-            engine.metrics().incr(Counter::LineTooLong);
-            Dispatch {
-                response: error_response(&EngineError::LineTooLong(MAX_LINE_BYTES)),
-                shutdown: false,
+            Line::TooLong => {
+                engine.metrics().incr(Counter::LineTooLong);
+                Dispatch {
+                    response: error_response(&EngineError::LineTooLong(MAX_LINE_BYTES)),
+                    shutdown: false,
+                }
             }
-        } else {
-            // Without its newline, the line is the last one before EOF.
-            let raw = request.unwrap_or(&line);
-            match handle_line(engine, raw, log, policy, &mut conn) {
-                Some(outcome) => outcome,
-                None => continue,
-            }
+            Line::Request(parsed) => answer(engine, parsed, started, log, policy, &mut conn),
         };
         writer.write_all(&response_line(&outcome.response))?;
         writer.flush()?;
@@ -208,31 +221,6 @@ pub fn serve_lines_guarded<R: BufRead, W: Write>(
             reader.skip_until(b'\n')?;
         }
     }
-}
-
-/// Read one line into the empty `line`, newline included when there is
-/// one, but no more than [`MAX_LINE_BYTES`] plus one byte.  Returns the
-/// number of bytes read.
-///
-/// A line longer than [`RETAINED_LINE_BYTES`] goes on in a buffer reserved
-/// at the cap in one step.  An allocation that large is mapped on its own
-/// (it is past glibc's largest mmap threshold), so its pages are resident
-/// only as far as the line reaches and go back to the OS when it is freed.
-/// Grown by doubling, the buffer would pass through sizes that malloc
-/// serves from the thread's arena and keeps there after the free.
-fn read_line_capped<R: BufRead>(reader: &mut R, line: &mut Vec<u8>) -> std::io::Result<usize> {
-    let head = reader
-        .take(RETAINED_LINE_BYTES as u64)
-        .read_until(b'\n', line)?;
-    if head < RETAINED_LINE_BYTES || line.last() == Some(&b'\n') {
-        return Ok(head);
-    }
-    let cap = MAX_LINE_BYTES + 1;
-    line.reserve_exact(cap - line.len());
-    let tail = reader
-        .take((cap - line.len()) as u64)
-        .read_until(b'\n', line)?;
-    Ok(head + tail)
 }
 
 /// A registry of the open TCP connections of one serving loop, so shutdown

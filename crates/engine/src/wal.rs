@@ -258,7 +258,7 @@ impl WalRecord {
                 now_us: value.require("now_us")?.as_u64()?,
             },
             "label" => WalEntry::Label {
-                labels: required_labels(labels)?,
+                labels: required(labels, "labels")?,
             },
             "step" => WalEntry::Step {
                 steps: value.require("steps")?.as_usize()?,
@@ -277,9 +277,10 @@ impl WalRecord {
 /// is not a label batch.
 pub(crate) type LabelBatch = JsonResult<Vec<(u64, bool)>>;
 
-/// The batch a `label` request or record must carry.
-pub(crate) fn required_labels(labels: Option<LabelBatch>) -> JsonResult<Vec<(u64, bool)>> {
-    labels.unwrap_or_else(|| Err(JsonError::missing_field("labels")))
+/// The value a request or record must carry under `key`: a member read as
+/// it was found ([`LabelBatch`], for one), or the missing-field error.
+pub(crate) fn required<T>(value: Option<JsonResult<T>>, key: &str) -> JsonResult<T> {
+    value.unwrap_or_else(|| Err(JsonError::missing_field(key)))
 }
 
 /// Parse one request or WAL line, reading its top-level `labels` value as
@@ -290,7 +291,7 @@ pub(crate) fn required_labels(labels: Option<LabelBatch>) -> JsonResult<Vec<(u64
 ///
 /// The whole line's syntax is checked first, as [`Json::parse`] checks it.
 /// A `labels` value that is valid JSON but not a batch is an error only
-/// where a batch is required ([`required_labels`]), so a line of any other
+/// where a batch is required ([`required`]), so a line of any other
 /// command may carry one.
 pub(crate) fn parse_labelled_line(line: &str) -> JsonResult<(Json, Option<LabelBatch>)> {
     let mut reader = Reader::new(line);
@@ -319,7 +320,7 @@ pub(crate) fn parse_labelled_line(line: &str) -> JsonResult<(Json, Option<LabelB
 /// any key order, other keys skipped.  The outer error is a syntax error in
 /// the value; the inner one says why well-formed JSON is not a batch, and
 /// is the error the first offending entry would raise decoded from a tree.
-fn read_label_batch(reader: &mut Reader<'_>) -> JsonResult<LabelBatch> {
+pub(crate) fn read_label_batch(reader: &mut Reader<'_>) -> JsonResult<LabelBatch> {
     let start = reader.clone();
     match decode_label_batch(reader) {
         Ok(labels) => Ok(Ok(labels)),

@@ -5,7 +5,8 @@
 //! long lines are generated here from a fixed seed; their responses are
 //! pinned in `golden/load_pool_lines.jsonl`, one line per case.  The same
 //! bytes must come back through `serve_lines` and through the TCP server,
-//! one connection per case.
+//! one connection per case, and every long line that is an object must be
+//! counted as decoded while it arrived (`streamed_line`).
 //!
 //! The cases cover both key orders, repeated keys (the last one wins), CRLF
 //! and Unicode whitespace around the object, syntax errors in the middle of
@@ -17,7 +18,7 @@
 //! string and with a bad entry, an array, and nothing but whitespace.
 
 use oasis_engine::server::{serve_lines, serve_listener_guarded, MAX_LINE_BYTES};
-use oasis_engine::Engine;
+use oasis_engine::{Counter, Engine};
 use serde::json::write_number;
 use std::io::{Cursor, Read as _, Write as _};
 use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream};
@@ -395,6 +396,20 @@ fn assert_golden(actual: &[String]) {
     }
 }
 
+/// How many cases' long lines are objects, which the line loop decodes
+/// as they arrive.
+fn streamed_cases() -> u64 {
+    let objects = cases()
+        .into_iter()
+        .filter(|case| {
+            String::from_utf8_lossy(&case.line)
+                .trim_start()
+                .starts_with('{')
+        })
+        .count();
+    objects as u64
+}
+
 #[test]
 fn long_lines_through_serve_lines_match_the_golden() {
     let engine = Engine::new();
@@ -404,6 +419,12 @@ fn long_lines_through_serve_lines_match_the_golden() {
         output
     });
     assert_golden(&actual);
+    // Every long object took the streamed path: buffering them whole would
+    // give the same bytes and save nothing.
+    assert_eq!(
+        engine.metrics().counter(Counter::StreamedLine),
+        streamed_cases()
+    );
 }
 
 fn connect(addr: SocketAddr) -> TcpStream {
@@ -452,4 +473,8 @@ fn long_lines_through_the_tcp_server_match_the_golden() {
         actual
     });
     assert_golden(&actual);
+    assert_eq!(
+        engine.metrics().counter(Counter::StreamedLine),
+        streamed_cases()
+    );
 }

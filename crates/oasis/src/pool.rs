@@ -10,6 +10,7 @@ use crate::error::{Error, Result};
 use crate::samplers::{ShardedPool, StaticProposal};
 use crate::strata::{Strata, StrataKey};
 use std::fmt;
+use std::ops::Range;
 use std::sync::{Arc, Mutex, OnceLock, PoisonError, Weak};
 
 /// A pool of record pairs with similarity scores and predicted labels.
@@ -25,9 +26,16 @@ use std::sync::{Arc, Mutex, OnceLock, PoisonError, Weak};
 /// [strata](ScoredPool::shared_strata), the static importance proposal and
 /// its [partitions into shards](ScoredPool::shared_shards) — is built once
 /// per key and shared while in use.
+///
+/// The arrays live in shared storage, and a pool is a range of it: a clone
+/// copies no item, and a shard of a [partition](ScoredPool::shared_shards)
+/// is a view of its source pool's items rather than a copy of them.  A view
+/// is a pool of its own — its own indices from 0, fingerprint and memos.
 pub struct ScoredPool {
-    scores: Vec<f64>,
-    predictions: Vec<bool>,
+    scores: Arc<Vec<f64>>,
+    predictions: Arc<Vec<bool>>,
+    /// The items of the storage this pool is.
+    range: Range<usize>,
     fingerprint: OnceLock<u64>,
     /// Strata built on this pool, by key.
     strata: WeakMemo<StrataKey, Strata>,
@@ -38,12 +46,14 @@ pub struct ScoredPool {
     shards: WeakMemo<usize, ShardedPool>,
 }
 
-/// A clone shares the caches: they describe the same content.
+/// A clone shares the storage and the caches: they describe the same
+/// content.
 impl Clone for ScoredPool {
     fn clone(&self) -> Self {
         ScoredPool {
-            scores: self.scores.clone(),
-            predictions: self.predictions.clone(),
+            scores: Arc::clone(&self.scores),
+            predictions: Arc::clone(&self.predictions),
+            range: self.range.clone(),
             fingerprint: self.fingerprint.clone(),
             strata: self.strata.clone(),
             proposals: self.proposals.clone(),
@@ -94,15 +104,15 @@ impl<K: Copy + PartialEq, V> WeakMemo<K, V> {
 /// content.
 impl PartialEq for ScoredPool {
     fn eq(&self, other: &Self) -> bool {
-        self.scores == other.scores && self.predictions == other.predictions
+        self.scores() == other.scores() && self.predictions() == other.predictions()
     }
 }
 
 impl fmt::Debug for ScoredPool {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         f.debug_struct("ScoredPool")
-            .field("scores", &self.scores)
-            .field("predictions", &self.predictions)
+            .field("scores", &self.scores())
+            .field("predictions", &self.predictions())
             .finish()
     }
 }
@@ -132,14 +142,40 @@ impl ScoredPool {
         {
             return Err(Error::NonFiniteScore { index, value });
         }
+        let range = 0..scores.len();
         Ok(ScoredPool {
-            scores,
-            predictions,
+            scores: Arc::new(scores),
+            predictions: Arc::new(predictions),
+            range,
             fingerprint: OnceLock::new(),
             strata: WeakMemo::new(),
             proposals: WeakMemo::new(),
             shards: WeakMemo::new(),
         })
+    }
+
+    /// The items `range` of this pool as a pool of their own, sharing this
+    /// pool's storage: item `i` of the view is item `range.start + i` here.
+    /// The view has its own fingerprint and memos.
+    ///
+    /// # Panics
+    /// Panics if `range` is empty or reaches past the pool.
+    pub(crate) fn view(&self, range: Range<usize>) -> ScoredPool {
+        assert!(
+            range.start < range.end && range.end <= self.len(),
+            "view {range:?} of a pool of {} items",
+            self.len()
+        );
+        let start = self.range.start;
+        ScoredPool {
+            scores: Arc::clone(&self.scores),
+            predictions: Arc::clone(&self.predictions),
+            range: start + range.start..start + range.end,
+            fingerprint: OnceLock::new(),
+            strata: WeakMemo::new(),
+            proposals: WeakMemo::new(),
+            shards: WeakMemo::new(),
+        }
     }
 
     /// The strata `key` builds on this pool, shared: while any sampler
@@ -192,7 +228,7 @@ impl ScoredPool {
                 hash ^= u64::from(byte);
                 hash = hash.wrapping_mul(PRIME);
             };
-            for (&score, &prediction) in self.scores.iter().zip(self.predictions.iter()) {
+            for (&score, &prediction) in self.scores().iter().zip(self.predictions()) {
                 for byte in score.to_bits().to_le_bytes() {
                     eat(byte);
                 }
@@ -204,13 +240,13 @@ impl ScoredPool {
 
     /// Number of record pairs in the pool (`N = |P|`).
     pub fn len(&self) -> usize {
-        self.scores.len()
+        self.range.len()
     }
 
     /// Whether the pool is empty. Always `false` for a successfully
     /// constructed pool, provided for API completeness.
     pub fn is_empty(&self) -> bool {
-        self.scores.is_empty()
+        self.range.is_empty()
     }
 
     /// Similarity score of item `index`.
@@ -218,7 +254,7 @@ impl ScoredPool {
     /// # Panics
     /// Panics if `index` is out of bounds.
     pub fn score(&self, index: usize) -> f64 {
-        self.scores[index]
+        self.scores()[index]
     }
 
     /// Predicted label of item `index` (`true` = predicted match).
@@ -226,23 +262,23 @@ impl ScoredPool {
     /// # Panics
     /// Panics if `index` is out of bounds.
     pub fn prediction(&self, index: usize) -> bool {
-        self.predictions[index]
+        self.predictions()[index]
     }
 
     /// All similarity scores.
     pub fn scores(&self) -> &[f64] {
-        &self.scores
+        &self.scores[self.range.clone()]
     }
 
     /// All predicted labels.
     pub fn predictions(&self) -> &[bool] {
-        &self.predictions
+        &self.predictions[self.range.clone()]
     }
 
     /// Number of predicted matches in the pool (`TP + FP`, known exactly
     /// without any oracle queries).
     pub fn predicted_match_count(&self) -> usize {
-        self.predictions.iter().filter(|&&p| p).count()
+        self.predictions().iter().filter(|&&p| p).count()
     }
 
     /// Whether all scores already lie in the unit interval `[0, 1]`.
@@ -251,14 +287,14 @@ impl ScoredPool {
     /// use the scores directly or must first squash them through a logistic
     /// transform (paper Algorithm 2, lines 3–5).
     pub fn scores_are_probabilities(&self) -> bool {
-        self.scores.iter().all(|&s| (0.0..=1.0).contains(&s))
+        self.scores().iter().all(|&s| (0.0..=1.0).contains(&s))
     }
 
     /// Minimum and maximum score in the pool.
     pub fn score_range(&self) -> (f64, f64) {
         let mut min = f64::INFINITY;
         let mut max = f64::NEG_INFINITY;
-        for &s in &self.scores {
+        for &s in self.scores() {
             if s < min {
                 min = s;
             }
@@ -272,7 +308,7 @@ impl ScoredPool {
     /// The uniform marginal probability `p(z) = 1/N` the paper uses as the
     /// underlying distribution on the pool (Remark 3).
     pub fn uniform_mass(&self) -> f64 {
-        1.0 / self.scores.len() as f64
+        1.0 / self.len() as f64
     }
 }
 

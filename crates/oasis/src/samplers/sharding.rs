@@ -69,7 +69,8 @@ use std::sync::Arc;
 /// partition is a pure function of `(N, K)` — checkpoints never store it,
 /// they recompute it, and samplers share it through
 /// [`ScoredPool::shared_shards`].  Every shard is non-empty (K ≤ N is
-/// enforced).
+/// enforced), and each is a view that shares the source pool's storage
+/// instead of copying its items (see [`ScoredPool`]).
 #[derive(Debug, Clone, PartialEq)]
 pub struct ShardedPool {
     /// The per-shard sub-pools, in pool order.
@@ -110,10 +111,7 @@ impl ShardedPool {
             let end = (s + 1) * n / shard_count;
             item_offsets.push(start);
             weights.push((end - start) as f64 / n as f64);
-            shards.push(ScoredPool::new(
-                pool.scores()[start..end].to_vec(),
-                pool.predictions()[start..end].to_vec(),
-            )?);
+            shards.push(pool.view(start..end));
         }
         Ok(ShardedPool {
             shards,
@@ -658,6 +656,7 @@ mod tests {
     use super::*;
     use crate::oracle::{GroundTruthOracle, Oracle};
     use crate::samplers::TrackedSampler;
+    use crate::strata::{StrataKey, StratifierChoice};
 
     fn pool_and_truth(n: usize, seed: u64) -> (ScoredPool, Vec<bool>) {
         crate::test_fixtures::pool_and_truth(n, seed, 0.15)
@@ -695,6 +694,100 @@ mod tests {
         }
         assert!(ShardedPool::partition(&pool, 0).is_err());
         assert!(ShardedPool::partition(&pool, pool.len() + 1).is_err());
+    }
+
+    /// The copying partition that views replaced: shard `s` as a pool of
+    /// its own copied items.
+    fn copied_shards(pool: &ScoredPool, shard_count: usize) -> Vec<ScoredPool> {
+        let n = pool.len();
+        (0..shard_count)
+            .map(|s| {
+                let (start, end) = (s * n / shard_count, (s + 1) * n / shard_count);
+                ScoredPool::new(
+                    pool.scores()[start..end].to_vec(),
+                    pool.predictions()[start..end].to_vec(),
+                )
+                .unwrap()
+            })
+            .collect()
+    }
+
+    #[test]
+    fn shards_are_views_of_the_source_pool() {
+        let (pool, _) = pool_and_truth(301, 4);
+        let scores = pool.scores().as_ptr_range();
+        let predictions = pool.predictions().as_ptr_range();
+        for k in [1usize, 2, 7] {
+            let sharded = pool.shared_shards(k).unwrap();
+            for s in 0..k {
+                let shard = sharded.shard(s);
+                let start = sharded.item_offset(s);
+                assert_eq!(shard.scores().as_ptr(), pool.scores()[start..].as_ptr());
+                assert!(scores.contains(&shard.scores().as_ptr()));
+                assert!(shard.scores().as_ptr_range().end <= scores.end);
+                assert_eq!(
+                    shard.predictions().as_ptr(),
+                    pool.predictions()[start..].as_ptr()
+                );
+                assert!(shard.predictions().as_ptr_range().end <= predictions.end);
+            }
+        }
+        // A clone shares the storage too.
+        assert_eq!(pool.clone().scores().as_ptr(), pool.scores().as_ptr());
+        assert_eq!(
+            pool.clone().predictions().as_ptr(),
+            pool.predictions().as_ptr()
+        );
+    }
+
+    #[test]
+    fn shard_views_match_the_copying_partition_bit_for_bit() {
+        // Fingerprint, strata, and every method's draws and estimates on
+        // the same labels, shard by shard.
+        let (pool, truth) = pool_and_truth(600, 6);
+        for k in [1usize, 3, 4] {
+            let sharded = ShardedPool::partition(&pool, k).unwrap();
+            for (s, copy) in copied_shards(&pool, k).iter().enumerate() {
+                let view = sharded.shard(s);
+                assert_eq!(view, copy);
+                assert_eq!(view.fingerprint(), copy.fingerprint(), "K={k} shard {s}");
+                for stratifier in [StratifierChoice::Csf, StratifierChoice::EqualSize] {
+                    let key = StrataKey {
+                        stratifier,
+                        strata_count: 5,
+                    };
+                    assert_eq!(
+                        *view.shared_strata(key).unwrap(),
+                        *copy.shared_strata(key).unwrap()
+                    );
+                }
+                let truth = &truth[sharded.item_offset(s)..][..view.len()];
+                for method in SamplerMethod::ALL {
+                    let mut on_view = TrackedSampler::new(
+                        AnySampler::build(method, view, &config()).unwrap(),
+                        config().alpha,
+                    );
+                    let mut on_copy = TrackedSampler::new(
+                        AnySampler::build(method, copy, &config()).unwrap(),
+                        config().alpha,
+                    );
+                    let mut rng_view = StdRng::seed_from_u64(s as u64);
+                    let mut rng_copy = StdRng::seed_from_u64(s as u64);
+                    for _ in 0..120 {
+                        let a = on_view.propose(view, &mut rng_view);
+                        let b = on_copy.propose(copy, &mut rng_copy);
+                        assert_eq!((a.item, a.stratum), (b.item, b.stratum), "{method}");
+                        assert_eq!(a.weight.to_bits(), b.weight.to_bits(), "{method}");
+                        on_view.apply_label(&a, truth[a.item]);
+                        on_copy.apply_label(&b, truth[b.item]);
+                    }
+                    let (ea, eb) = (on_view.estimate(), on_copy.estimate());
+                    assert_eq!(ea.f_measure.to_bits(), eb.f_measure.to_bits(), "{method}");
+                    assert_eq!(ea.precision.to_bits(), eb.precision.to_bits(), "{method}");
+                    assert_eq!(ea.recall.to_bits(), eb.recall.to_bits(), "{method}");
+                }
+            }
+        }
     }
 
     #[test]
