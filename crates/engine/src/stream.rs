@@ -20,7 +20,7 @@
 use crate::error::{EngineError, EngineResult};
 use crate::protocol::{ArraySlot, Members, Request};
 use crate::server::MAX_LINE_BYTES;
-use serde::json::{number_len, parse_number, FromJson, Json, JsonError, JsonResult, Reader};
+use serde::json::{number_prefix, FromJson, JsonError, JsonResult, Reader};
 use std::io::{self, BufRead, Read as _};
 
 /// One request line, as the line loop answers it.
@@ -254,7 +254,7 @@ impl<'a, R: BufRead> Window<'a, R> {
             return Ok(T::vec_from_json(&value));
         }
         self.pos += 1;
-        let mut items = Ok(Vec::new());
+        let mut items = Items::default();
         let mut first = true;
         loop {
             self.skip_ws()?;
@@ -277,52 +277,109 @@ impl<'a, R: BufRead> Window<'a, R> {
                     _ => return Err(self.error("bad array")),
                 }
             }
-            let element = self.element()?;
-            if let Ok(list) = &mut items {
-                match T::from_json(&element) {
-                    Ok(item) => list.push(item),
-                    Err(error) => items = Err(error),
-                }
-            }
+            let item = self.element()?;
+            items.push(item);
+            self.packed_run(&mut items)?;
         }
-        Ok(items)
+        Ok(items.into_result())
     }
 
-    /// Read the array element under the cursor, two containers deep: a
-    /// number or a bool straight off the window, any other value buffered.
-    fn element(&mut self) -> Decoded<Json> {
+    /// Read on from the element just read, `,` and an element at a time,
+    /// while the window holds them whole and each is a number or a bool:
+    /// all of a packed array but the elements that straddle a read, with no
+    /// call per byte.  Stops before anything else, which the caller reads
+    /// (whitespace and separators here are the ones [`Window::vec`]
+    /// accepts, so it reads on exactly as it would have).
+    fn packed_run<T: FromJson>(&mut self, items: &mut Items<T>) -> Decoded<()> {
+        let Ok(text) = std::str::from_utf8(&self.buf[self.pos..self.valid]) else {
+            return Ok(());
+        };
+        let bytes = text.as_bytes();
+        let skip_ws = |mut at: usize| {
+            while let Some(b' ' | b'\t' | b'\r') = bytes.get(at) {
+                at += 1;
+            }
+            at
+        };
+        let mut read = 0;
+        loop {
+            let comma = skip_ws(read);
+            if bytes.get(comma) != Some(&b',') {
+                break;
+            }
+            let mut at = skip_ws(comma + 1);
+            let item = match bytes.get(at) {
+                Some(b'-' | b'0'..=b'9') => {
+                    let (len, number) = number_prefix(&text[at..]);
+                    if at + len == bytes.len() {
+                        // The token may go on past the window.
+                        break;
+                    }
+                    at += len;
+                    T::from_number(number?)
+                }
+                Some(b't') if bytes[at..].starts_with(b"true") => {
+                    at += 4;
+                    T::from_bool(true)
+                }
+                Some(b'f') if bytes[at..].starts_with(b"false") => {
+                    at += 5;
+                    T::from_bool(false)
+                }
+                _ => break,
+            };
+            items.push(item);
+            read = at;
+        }
+        self.pos += read;
+        Ok(())
+    }
+
+    /// Read the array element under the cursor, two containers deep, as
+    /// [`Reader::vec`] reads one: a number or a bool straight off the
+    /// window, any other value buffered.
+    fn element<T: FromJson>(&mut self) -> Decoded<JsonResult<T>> {
         match self.peek()? {
             Some(b'-' | b'0'..=b'9') => {
-                let len = self.token_len()?;
-                let number = parse_number(self.text(len)?)?;
-                self.pos += len;
-                Ok(Json::Number(number))
+                // Read on until something follows the token.
+                let mut most = 64;
+                loop {
+                    let (len, number, whole) = {
+                        let text = self.text_ahead(most);
+                        let (len, number) = number_prefix(text);
+                        (len, number, len < text.len())
+                    };
+                    if !whole && self.valid.saturating_sub(self.pos) > most {
+                        most *= 2;
+                        continue;
+                    }
+                    if whole || !self.fill()? {
+                        self.pos += len;
+                        return Ok(T::from_number(number?));
+                    }
+                }
             }
-            Some(b't') => self.literal("true", Json::Bool(true)),
-            Some(b'f') => self.literal("false", Json::Bool(false)),
-            _ => self.buffered(2, |reader| reader.value()),
+            Some(b't') => Ok(T::from_bool(self.literal("true")?)),
+            Some(b'f') => Ok(T::from_bool(self.literal("false")?)),
+            _ => Ok(T::from_json(&self.buffered(2, |reader| reader.value())?)),
         }
     }
 
-    /// The length of the number token under the cursor, read on until
-    /// something follows it.
-    fn token_len(&mut self) -> Decoded<usize> {
-        loop {
-            let len = number_len(&self.buf[self.pos..]);
-            if self.pos + len < self.buf.len() || !self.fill()? {
-                return Ok(len);
-            }
-        }
-    }
-
-    fn literal(&mut self, word: &str, value: Json) -> Decoded<Json> {
+    /// Read the literal `word` under the cursor; `true` for `"true"`.
+    fn literal(&mut self, word: &str) -> Decoded<bool> {
         while self.buf.len() - self.pos < word.len() && self.fill()? {}
         if self.buf[self.pos..].starts_with(word.as_bytes()) {
             self.pos += word.len();
-            Ok(value)
+            Ok(word == "true")
         } else {
             Err(self.error("invalid literal"))
         }
+    }
+
+    /// Up to `most` bytes of the text under the cursor, in whole characters.
+    fn text_ahead(&self, most: usize) -> &str {
+        let end = self.valid.min(self.pos + most).max(self.pos);
+        whole_chars(&self.buf[self.pos..end])
     }
 
     /// Buffer the value under the cursor and read it with `read`, off a
@@ -336,8 +393,8 @@ impl<'a, R: BufRead> Window<'a, R> {
         let len = self.capture()?;
         let mut reader = Reader::within(self.text(len)?, self.at(), depth);
         let value = read(&mut reader)?;
-        let read = reader.position();
-        self.pos += read;
+        let consumed = reader.position();
+        self.pos += consumed;
         Ok(value)
     }
 
@@ -471,7 +528,10 @@ impl<'a, R: BufRead> Window<'a, R> {
                 }
                 return Ok(true);
             }
-            let c = first_char(&self.buf[at..self.valid]);
+            let c = whole_chars(&self.buf[at..self.valid.min(at + 4)])
+                .chars()
+                .next()
+                .unwrap_or('\0');
             if !c.is_whitespace() {
                 return Ok(false);
             }
@@ -598,15 +658,47 @@ impl<'a, R: BufRead> Window<'a, R> {
     }
 }
 
-/// The first character of `bytes`, which start with a whole UTF-8
-/// character.
-fn first_char(bytes: &[u8]) -> char {
-    let head = &bytes[..bytes.len().min(4)];
-    let text = match std::str::from_utf8(head) {
+/// The elements of an array decoded so far, or why one was refused: after a
+/// refusal the rest of the array is only read, for its syntax.
+struct Items<T> {
+    list: Vec<T>,
+    refused: Option<JsonError>,
+}
+
+impl<T> Default for Items<T> {
+    fn default() -> Self {
+        Items {
+            list: Vec::new(),
+            refused: None,
+        }
+    }
+}
+
+impl<T> Items<T> {
+    #[inline]
+    fn push(&mut self, item: JsonResult<T>) {
+        if self.refused.is_none() {
+            match item {
+                Ok(item) => self.list.push(item),
+                Err(error) => self.refused = Some(error),
+            }
+        }
+    }
+
+    fn into_result(self) -> JsonResult<Vec<T>> {
+        match self.refused {
+            Some(error) => Err(error),
+            None => Ok(self.list),
+        }
+    }
+}
+
+/// The longest prefix of `bytes` that is whole UTF-8 characters.
+fn whole_chars(bytes: &[u8]) -> &str {
+    match std::str::from_utf8(bytes) {
         Ok(text) => text,
-        Err(error) => std::str::from_utf8(&head[..error.valid_up_to()]).unwrap_or_default(),
-    };
-    text.chars().next().unwrap_or('\0')
+        Err(error) => std::str::from_utf8(&bytes[..error.valid_up_to()]).unwrap_or_default(),
+    }
 }
 
 #[cfg(test)]
