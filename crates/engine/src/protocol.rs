@@ -395,7 +395,11 @@ fn bounded(value: usize, limit: usize, what: &str) -> EngineResult<usize> {
 impl Request {
     /// Parse one protocol line.  A `label` request's batch is read straight
     /// off the line, with no tree per label (see [`crate::wal`]'s shared
-    /// label-batch reader).
+    /// label-batch reader), and the arrays of a `load_pool` (and a
+    /// `create_session`'s `truth`) straight into their `Vec`s.  A line
+    /// longer than 64 KiB that arrives on a connection is decoded as it
+    /// arrives instead, through the same member decoder, to the same
+    /// request or error (see [`crate::server`]).
     ///
     /// # Errors
     /// [`EngineError::Protocol`] / [`EngineError::Json`] on malformed input.

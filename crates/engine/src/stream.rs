@@ -359,18 +359,18 @@ impl<'a, R: BufRead> Window<'a, R> {
                     }
                 }
             }
-            Some(b't') => Ok(T::from_bool(self.literal("true")?)),
-            Some(b'f') => Ok(T::from_bool(self.literal("false")?)),
+            Some(b't') => Ok(T::from_bool(self.literal("true", true)?)),
+            Some(b'f') => Ok(T::from_bool(self.literal("false", false)?)),
             _ => Ok(T::from_json(&self.buffered(2, |reader| reader.value())?)),
         }
     }
 
-    /// Read the literal `word` under the cursor; `true` for `"true"`.
-    fn literal(&mut self, word: &str) -> Decoded<bool> {
+    /// Read the literal `word`, which means `value`, under the cursor.
+    fn literal(&mut self, word: &str, value: bool) -> Decoded<bool> {
         while self.buf.len() - self.pos < word.len() && self.fill()? {}
         if self.buf[self.pos..].starts_with(word.as_bytes()) {
             self.pos += word.len();
-            Ok(word == "true")
+            Ok(value)
         } else {
             Err(self.error("invalid literal"))
         }
