@@ -283,16 +283,17 @@ pub(crate) fn required<T>(value: Option<JsonResult<T>>, key: &str) -> JsonResult
     value.unwrap_or_else(|| Err(JsonError::missing_field(key)))
 }
 
-/// Parse one request or WAL line, reading its top-level `labels` value as
-/// a label batch in place, without a tree per label.  Returns the line's
+/// Parse one WAL line, reading its top-level `labels` value as a label
+/// batch in place, without a tree per label (request lines read theirs
+/// through `protocol::Members`).  Returns the line's
 /// other keys as an object (the whole value when the line is not an object)
 /// and the batch, when the line has the key; a repeated key, `labels`
 /// included, keeps its last value.
 ///
 /// The whole line's syntax is checked first, as [`Json::parse`] checks it.
 /// A `labels` value that is valid JSON but not a batch is an error only
-/// where a batch is required ([`required`]), so a line of any other
-/// command may carry one.
+/// where a batch is required ([`required`]), so a record of any other op
+/// may carry one.
 pub(crate) fn parse_labelled_line(line: &str) -> JsonResult<(Json, Option<LabelBatch>)> {
     let mut reader = Reader::new(line);
     if reader.peek() != Some(b'{') {
